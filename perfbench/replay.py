@@ -8,11 +8,18 @@ only the tests use (``build_token_space``, ``similar_token_pairs``,
 ``dedup_candidates``, ``length_filter``/``histogram_filter``, ``sld_greedy``).
 
 The probe replay covers the whole kept vocabulary, so its pair count must equal
-the similar-tokens stage's ``items_out``. Filter and verify are replayed on a
-record sample (every n-th record of the left side): the sample's candidates are
-rebuilt from the posting lists and the probe's token pairs, and the pairs it
-accepts must equal the join's result restricted to the sample. A count that
-does not reconcile is flagged, not failed.
+the similar-tokens stage's ``items_out``, and ``strdist.ld_bounded_calls``
+counts the ``ld_bounded`` calls of that whole stage. Filter and verify are
+replayed on a record sample (every n-th record of the left side): the sample's
+candidates are rebuilt from the posting lists and the probe's token pairs, and
+the pairs it accepts must equal the join's result restricted to the sample. A
+count that does not reconcile is flagged, not failed.
+
+Verify reuses the ``LdCache`` that ``join()``'s probe has filled, so the verify
+replay starts from the probe replay's cache with its counters reset. The verify
+figures (``setdist.*`` and ``strdist.ld_bounded_per_verify_pair``) are rates
+over the sampled pairs. With a worker pool, each worker's cache holds only the
+probes that worker ran, so the join sees a lower hit ratio than the replay.
 
 Each metric group runs behind a guard: if an entry point disappears or changes
 signature, the group's metrics are None with the reason, and the end-to-end
@@ -49,6 +56,7 @@ VERIFY_METRICS = (
     "setdist.ld_lookups_per_pair",
     "setdist.ld_cache_hit_ratio",
     "strdist.ld_bounded_calls",
+    "strdist.ld_bounded_per_verify_pair",
     "strdist.ld_bounded_us_p50",
 )
 
@@ -241,6 +249,7 @@ class _Probe:
     post_p: dict[str, list[int]]
     token_pairs: set[tuple[str, str]]
     ld_calls: int
+    cache: Any  # the CountingLdCache the probes filled
 
 
 def replay_probe(inp: ReplayInput, tracer: Tracer) -> tuple[Metrics, _Probe]:
@@ -285,7 +294,7 @@ def replay_probe(inp: ReplayInput, tracer: Tracer) -> tuple[Metrics, _Probe]:
         "candidates.probe_hit_ratio": 1.0 - misses.calls / cache.lookups if cache.lookups else None,
         "candidates.similar_token_pairs": len(pairs),
     }
-    return metrics, _Probe(post_r, post_p, pairs, misses.calls)
+    return metrics, _Probe(post_r, post_p, pairs, misses.calls, cache)
 
 
 def _sample_pairs(inp: ReplayInput, probe: _Probe) -> tuple[set[int], list[tuple[int, int]]]:
@@ -339,7 +348,8 @@ def replay_verify(inp: ReplayInput, tracer: Tracer, probe: _Probe) -> tuple[Metr
                 continue
             survivors.append((a, b))
 
-    cache = _counting_cache_class()()
+    cache = probe.cache
+    cache.lookups = 0
     k_counts: Counter[int] = Counter()
     accepted = set()
     clock = time.perf_counter_ns
@@ -383,7 +393,8 @@ def replay_verify(inp: ReplayInput, tracer: Tracer, probe: _Probe) -> tuple[Metr
         "setdist.k4plus_share": sum(c for k, c in k_counts.items() if k >= 4) / n if n else None,
         "setdist.ld_lookups_per_pair": cache.lookups / n if n else None,
         "setdist.ld_cache_hit_ratio": 1.0 - misses.calls / cache.lookups if cache.lookups else None,
-        "strdist.ld_bounded_calls": probe.ld_calls + misses.calls,
+        "strdist.ld_bounded_calls": probe.ld_calls,
+        "strdist.ld_bounded_per_verify_pair": misses.calls / n if n else None,
         "strdist.ld_bounded_us_p50": percentile(tracer.durations_us("strdist.ld_bounded"), 50),
     }
     return metrics, flags

@@ -6,10 +6,10 @@ Run from the root of a checkout:
     python3 -m perfbench.run --smoke
 
 A run generates its corpus from ``--seed`` (``perfbench/workloads.json`` holds
-each workload's generator, join config and why), then starts one fresh
-``perfbench.measure`` process per measured join until ``--seconds`` have
-passed; each process has a time limit and is killed with its pool workers when
-it overruns. ``--trace 0`` reports the end-to-end metrics named in
+each workload's generator and join config; its why is in ``BENCHMARK.json``),
+then starts one fresh ``perfbench.measure`` process per measured join until
+``--seconds`` have passed; each process has a time limit and is killed with
+its pool workers when it overruns. ``--trace 0`` reports the end-to-end metrics named in
 ``BENCHMARK.json`` as medians over the measured processes. ``--trace 1`` runs
 one untraced and one traced process and reports the per-layer metrics, read
 from the traced join's ``StageReport`` and from timed replays of the calls
@@ -56,6 +56,12 @@ DEADLINE_S = 170.0
 RESERVE_S = 5.0
 # corpus reads per measured process; each is one setup_s sample
 READ_REPS = 3
+# the filter and verify replays rebuild candidates in Python for every n-th
+# record: all records would mean holding dense-vocab's 13.9 M raw pairs in sets,
+# and a smoke corpus of a few hundred records needs a denser sample to hold pairs
+REPLAY_SAMPLE_EVERY = 20
+SMOKE_REPLAY_SAMPLE_EVERY = 4
+SMOKE_TIME_LIMIT_S = 60.0
 MEASURE_CMD = [sys.executable, "-m", "perfbench.measure"]
 
 
@@ -71,9 +77,9 @@ def workload_params(defs: dict, name: str, scale: str) -> dict:
     if scale == "smoke":
         small = wl["smoke"]
         wl["generator"]["size"] = small["size"]
-        for key in ("two_set_split", "time_limit_s", "oracle_slice", "replay_sample_every"):
-            if key in small:
-                wl[key] = small[key]
+        wl["oracle_slice"] = small["oracle_slice"]
+        wl["two_set_split"] = small.get("two_set_split", wl["two_set_split"])
+        wl["time_limit_s"] = SMOKE_TIME_LIMIT_S
     return wl
 
 
@@ -261,7 +267,7 @@ def run_workload(
                 "trace": traced,
                 "run_id": f"{name}-seed{seed}-run{i}",
                 "trace_path": str(WORK / "traces" / f"{name}-{scale}-seed{seed}.json"),
-                "replay_sample_every": wl["replay_sample_every"],
+                "replay_sample_every": SMOKE_REPLAY_SAMPLE_EVERY if scale == "smoke" else REPLAY_SAMPLE_EVERY,
             }
             spec_path = work / f"spec{i}.json"
             spec_path.write_text(json.dumps(spec), encoding="utf-8")

@@ -101,9 +101,9 @@ def test_run_child_kills_a_hung_process_and_its_children(tmp_path):
     assert not _alive(grandchild)
 
 
-def test_a_hung_run_is_counted_as_failed_not_waited_for():
+def test_a_hung_run_is_counted_as_failed_not_waited_for(monkeypatch):
     bench, defs = run.load_definitions()
-    defs["workloads"]["sparse-names"]["smoke"]["time_limit_s"] = 1
+    monkeypatch.setattr(run, "SMOKE_TIME_LIMIT_S", 1.0)
     t0 = time.monotonic()
     result, lines = run.run_workload(
         defs, bench, "sparse-names", 0, 0, False,
@@ -184,7 +184,7 @@ def _replay_input(name: str):
         greedy=False,
         scheme="whitespace-punct",
         results=results,
-        sample_every=wl["replay_sample_every"],
+        sample_every=run.SMOKE_REPLAY_SAMPLE_EVERY,
     )
     return inp, report.to_dict()
 
@@ -215,6 +215,19 @@ def test_replays_reconcile_and_never_call_the_library_twins(name, monkeypatch):
     assert reasons == {}
     assert all(value is not None for value in metrics.values())
     assert metrics["candidates.similar_token_pairs"] == report["stages"]["similar-tokens"]["items_out"]
+
+
+def test_verify_replay_starts_from_the_cache_the_probe_filled():
+    # join() verifies with the LdCache its probe stage filled, so the replay must too
+    inp, _ = _replay_input("sparse-names")
+    _, probe = replay.replay_probe(inp, Tracer("test"))
+    warm, _ = replay.replay_verify(inp, Tracer("test"), probe)
+    probe.cache = type(probe.cache)()
+    cold, _ = replay.replay_verify(inp, Tracer("test"), probe)
+    assert warm["setdist.ld_lookups_per_pair"] == cold["setdist.ld_lookups_per_pair"]
+    assert warm["setdist.ld_cache_hit_ratio"] > cold["setdist.ld_cache_hit_ratio"]
+    assert warm["strdist.ld_bounded_per_verify_pair"] < cold["strdist.ld_bounded_per_verify_pair"]
+    assert warm["strdist.ld_bounded_calls"] == cold["strdist.ld_bounded_calls"] == probe.ld_calls
 
 
 def test_a_missing_entry_point_gives_null_with_a_reason(monkeypatch):
