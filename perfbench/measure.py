@@ -7,9 +7,10 @@ mark of that join alone:
 
 The spec names the source tree, corpus file(s), join config and output paths.
 The process reads the corpus ``read_reps`` times (each read is one setup
-sample), joins the last read, writes the result file and records wall time, CPU
-time of itself and its pool children, and peak RSS. With ``trace`` set it also
-records spans and runs the per-layer replays after the join.
+sample), times ``calibrate`` right before it joins the last read, writes the
+result file and records wall time, CPU time of itself and its pool children,
+and peak RSS. With ``trace`` set it also records spans and runs the per-layer
+replays after the join.
 """
 
 from __future__ import annotations
@@ -26,6 +27,28 @@ from pathlib import Path
 
 def _cpu_s(usage: resource.struct_rusage) -> float:
     return usage.ru_utime + usage.ru_stime
+
+
+def calibrate() -> float:
+    """Seconds this host takes now for a fixed pure-Python loop of dict and set work.
+
+    It uses no tokenjoin code, so a change to the program does not change it,
+    and runs with the collector off, so the program's live objects do not either.
+    At about a tenth of a second it spans many of the host's slow and fast
+    slices of tens of milliseconds, as a join does.
+    """
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        words = [format(i * 2654435761 % 1000003, "x") for i in range(60000)]
+        pairs: dict[str, int] = {}
+        for word in words:
+            for j in range(len(word) - 1):
+                pairs[word[j:j + 2]] = pairs.get(word[j:j + 2], 0) + 1
+        {word[::-1] for word in words}
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
 
 
 def main(argv: list[str]) -> int:
@@ -56,6 +79,7 @@ def main(argv: list[str]) -> int:
                     corpus_p = read_corpus(right, scheme=cfg.tokenizer)
             read_s.append(time.perf_counter() - t0)
         gc.collect()
+        cal_s = calibrate()
 
         self0 = resource.getrusage(resource.RUSAGE_SELF)
         kids0 = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -74,6 +98,7 @@ def main(argv: list[str]) -> int:
         record = {
             "join_s": join_s,
             "read_s": read_s,
+            "cal_s": cal_s,
             "write_s": write_s,
             "cpu_s": _cpu_s(self1) - _cpu_s(self0) + _cpu_s(kids1) - _cpu_s(kids0),
             "peak_rss_mb": self1.ru_maxrss / 1024.0,

@@ -2,18 +2,19 @@
 
 Run from the root of a checkout:
 
-    python3 -m perfbench.run --workload sparse-names --seed 0 --seconds 30 --trace 0
+    python3 -m perfbench.run --workload sparse-names --seed 0 --seconds 40 --trace 0
     python3 -m perfbench.run --smoke
 
 A run generates its corpus from ``--seed`` (``perfbench/workloads.json`` holds
 each workload's generator and join config; its why is in ``BENCHMARK.json``),
-then starts one fresh ``perfbench.measure`` process per measured join until
-``--seconds`` have passed; each process has a time limit and is killed with
-its pool workers when it overruns. ``--trace 0`` reports the end-to-end metrics named in
-``BENCHMARK.json`` as medians over the measured processes. ``--trace 1`` runs
-one untraced and one traced process and reports the per-layer metrics, read
-from the traced join's ``StageReport`` and from timed replays of the calls
-``join()`` makes, plus the tracing overhead.
+then starts one fresh ``perfbench.measure`` process per measured join for as
+long as the next one should end within ``--seconds``; each process has a time
+limit and is killed with its pool workers when it overruns. ``--trace 0``
+reports the end-to-end metrics named in ``BENCHMARK.json`` as medians over the
+measured processes, with every timing adjusted for the host's speed (see
+``SPEED_EXPONENT``). ``--trace 1`` runs one untraced and one traced process
+and reports the per-layer metrics, read from the traced join's ``StageReport``
+and from timed replays of the calls ``join()`` makes, plus the tracing overhead.
 
 Every measured run passes a correctness gate or counts as failed: the result
 file's SHA-256 matches the recorded reference for this seed (or, without one,
@@ -57,11 +58,24 @@ RESERVE_S = 5.0
 # corpus reads per measured process; each is one setup_s sample
 READ_REPS = 3
 # the filter and verify replays rebuild candidates in Python for every n-th
-# record: all records would mean holding dense-vocab's 13.9 M raw pairs in sets,
-# and a smoke corpus of a few hundred records needs a denser sample to hold pairs
+# record, which keeps the traced run short; a smoke corpus of a few hundred
+# records needs a denser sample to hold pairs
 REPLAY_SAMPLE_EVERY = 20
 SMOKE_REPLAY_SAMPLE_EVERY = 4
-SMOKE_TIME_LIMIT_S = 60.0
+# wall-clock limit of one measured process; the traced process gets twice this
+TIME_LIMIT_S = 30.0
+# A shared host runs every process up to twice as slow for minutes at a time,
+# so raw seconds from runs minutes apart differ by more than a change worth
+# finding. Each measured process times measure.calibrate, a fixed loop, right
+# before its join, and each of its timings (join_s, cpu_s, setup_s and so
+# records_per_s) is multiplied by (REFERENCE_CAL_S / that time) ** SPEED_EXPONENT.
+# On the 2-core host of workloads.json, over forty runs, the program's time
+# followed the loop's to a power of 0.3 (two-set-parallel) to 0.7 (sparse-names);
+# 0.5 is the middle, which leaves either workload with at most a power of 0.2 of
+# a change in host speed. The loop takes 0.1 to 0.2 s there. The unscaled
+# medians are printed too.
+REFERENCE_CAL_S = 0.1
+SPEED_EXPONENT = 0.5
 MEASURE_CMD = [sys.executable, "-m", "perfbench.measure"]
 
 
@@ -79,7 +93,6 @@ def workload_params(defs: dict, name: str, scale: str) -> dict:
         wl["generator"]["size"] = small["size"]
         wl["oracle_slice"] = small["oracle_slice"]
         wl["two_set_split"] = small.get("two_set_split", wl["two_set_split"])
-        wl["time_limit_s"] = SMOKE_TIME_LIMIT_S
     return wl
 
 
@@ -210,6 +223,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def host_scale(rec: dict) -> float:
+    """Factor that adjusts one measured process's seconds to the reference host speed."""
+    return (REFERENCE_CAL_S / rec["cal_s"]) ** SPEED_EXPONENT
+
+
 def _fmt(value) -> str:
     return "null" if value is None else f"{value:.6g}"
 
@@ -284,15 +302,16 @@ def run_workload(
                 return
             runs.append((traced, rec, [f"run {i}: {p}" for p in problems]))
 
-        limit = wl["time_limit_s"]
         m0 = time.monotonic()
-        while not runs or (not trace and time.monotonic() - m0 < seconds):
-            if runs and remaining() < limit:
+        one_run(False, min(TIME_LIMIT_S, remaining()))
+        # start another process only if, at the mean duration so far, it ends within --seconds
+        while not trace and (time.monotonic() - m0) * (len(runs) + 1) / len(runs) <= seconds:
+            if remaining() < TIME_LIMIT_S:
                 out.append("stopped starting runs: the invocation deadline is near")
                 break
-            one_run(False, min(limit, remaining()))
+            one_run(False, min(TIME_LIMIT_S, remaining()))
         if trace:
-            one_run(True, min(2 * limit, remaining()))
+            one_run(True, min(2 * TIME_LIMIT_S, remaining()))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -310,10 +329,10 @@ def run_workload(
     metrics: dict[str, dict] = {}
     if not trace:
         samples = {
-            "join_s": [r["join_s"] for r in good],
-            "records_per_s": [size / r["join_s"] for r in good],
-            "setup_s": [t for r in good for t in r["read_s"]],
-            "cpu_s": [r["cpu_s"] for r in good],
+            "join_s": [r["join_s"] * host_scale(r) for r in good],
+            "records_per_s": [size / (r["join_s"] * host_scale(r)) for r in good],
+            "setup_s": [t * host_scale(r) for r in good for t in r["read_s"]],
+            "cpu_s": [r["cpu_s"] * host_scale(r) for r in good],
             "peak_rss_mb": [r["peak_rss_mb"] for r in good],
         }
         for m in bench["end_to_end"]:
@@ -328,6 +347,9 @@ def run_workload(
         if good:
             pool = max(r["pool_child_peak_rss_mb"] for r in good)
             out.append(f"largest pool child peak RSS {pool:.1f} MB; pairs {good[0]['pairs']}")
+            raw = statistics.median(r["join_s"] for r in good)
+            cal = statistics.median(r["cal_s"] for r in good)
+            out.append(f"unscaled: join {_fmt(raw)} s, calibration loop {_fmt(cal)} s (medians)")
     else:
         values: dict = {}
         reasons: dict = {}
@@ -337,7 +359,10 @@ def run_workload(
             values["corpusio.read_s"] = statistics.median(traced_rec["read_s"])
             values["corpusio.write_s"] = traced_rec["write_s"]
             if good:
-                values["bench.trace_overhead_s"] = traced_rec["join_s"] - statistics.median(r["join_s"] for r in good)
+                values["bench.trace_overhead_s"] = (
+                    traced_rec["join_s"] * host_scale(traced_rec)
+                    - statistics.median(r["join_s"] * host_scale(r) for r in good)
+                )
             else:
                 reasons["bench.trace_overhead_s"] = "the untraced run failed"
             for flag in traced_rec["flags"]:
@@ -388,6 +413,11 @@ def smoke(defs: dict, bench: dict) -> int:
     return 0 if ok else 1
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    # unwinds through run_child's finally, which kills the measured process group
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="perfbench", description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
@@ -396,6 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="run every workload at a few hundred records")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
 
     if not (SRC / "tokenjoin" / "pipeline.py").is_file():
         print(f"perfbench: no tokenjoin sources under {SRC}", file=sys.stderr)

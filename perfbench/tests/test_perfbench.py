@@ -77,7 +77,7 @@ def test_smoke_mode_reports_every_metric():
         assert len(stated) == len(bench["workloads"])
 
 
-def test_run_child_kills_a_hung_process_and_its_children(tmp_path):
+def _hang_script(tmp_path: Path) -> Path:
     # stands in for a join whose pool worker died: the process and a forked child never finish
     script = tmp_path / "hang.py"
     script.write_text(
@@ -86,24 +86,54 @@ def test_run_child_kills_a_hung_process_and_its_children(tmp_path):
         "if pid == 0:\n"
         "    time.sleep(60)\n"
         "    os._exit(0)\n"
-        "open(sys.argv[1], 'w').write(str(pid))\n"
+        "open(sys.argv[1], 'w').write(f'{os.getpid()} {pid}')\n"
         "time.sleep(60)\n"
     )
-    pid_file = tmp_path / "grandchild.pid"
+    return script
+
+
+def _wait_gone(pids: list[int]) -> None:
+    deadline = time.monotonic() + 5
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in pids)
+
+
+def test_run_child_kills_a_hung_process_and_its_children(tmp_path):
+    pid_file = tmp_path / "pids"
     t0 = time.monotonic()
-    outcome = run.run_child([sys.executable, str(script), str(pid_file)], 1.0, tmp_path / "err.txt")
+    outcome = run.run_child([sys.executable, str(_hang_script(tmp_path)), str(pid_file)], 1.0, tmp_path / "err.txt")
     assert outcome.status == "timeout"
     assert time.monotonic() - t0 < 10
-    grandchild = int(pid_file.read_text())
-    deadline = time.monotonic() + 5
-    while _alive(grandchild) and time.monotonic() < deadline:
+    _wait_gone([int(pid) for pid in pid_file.read_text().split()])
+
+
+def test_sigterm_to_the_runner_kills_the_measured_processes(tmp_path):
+    pid_file = tmp_path / "pids"
+    runner = subprocess.Popen(
+        [
+            sys.executable, "-c",
+            "import signal, sys\n"
+            "from pathlib import Path\n"
+            "from perfbench import run\n"
+            "signal.signal(signal.SIGTERM, run._exit_on_sigterm)\n"
+            "run.run_child([sys.executable] + sys.argv[1:3], 60.0, Path(sys.argv[3]))\n",
+            str(_hang_script(tmp_path)), str(pid_file), str(tmp_path / "err.txt"),
+        ],
+        cwd=ROOT,
+    )
+    deadline = time.monotonic() + 20
+    while not pid_file.exists() or len(pid_file.read_text().split()) < 2:
+        assert time.monotonic() < deadline and runner.poll() is None
         time.sleep(0.05)
-    assert not _alive(grandchild)
+    runner.terminate()
+    assert runner.wait(timeout=10) == 128 + 15
+    _wait_gone([int(pid) for pid in pid_file.read_text().split()])
 
 
 def test_a_hung_run_is_counted_as_failed_not_waited_for(monkeypatch):
     bench, defs = run.load_definitions()
-    monkeypatch.setattr(run, "SMOKE_TIME_LIMIT_S", 1.0)
+    monkeypatch.setattr(run, "TIME_LIMIT_S", 1.0)
     t0 = time.monotonic()
     result, lines = run.run_workload(
         defs, bench, "sparse-names", 0, 0, False,
@@ -143,7 +173,7 @@ def test_gate_catches_a_flipped_distance_digit(tmp_path):
 
 
 def test_gate_requires_runs_to_agree_without_a_reference(tmp_path):
-    wl, sides = _smoke_sides("dense-vocab")
+    wl, sides = _smoke_sides("two-set-parallel")
     _, results, report = _join_sides(wl, sides)
     path = tmp_path / "out.tsv"
     write_results(path, results)
