@@ -26,7 +26,7 @@ import numpy as np
 from . import candidates as cand
 from .candidates import CandidatePair, NldIndex, TokenSpace
 from .errors import ConfigError, DataError, StageError
-from .filters import FilterStats, histogram_prunes, length_prunes
+from .filters import FilterStats
 from .setdist import LdCache, sld_capped
 from .strdist import threshold_ratio
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
@@ -44,6 +44,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 _PACK_MASK = 0xFFFFFFFF
+# dense ids fill the low 31 bits of each packed half: one-string dedup shifts
+# a key id into bits 32..62 and keeps bit 63 for the side it came from
+_MAX_RECORDS_PER_SIDE = 1 << 31
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -263,7 +266,8 @@ class _JoinCtx:
         "lens_arr_right",
         "hist_mat_left",
         "hist_mat_right",
-        "hist_width",
+        "maxdiff",
+        "hist_cap",
         "num",
         "den",
         "greedy",
@@ -276,6 +280,35 @@ class _JoinCtx:
 
     def __init__(self):
         self.ld_cache = LdCache()
+
+    def set_filter_inputs(self, side_r: "_Side", side_p: "_Side", num: int, den: int) -> None:
+        """Length arrays, histogram matrices and exact prune tables for the filter.
+
+        ``maxdiff[l] = floor(num·l/den)``: a pair whose longer side has length
+        l is pruned by length when the lengths differ by more.
+        ``hist_cap[L] = floor(num·L/(2·den − num))``: the largest setwise cost
+        within the threshold at combined length L (the verify cap). Both come
+        from Python ints, so no threshold or length can overflow them.
+        """
+        self_join = side_p is side_r
+        self.lens_arr_left = side_r.lens_array()
+        self.lens_arr_right = self.lens_arr_left if self_join else side_p.lens_array()
+        width = max(
+            max((len(h) for h in side_r.hists), default=0),
+            max((len(h) for h in side_p.hists), default=0),
+        )
+        if width:
+            self.hist_mat_left = side_r.hist_matrix(width)
+            self.hist_mat_right = self.hist_mat_left if self_join else side_p.hist_matrix(width)
+        else:
+            self.hist_mat_left = None
+            self.hist_mat_right = None
+        max_len = max(max(side_r.lens, default=0), max(side_p.lens, default=0))
+        self.maxdiff = np.array([num * l // den for l in range(max_len + 1)], dtype=np.int64)
+        hist_den = 2 * den - num
+        self.hist_cap = np.array(
+            [num * total // hist_den for total in range(2 * max_len + 1)], dtype=np.int64
+        )
 
 
 def _probe_map(item):
@@ -408,7 +441,16 @@ class _Side:
         return out
 
 
+def _check_side_size(n_records: int, label: str) -> None:
+    if n_records >= _MAX_RECORDS_PER_SIDE:
+        raise DataError(
+            f"{label} corpus has {n_records} records; packed pair ids allow at most "
+            f"{_MAX_RECORDS_PER_SIDE - 1} per side"
+        )
+
+
 def _prepare_side(corpus: Sequence[TokenizedString], label: str) -> _Side:
+    _check_side_size(len(corpus), label)
     recs = sorted(corpus, key=lambda r: r.id)
     ids: list[str] = []
     tokens: list[tuple[str, ...]] = []
@@ -473,26 +515,29 @@ def _similar_pairs_packed(
     space_p: TokenSpace,
     self_join: bool,
 ) -> Iterator[int]:
+    """Record pairs from distinct similar tokens.
+
+    A token paired with itself would re-emit exactly the record pairs that
+    :func:`_shared_pairs_packed` yields earlier in the stream, so such pairs
+    are skipped; first occurrences after dedup are unchanged.
+    """
     if self_join:
         for tok_a, tok_b, _ in token_pairs:
+            if tok_a == tok_b:
+                continue
             postings_a = space_r.entries.get(tok_a)
             postings_b = space_r.entries.get(tok_b)
             if not postings_a or not postings_b:
                 continue
-            if tok_a == tok_b:
-                n = len(postings_a)
-                for i in range(n - 1):
-                    hi = postings_a[i] << 32
-                    for j in range(i + 1, n):
-                        yield hi | postings_a[j]
-            else:
-                for a in postings_a:
-                    for b in postings_b:
-                        if a == b:
-                            continue
-                        yield (a << 32) | b if a < b else (b << 32) | a
+            for a in postings_a:
+                for b in postings_b:
+                    if a == b:
+                        continue
+                    yield (a << 32) | b if a < b else (b << 32) | a
     else:
         for tok_r, tok_p, _ in token_pairs:
+            if tok_r == tok_p:
+                continue
             postings_r = space_r.entries.get(tok_r)
             postings_p = space_p.entries.get(tok_p)
             if not postings_r or not postings_p:
@@ -553,20 +598,7 @@ def join(
     ctx.self_join = self_join
     ctx.index_r = None
     ctx.index_p = None
-    ctx.hist_width = max(
-        max((len(h) for h in side_r.hists), default=0),
-        max((len(h) for h in side_p.hists), default=0),
-    )
-    ctx.lens_arr_left = side_r.lens_array()
-    ctx.lens_arr_right = side_p.lens_array() if not self_join else ctx.lens_arr_left
-    if ctx.hist_width:
-        ctx.hist_mat_left = side_r.hist_matrix(ctx.hist_width)
-        ctx.hist_mat_right = (
-            side_p.hist_matrix(ctx.hist_width) if not self_join else ctx.hist_mat_left
-        )
-    else:
-        ctx.hist_mat_left = None
-        ctx.hist_mat_right = None
+    ctx.set_filter_inputs(side_r, side_p, num, den)
 
     want_similar = cfg.matching in (FUZZY, GREEDY)
     probe_items: list[tuple[int, str]] = []
@@ -614,9 +646,7 @@ def join(
 
         t0 = time.perf_counter()
         if use_filters:
-            survivors, fstats = _filter_packed(
-                unique, side_r, side_p, num, den, ctx=ctx, workers=cfg.workers, pool=pool
-            )
+            survivors, fstats = _filter_packed(unique, ctx, workers=cfg.workers, pool=pool)
         else:
             survivors = unique.tolist()
             fstats = FilterStats(input_pairs=len(survivors), surviving=len(survivors))
@@ -650,13 +680,14 @@ def join(
         for left in side_r.empties:
             hi = left << 32
             accepted.extend((hi | right, 0.0) for right in side_p.empties)
+    # dense ids follow sorted record ids on each side, so packed order is
+    # (left_id, right_id) order
     accepted.sort()
     ids_l, ids_r = side_r.ids, side_p.ids
     results = [
         JoinResult(ids_l[packed >> 32], ids_r[packed & _PACK_MASK], dist)
         for packed, dist in accepted
     ]
-    results.sort(key=lambda jr: (jr.left_id, jr.right_id))
     report.record("finalize", len(accepted), len(results), _ms(t0))
     return results, report
 
@@ -697,34 +728,6 @@ def _dedup_packed(raw: np.ndarray, strategy: str, side_r: _Side, side_p: _Side) 
     return raw[first_idx]
 
 
-def _filter_scalar(
-    unique, side_r: _Side, side_p: _Side, num: int, den: int
-) -> tuple[list[int], FilterStats]:
-    stats = FilterStats()
-    stats.input_pairs = len(unique)
-    lens_l, lens_r = side_r.lens, side_p.lens
-    hists_l, hists_r = side_r.hists, side_p.hists
-    survivors: list[int] = []
-    pruned_len = 0
-    pruned_hist = 0
-    for packed in unique:
-        packed = int(packed)
-        left = packed >> 32
-        right = packed & _PACK_MASK
-        la = lens_l[left]
-        lb = lens_r[right]
-        if length_prunes(la, lb, num, den):
-            pruned_len += 1
-        elif histogram_prunes(hists_l[left], hists_r[right], la, lb, num, den):
-            pruned_hist += 1
-        else:
-            survivors.append(packed)
-    stats.pruned_by_length = pruned_len
-    stats.pruned_by_histogram = pruned_hist
-    stats.surviving = len(survivors)
-    return survivors, stats
-
-
 _FILTER_BLOCK = 1 << 19
 
 
@@ -734,8 +737,8 @@ def _filter_blocks(
     lens_r: np.ndarray,
     hist_l: np.ndarray | None,
     hist_r: np.ndarray | None,
-    num: int,
-    den: int,
+    maxdiff: np.ndarray,
+    hist_cap: np.ndarray,
 ) -> tuple[list[int], int, int]:
     """Length then histogram pruning over packed pairs, block by block."""
     survivors: list[int] = []
@@ -748,14 +751,14 @@ def _filter_blocks(
         la = lens_l[li]
         lb = lens_r[ri]
         mx = np.maximum(la, lb)
-        len_prune = (mx - np.minimum(la, lb)) * den > num * mx
+        len_prune = mx - np.minimum(la, lb) > maxdiff[mx]
         pruned_len += int(len_prune.sum())
         keep = ~len_prune
         if hist_l is not None:
             lk = li[keep]
             rk = ri[keep]
             lower = np.abs(hist_l[lk] - hist_r[rk]).sum(axis=1)
-            hist_prune = 2 * lower * den > num * (la[keep] + lb[keep] + lower)
+            hist_prune = lower > hist_cap[la[keep] + lb[keep]]
             pruned_hist += int(hist_prune.sum())
             survivors.extend(block[keep][~hist_prune].tolist())
         else:
@@ -763,69 +766,46 @@ def _filter_blocks(
     return survivors, pruned_len, pruned_hist
 
 
-def _filter_map_chunk(arr: np.ndarray) -> tuple[list[int], int, int]:
-    ctx = _current_ctx()
+def _filter_chunk(arr: np.ndarray, ctx: "_JoinCtx | None" = None) -> tuple[list[int], int, int]:
+    ctx = ctx if ctx is not None else _current_ctx()
     return _filter_blocks(
         arr,
         ctx.lens_arr_left,
         ctx.lens_arr_right,
         ctx.hist_mat_left,
         ctx.hist_mat_right,
-        ctx.num,
-        ctx.den,
+        ctx.maxdiff,
+        ctx.hist_cap,
     )
 
 
 def _filter_packed(
     unique: np.ndarray,
-    side_r: _Side,
-    side_p: _Side,
-    num: int,
-    den: int,
-    ctx: "_JoinCtx | None" = None,
+    ctx: _JoinCtx,
     workers: int = 1,
     pool=None,
 ) -> tuple[list[int], FilterStats]:
     """Vectorized length + histogram pruning with exact integer predicates.
 
-    Runs over the pool in contiguous chunks when one is available (merge order
-    is partition order, so results match the serial pass exactly). Falls back
-    to the scalar reference when the cross-multiplied comparisons could
-    overflow int64 (enormous records or a pathological threshold).
+    Reads the arrays and tables of :meth:`_JoinCtx.set_filter_inputs`. Runs
+    over the pool in contiguous chunks when one is available (merge order is
+    partition order, so results match the serial pass exactly).
     """
     stats = FilterStats()
     stats.input_pairs = int(unique.size)
-    if unique.size == 0:
-        stats.surviving = 0
-        return [], stats
-    max_len = max(max(side_r.lens, default=0), max(side_p.lens, default=0))
-    if (4 * max_len + 4) * max(num, den) >= 2**62:
-        return _filter_scalar(unique, side_r, side_p, num, den)
-
-    if ctx is not None and pool is not None and workers > 1 and unique.size >= 4 * _FILTER_BLOCK:
+    if pool is not None and workers > 1 and unique.size >= 4 * _FILTER_BLOCK:
         n_parts = workers * 2
         size = (unique.size + n_parts - 1) // n_parts
         chunks = [unique[i * size : (i + 1) * size] for i in range(n_parts)]
-        parts = pool.map(_filter_map_chunk, chunks)
         survivors: list[int] = []
         pruned_len = 0
         pruned_hist = 0
-        for part_survivors, n_len, n_hist in parts:
+        for part_survivors, n_len, n_hist in pool.map(_filter_chunk, chunks):
             survivors.extend(part_survivors)
             pruned_len += n_len
             pruned_hist += n_hist
     else:
-        width = max(
-            max((len(h) for h in side_r.hists), default=0),
-            max((len(h) for h in side_p.hists), default=0),
-        )
-        lens_l = side_r.lens_array()
-        lens_r = side_p.lens_array() if side_p is not side_r else lens_l
-        hist_l = side_r.hist_matrix(width) if width else None
-        hist_r = (side_p.hist_matrix(width) if side_p is not side_r else hist_l) if width else None
-        survivors, pruned_len, pruned_hist = _filter_blocks(
-            unique, lens_l, lens_r, hist_l, hist_r, num, den
-        )
+        survivors, pruned_len, pruned_hist = _filter_chunk(unique, ctx)
     stats.pruned_by_length = pruned_len
     stats.pruned_by_histogram = pruned_hist
     stats.surviving = len(survivors)

@@ -13,6 +13,7 @@ token-length histogram lower bound feeds the pre-verification filter.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .strdist import ld, ld_bounded
@@ -229,8 +230,8 @@ def sld_lower_bound(ha: TokenLengthHistogram, hb: TokenLengthHistogram) -> int:
 
 
 def sld_capped(
-    a_tokens: tuple[str, ...],
-    b_tokens: tuple[str, ...],
+    a_tokens: Sequence[str],
+    b_tokens: Sequence[str],
     cap: int,
     *,
     greedy: bool = False,
@@ -238,11 +239,24 @@ def sld_capped(
 ) -> int | None:
     """Setwise cost if it does not exceed ``cap``, else None.
 
-    Edge weights come from the banded distance capped at ``cap``; over-cap
-    edges get the surrogate weight cap+1, so any matching that needs one
-    totals above the cap and is rejected, while accepted totals are exact
-    (an optimal matching within the cap only uses exactly-weighted edges).
+    Tokens the two sides share (as multisets) are matched to each other
+    first and drop out: with the empty padding token, LD obeys the triangle
+    inequality, so some optimal matching pairs equal tokens, and greedy takes
+    exactly these zero-weight edges first in (left, right) order. The rest is
+    matched on the residual matrix. Edge weights come from the banded
+    distance capped at ``cap``; over-cap edges get the surrogate weight
+    cap+1, so any matching that needs one totals above the cap and is
+    rejected, while accepted totals are exact (an optimal matching within the
+    cap only uses exactly-weighted edges).
     """
+    rest_b = list(b_tokens)
+    rest_a = []
+    for tok in a_tokens:
+        if tok in rest_b:
+            rest_b.remove(tok)
+        else:
+            rest_a.append(tok)
+    a_tokens, b_tokens = rest_a, rest_b
     n_a, n_b = len(a_tokens), len(b_tokens)
     k = n_a if n_a > n_b else n_b
     if k == 0:

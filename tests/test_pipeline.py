@@ -3,23 +3,30 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tokenjoin.candidates import CandidatePair
 from tokenjoin.errors import ConfigError, DataError, StageError
+from tokenjoin.filters import histogram_prunes, length_prunes
 from tokenjoin.pipeline import (
     JoinConfig,
     JoinResult,
+    _check_side_size,
+    _filter_packed,
+    _JoinCtx,
+    _prepare_side,
     dedup_candidates,
     fnv1a_64,
     join,
     one_string_key_is_left,
     run_stage,
 )
+from tokenjoin.strdist import threshold_ratio
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
 
-from conftest import make_ts, nsld_frac, rand_multiset
+from conftest import make_ts, nsld_frac, rand_multiset, rand_token
 
 # published FNV-1a 64-bit test vectors
 FNV_A = 0xAF63DC4C8601EC8C
@@ -194,6 +201,26 @@ class TestJoinBasics:
         assert ("1", "3", 0.0) in pairs  # the two identical non-empty records
         assert len(pairs) == 2  # never empty-vs-non-empty at T < 1
 
+    def test_shared_token_pairs_generated_once(self):
+        # "aaa" is the only token in more than one record and the other tokens
+        # are far apart, so every candidate comes from identical tokens
+        corpus = corpus_from_lines(["aaa bbb", "aaa ccc", "aaa ddd"])
+        res, report = join(corpus, None, JoinConfig(threshold=0.1))
+        assert res == []
+        assert report.stages["generate"].items_out == 3
+        assert report.stages["dedup"].items_out == 3
+        left = corpus_from_lines(["aaa bbb", "aaa ccc"])
+        right = [make_ts("p", ("aaa", "ddd"))]
+        _, report = join(left, right, JoinConfig(threshold=0.1, self_join=False))
+        assert report.stages["generate"].items_out == 2
+        assert report.stages["dedup"].items_out == 2
+
+    def test_side_size_limit(self):
+        # one-string dedup needs bit 63 of the regrouped key for the side bit
+        _check_side_size(2**31 - 1, "left")
+        with pytest.raises(DataError, match="right corpus"):
+            _check_side_size(2**31, "right")
+
     def test_results_sorted_by_string_ids(self):
         recs = [
             make_ts("10", ("aa",)),
@@ -202,6 +229,56 @@ class TestJoinBasics:
         ]
         res, _ = join(recs, None, JoinConfig(threshold=0.0))
         assert [(r.left_id, r.right_id) for r in res] == [("1", "10"), ("1", "2"), ("10", "2")]
+
+
+def long_records(rng, prefix, n):
+    """Records of 32+ characters, each followed by a near copy."""
+    out = []
+    for i in range(n):
+        toks = [rand_token(rng, max_len=14, alphabet="abc") for _ in range(rng.randint(3, 6))]
+        toks[0] = toks[0].ljust(32, "a")
+        out.append(make_ts(f"{prefix}{2 * i}", toks))
+        near = list(toks)
+        j = rng.randrange(len(near))
+        near[j] = near[j][1:] if rng.random() < 0.5 else near[j] + "b"
+        if rng.random() < 0.3:
+            near.append(rand_token(rng, max_len=3, alphabet="abc"))
+        out.append(make_ts(f"{prefix}{2 * i + 1}", near))
+    return out
+
+
+class TestPackedFilter:
+    @pytest.mark.parametrize("threshold", [0.025, 0.1, 0.2])
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_matches_scalar_specification(self, threshold, self_join, rng):
+        side_r = _prepare_side(long_records(rng, "r", 30), "left")
+        side_p = side_r if self_join else _prepare_side(long_records(rng, "p", 25), "right")
+        assert min(side_r.lens) > 31 and min(side_p.lens) > 31
+        num, den = threshold_ratio(threshold)
+        ctx = _JoinCtx()
+        ctx.set_filter_inputs(side_r, side_p, num, den)
+        pairs = [
+            (left << 32) | right
+            for left in range(len(side_r.ids))
+            for right in range(len(side_p.ids))
+            if not self_join or left < right
+        ]
+        survivors, stats = _filter_packed(np.array(pairs, dtype=np.uint64), ctx)
+
+        expected, by_len, by_hist = [], 0, 0
+        for packed in pairs:
+            left, right = packed >> 32, packed & 0xFFFFFFFF
+            la, lb = side_r.lens[left], side_p.lens[right]
+            if length_prunes(la, lb, num, den):
+                by_len += 1
+            elif histogram_prunes(side_r.hists[left], side_p.hists[right], la, lb, num, den):
+                by_hist += 1
+            else:
+                expected.append(packed)
+        assert survivors == expected
+        assert (stats.pruned_by_length, stats.pruned_by_histogram) == (by_len, by_hist)
+        assert stats.surviving == len(expected) and stats.input_pairs == len(pairs)
+        assert by_hist > 0 and expected
 
 
 class TestJoinAgainstOracle:

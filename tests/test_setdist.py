@@ -18,7 +18,7 @@ from tokenjoin.setdist import (
 )
 from tokenjoin.strdist import ld
 
-from conftest import make_ts, naive_ld, nsld_frac, rand_multiset, sld_perm
+from conftest import make_ts, naive_ld, nsld_frac, rand_multiset, rand_token, sld_perm
 
 CHAN_KALAN = make_ts("x", ("chan", "kalan"))
 CHANK_ALAN = make_ts("y", ("chank", "alan"))
@@ -235,12 +235,30 @@ class TestHistogramBound:
                 assert Fraction(2 * lb, la + lbb + lb) <= Fraction(2 * s, la + lbb + s)
 
 
+def overlapping_multisets(rng, max_tokens=6):
+    """Two multisets that share most of their tokens, repeats included."""
+    vocab = [rand_token(rng, max_len=4, alphabet="ab") for _ in range(rng.randint(1, 4))]
+    shared = [rng.choice(vocab) for _ in range(rng.randint(1, max_tokens - 2))]
+    a = shared + [rng.choice(vocab) for _ in range(rng.randint(0, max_tokens - len(shared)))]
+    b = shared + [rng.choice(vocab) for _ in range(rng.randint(0, max_tokens - len(shared)))]
+    rng.shuffle(a)
+    rng.shuffle(b)
+    return tuple(a), tuple(b)
+
+
+def random_and_overlapping_pairs(rng, n):
+    for _ in range(n):
+        yield (
+            rand_multiset(rng, max_tokens=4, max_len=5, alphabet="abc"),
+            rand_multiset(rng, max_tokens=4, max_len=5, alphabet="abc"),
+        )
+        yield overlapping_multisets(rng)
+
+
 class TestSldCapped:
     def test_agrees_with_exact_within_cap(self, rng):
         cache = LdCache()
-        for _ in range(500):
-            a = rand_multiset(rng, max_tokens=4, max_len=5, alphabet="abc")
-            b = rand_multiset(rng, max_tokens=4, max_len=5, alphabet="abc")
+        for a, b in random_and_overlapping_pairs(rng, 500):
             truth = sld_perm(a, b)
             for cap in (0, 1, 2, 5, 30):
                 got = sld_capped(a, b, cap, ld_cache=cache)
@@ -250,9 +268,7 @@ class TestSldCapped:
                     assert got is None
 
     def test_greedy_capped_matches_uncapped_greedy_when_within(self, rng):
-        for _ in range(300):
-            a = rand_multiset(rng, max_tokens=4, max_len=5, alphabet="abc")
-            b = rand_multiset(rng, max_tokens=4, max_len=5, alphabet="abc")
+        for a, b in random_and_overlapping_pairs(rng, 300):
             g = sld_greedy(make_ts("a", a), make_ts("b", b)).sld
             got = sld_capped(a, b, 30, greedy=True)
             assert got == g  # cap far above any possible total
@@ -260,6 +276,19 @@ class TestSldCapped:
                 # a cap below the greedy total always rejects: surrogate picks
                 # overshoot immediately, exact picks reproduce the full total
                 assert sld_capped(a, b, g - 1, greedy=True) is None
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (("bba", "bb"), ("bba", "b", "b", "b", "bba")),
+            (("baba", "aabb", "aabb"), ("bb", "baba", "bb", "baba")),
+        ],
+    )
+    def test_greedy_pairs_each_shared_token_with_its_first_copy(self, a, b):
+        # greedy ties break by (left, right) index, so which copy of a repeated
+        # token drops out changes the greedy total
+        g = sld_greedy(make_ts("a", a), make_ts("b", b)).sld
+        assert sld_capped(a, b, 30, greedy=True) == g
 
 
 class TestLdCache:
