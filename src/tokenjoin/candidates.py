@@ -1,18 +1,17 @@
 """Candidate-pair generation.
 
 Two routes feed verification. The shared-token route groups records through an
-inverted index of their tokens. The similar-token route finds all token pairs
-whose normalized edit distance is within the threshold by indexing each token's
-even partition segments and probing with position-restricted substrings of the
-other side's tokens, then expands the surviving token pairs through the posting
-lists. Together (with no frequency cap) they reach every record pair within the
-join threshold.
+inverted index of their tokens. The similar-token route finds all pairs of
+distinct tokens whose normalized edit distance is within the threshold by
+indexing each token's even partition segments and probing with
+position-restricted substrings of the other side's tokens, then expands the
+surviving token pairs through the posting lists. Together (with no frequency
+cap) they reach every record pair within the join threshold.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,13 +19,15 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, NotPartitionable
 from .setdist import LdCache
-from .strdist import max_ld_given_nld, normalized_within
+from .strdist import max_ld_given_nld, threshold_ratio
 from .textnorm import TokenizedString
 
 SHARED_TOKEN = "shared-token"
 SIMILAR_TOKEN = "similar-token"
 
 RecordId = Hashable
+# one lookup of a probe plan: (segment table, slice start, slice end, LD cap)
+PlanEntry = tuple[dict[str, list[str]], int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,67 +155,90 @@ def partner_len_ceiling(x_len: int, threshold: float) -> int:
 class NldIndex:
     """Segment index over one side's tokens for the similar-token search.
 
-    Tokens too short for their own partition count are listed separately per
-    length (and still indexed whole) so probes can fall back to direct
-    evaluation against them.
+    Finds only *distinct* similar tokens: a token whose length allows no edit
+    within the threshold (``U = 0``) can match only itself, so it is not
+    indexed, and a probe never returns its own token. Identical tokens are the
+    shared-token route's job.
+
+    Each indexed length keeps one table per segment slot, keyed by the segment
+    string. A token too short for ``U+1`` non-empty segments sits whole under
+    the empty segment of slot 0, which every probe of an admissible length
+    reads. Probes of one length share a plan (:meth:`plan`) that is built once.
     """
 
-    __slots__ = ("threshold", "chunks", "shorts_by_len", "lens_sorted")
+    __slots__ = ("threshold", "segments", "_plans")
 
     def __init__(self, tokens: Iterable[str], threshold: float):
         self.threshold = threshold
-        self.chunks: dict[tuple[str, int, int], list[str]] = {}
-        self.shorts_by_len: dict[int, list[str]] = {}
-        lens: set[int] = set()
+        # token length -> [(start, seg_len, {segment: tokens})], one per slot
+        self.segments: dict[int, list[tuple[int, int, dict[str, list[str]]]]] = {}
+        self._plans: dict[int, tuple[PlanEntry, ...]] = {}
         for tok in tokens:
             length = len(tok)
-            lens.add(length)
-            u = max_ld_given_nld(length, threshold, True)
-            if length >= u + 1:
-                for slot, (start, seg_len) in enumerate(segment_layout(length, u)):
-                    key = (tok[start : start + seg_len], length, slot)
-                    self.chunks.setdefault(key, []).append(tok)
-            else:
-                self.chunks.setdefault((tok, length, 0), []).append(tok)
-                self.shorts_by_len.setdefault(length, []).append(tok)
-        self.lens_sorted = sorted(lens)
+            slots = self.segments.get(length)
+            if slots is None:
+                u = max_ld_given_nld(length, threshold, True)
+                if u == 0:
+                    layout = ()
+                elif length > u:
+                    layout = segment_layout(length, u)
+                else:
+                    layout = ((0, 0),)
+                slots = self.segments[length] = [(start, seg_len, {}) for start, seg_len in layout]
+            for start, seg_len, table in slots:
+                seg = tok[start : start + seg_len]
+                bucket = table.get(seg)
+                if bucket is None:
+                    table[seg] = [tok]
+                else:
+                    bucket.append(tok)
+
+    def plan(self, x_len: int) -> tuple[PlanEntry, ...]:
+        """The ``(table, a, b, pair_cap)`` lookups of a probe this long.
+
+        A probe ``x`` reads ``table.get(x[a:b])`` and verifies each hit within
+        ``pair_cap``. Built on first use and kept; empty when no indexed token
+        can be a distinct partner of a token this long.
+        """
+        plan = self._plans.get(x_len)
+        if plan is None:
+            plan = self._plans[x_len] = self._build_plan(x_len)
+        return plan
+
+    def _build_plan(self, x_len: int) -> tuple[PlanEntry, ...]:
+        t = self.threshold
+        num, den = threshold_ratio(t)
+        entries: list[PlanEntry] = []
+        for y_len in range(x_len, partner_len_ceiling(x_len, t) + 1):
+            slots = self.segments.get(y_len)
+            if not slots:
+                continue
+            u = max_ld_given_nld(y_len, t, True)
+            delta = x_len - y_len
+            # nld(x, y) <= T exactly when ld(x, y) <= num·(|x|+|y|) // (2·den − num)
+            pair_cap = num * (x_len + y_len) // (2 * den - num)
+            for slot, (start, seg_len, table) in enumerate(slots):
+                # multi-match-aware window (PassJoin): some matching segment
+                # has at most ``slot`` edits before it and ``u − slot`` after it
+                p_lo = max(start - slot, start + delta - (u - slot), 0)
+                p_hi = min(start + slot, start + delta + (u - slot), x_len - seg_len)
+                entries.extend((table, p, p + seg_len, pair_cap) for p in range(p_lo, p_hi + 1))
+        return tuple(entries)
 
     def probe(self, x: str, ld_cache: LdCache) -> list[tuple[str, str, int]]:
-        """All indexed tokens y with |y| >= |x| and nld(x, y) within threshold."""
-        t = self.threshold
-        x_len = len(x)
-        if x_len == 0:
-            return []
-        hi = partner_len_ceiling(x_len, t)
-        lens = self.lens_sorted
-        found: dict[str, int] = {}
-        for idx in range(bisect_left(lens, x_len), bisect_right(lens, hi)):
-            y_len = lens[idx]
-            u = max_ld_given_nld(y_len, t, True)
-            if y_len >= u + 1:
-                for slot, (start, seg_len) in enumerate(segment_layout(y_len, u)):
-                    if seg_len > x_len:
-                        continue
-                    p_lo = start - u
-                    if p_lo < 0:
-                        p_lo = 0
-                    p_hi = min(x_len - seg_len, start + u)
-                    for p in range(p_lo, p_hi + 1):
-                        hits = self.chunks.get((x[p : p + seg_len], y_len, slot))
-                        if not hits:
-                            continue
-                        for y in hits:
-                            if y not in found:
-                                d = ld_cache.bounded(x, y, u)
-                                if d is not None and normalized_within(d, x_len + y_len, t):
-                                    found[y] = d
-            else:
-                for y in self.shorts_by_len.get(y_len, ()):
-                    if y not in found:
-                        d = ld_cache.bounded(x, y, u)
-                        if d is not None and normalized_within(d, x_len + y_len, t):
-                            found[y] = d
-        return [(x, y, d) for y, d in found.items()]
+        """All indexed tokens y != x with |y| >= |x| and nld(x, y) within threshold."""
+        seen = {x}
+        found = []
+        for table, a, b, pair_cap in self.plan(len(x)):
+            hits = table.get(x[a:b])
+            if hits:
+                for y in hits:
+                    if y not in seen:
+                        seen.add(y)
+                        d = ld_cache.bounded(x, y, pair_cap)
+                        if d is not None:
+                            found.append((x, y, d))
+        return found
 
 
 def similar_token_pairs(
@@ -223,11 +247,13 @@ def similar_token_pairs(
     threshold: float,
     self_join: bool,
 ) -> list[tuple[str, str, int]]:
-    """Exactly the distinct token pairs across the two spaces within threshold.
+    """Exactly the pairs of distinct tokens across the two spaces within threshold.
 
-    Self-joins run the single |x| <= |y| direction over one space and emit each
-    unordered pair once, shorter (then lexicographically smaller) token first;
-    two-set joins run both role assignments and emit (r-side, p-side) tuples.
+    A token is never paired with itself, in either join shape: identical tokens
+    are the shared-token route's job. Self-joins run the single |x| <= |y|
+    direction over one space and emit each unordered pair once, shorter (then
+    lexicographically smaller) token first; two-set joins run both role
+    assignments and emit (r-side, p-side) tuples.
     """
     cache = LdCache()
     pairs: dict[tuple[str, str], int] = {}
@@ -256,31 +282,19 @@ def similar_token_candidates(
     self_join: bool,
     lengths: Mapping[RecordId, int],
 ) -> Iterator[CandidatePair]:
-    """Expand verified token pairs through the posting lists into record pairs."""
+    """Expand pairs of distinct similar tokens through the posting lists into record pairs."""
     if self_join:
         for tok_a, tok_b, _ in pairs:
             postings_a = space_r.entries.get(tok_a)
             postings_b = space_r.entries.get(tok_b)
             if not postings_a or not postings_b:
                 continue
-            if tok_a == tok_b:
-                n = len(postings_a)
-                for i in range(n - 1):
-                    left = postings_a[i]
-                    for j in range(i + 1, n):
-                        right = postings_a[j]
-                        yield CandidatePair(
-                            left, right, lengths[left], lengths[right], SIMILAR_TOKEN
-                        )
-            else:
-                for a in postings_a:
-                    for b in postings_b:
-                        if a == b:
-                            continue
-                        left, right = (a, b) if a < b else (b, a)
-                        yield CandidatePair(
-                            left, right, lengths[left], lengths[right], SIMILAR_TOKEN
-                        )
+            for a in postings_a:
+                for b in postings_b:
+                    if a == b:
+                        continue
+                    left, right = (a, b) if a < b else (b, a)
+                    yield CandidatePair(left, right, lengths[left], lengths[right], SIMILAR_TOKEN)
     else:
         for tok_r, tok_p, _ in pairs:
             postings_r = space_r.entries.get(tok_r)

@@ -42,6 +42,14 @@ def _max_freq(value: str) -> int | float:
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {value!r}") from exc
 
 
+def _default_workers() -> int:
+    """CPUs this process may run on; the machine's count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="corpus file (left side)")
     sub.add_argument("--input2", help="second corpus file; absent means self-join")
@@ -72,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_join.add_argument("--matching", choices=MATCHING_MODES, default="fuzzy")
     p_join.add_argument("--dedup", choices=DEDUP_STRATEGIES, default="one-string")
     p_join.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1, help="parallel worker processes"
+        "--workers",
+        type=int,
+        default=_default_workers(),
+        help="parallel worker processes (default: the CPUs this process may use)",
     )
     p_join.add_argument("--report", help="write a JSON stage report here")
     p_join.set_defaults(func=cmd_join)

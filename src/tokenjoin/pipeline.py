@@ -125,7 +125,11 @@ class StageCounts:
 
 @dataclass(slots=True)
 class StageReport:
-    """Per-stage item counts and wall times plus the filter counters."""
+    """Per-stage item counts and wall times plus the filter counters.
+
+    The ``pool`` stage, present only when a worker pool was made, times the
+    pool's start-up and shutdown.
+    """
 
     stages: dict[str, StageCounts] = field(default_factory=dict)
     filters: FilterStats = field(default_factory=FilterStats)
@@ -517,14 +521,11 @@ def _similar_pairs_packed(
 ) -> Iterator[int]:
     """Record pairs from distinct similar tokens.
 
-    A token paired with itself would re-emit exactly the record pairs that
-    :func:`_shared_pairs_packed` yields earlier in the stream, so such pairs
-    are skipped; first occurrences after dedup are unchanged.
+    ``NldIndex.probe`` never pairs a token with itself: that pair would
+    re-emit exactly the record pairs :func:`_shared_pairs_packed` yields.
     """
     if self_join:
         for tok_a, tok_b, _ in token_pairs:
-            if tok_a == tok_b:
-                continue
             postings_a = space_r.entries.get(tok_a)
             postings_b = space_r.entries.get(tok_b)
             if not postings_a or not postings_b:
@@ -536,8 +537,6 @@ def _similar_pairs_packed(
                     yield (a << 32) | b if a < b else (b << 32) | a
     else:
         for tok_r, tok_p, _ in token_pairs:
-            if tok_r == tok_p:
-                continue
             postings_r = space_r.entries.get(tok_r)
             postings_p = space_p.entries.get(tok_p)
             if not postings_r or not postings_p:
@@ -598,26 +597,34 @@ def join(
     ctx.self_join = self_join
     ctx.index_r = None
     ctx.index_p = None
-    ctx.set_filter_inputs(side_r, side_p, num, den)
+    filter_inputs_ms = 0.0
+    if use_filters:
+        t0 = time.perf_counter()
+        ctx.set_filter_inputs(side_r, side_p, num, den)
+        filter_inputs_ms = _ms(t0)
 
     want_similar = cfg.matching in (FUZZY, GREEDY)
     probe_items: list[tuple[int, str]] = []
     t0 = time.perf_counter()
     if want_similar:
-        ctx.index_r = NldIndex(space_r.entries.keys(), cfg.threshold)
+        # a token whose plan is empty has no distinct partner on that index
+        index_r = ctx.index_r = NldIndex(space_r.entries.keys(), cfg.threshold)
         if self_join:
-            probe_items = [(0, tok) for tok in space_r.entries]
+            probe_items = [(0, tok) for tok in space_r.entries if index_r.plan(len(tok))]
         else:
-            ctx.index_p = NldIndex(space_p.entries.keys(), cfg.threshold)
-            probe_items = [(0, tok) for tok in space_p.entries]
-            probe_items += [(1, tok) for tok in space_r.entries]
+            index_p = ctx.index_p = NldIndex(space_p.entries.keys(), cfg.threshold)
+            probe_items = [(0, tok) for tok in space_p.entries if index_r.plan(len(tok))]
+            probe_items += [(1, tok) for tok in space_r.entries if index_p.plan(len(tok))]
     index_ms = _ms(t0)
 
     pool = None
+    pool_ms = 0.0
     _TLS.ctx = ctx
     try:
         if cfg.workers > 1:
+            t0 = time.perf_counter()
             pool = _make_pool(cfg.workers, ctx)
+            pool_ms = _ms(t0)
 
         t0 = time.perf_counter()
         token_pairs: list[tuple[str, str, int]] = []
@@ -651,7 +658,7 @@ def join(
             survivors = unique.tolist()
             fstats = FilterStats(input_pairs=len(survivors), surviving=len(survivors))
         report.filters = fstats
-        report.record("filter", int(unique.size), len(survivors), _ms(t0))
+        report.record("filter", int(unique.size), len(survivors), filter_inputs_ms + _ms(t0))
         del unique
 
         t0 = time.perf_counter()
@@ -667,8 +674,10 @@ def join(
     finally:
         _TLS.ctx = None
         if pool is not None:
+            t0 = time.perf_counter()
             pool.close()
             pool.join()
+            report.record("pool", cfg.workers, cfg.workers, pool_ms + _ms(t0))
 
     t0 = time.perf_counter()
     if self_join:

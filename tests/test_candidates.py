@@ -134,13 +134,13 @@ class TestPartitionEven:
 
 
 def all_pairs_token_oracle(tokens_r, tokens_p, threshold):
-    """Every cross pair within the threshold, by direct evaluation."""
+    """Every cross pair of distinct tokens within the threshold, by direct evaluation."""
     t = Fraction(threshold)
     return {
         (x, y)
         for x in tokens_r
         for y in tokens_p
-        if nld_frac(x, y) <= t
+        if x != y and nld_frac(x, y) <= t
     }
 
 
@@ -157,9 +157,10 @@ class TestSimilarTokenPairs:
         assert similar_token_pairs(space_r, space_p, 0.2, False) == []
 
     def test_self_join_threshold_zero_is_equality(self):
+        # at T=0 only identical tokens match, and those are never returned
         space, _ = space_of(("1", ("alan", "chan")), ("2", ("alan",)))
         out = similar_token_pairs(space, space, 0.0, True)
-        assert out == [("alan", "alan", 0), ("chan", "chan", 0)]
+        assert out == []
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.2, 0.4, 0.6])
     def test_exactly_matches_all_pairs_oracle_two_set(self, threshold, rng):
@@ -179,7 +180,7 @@ class TestSimilarTokenPairs:
             got = {(a, b) for a, b, _ in similar_token_pairs(space, space, threshold, True)}
             expected = set()
             for i, x in enumerate(tokens):
-                for y in tokens[i:]:
+                for y in tokens[i + 1 :]:
                     if nld_frac(x, y) <= Fraction(threshold):
                         key = (x, y) if (len(x), x) <= (len(y), y) else (y, x)
                         expected.add(key)
@@ -204,12 +205,10 @@ class TestNldIndexShortTokens:
     def test_short_tokens_found_at_high_threshold(self):
         # at T=0.8, U(2) = floor(3.2/1.2) = 2 >= len("ab"), so "ab" cannot be
         # evenly partitioned into U+1 non-empty segments: the short-token rule
-        # must index it whole and serve it to probes by direct evaluation
+        # must serve it whole to every probe of an admissible length
         u = max_ld_given_nld(2, 0.8, True)
         assert u + 1 > 2  # the fallback engages
         index = NldIndex(["ab"], 0.8)
-        assert index.shorts_by_len == {2: ["ab"]}
-        assert ("ab", 2, 0) in index.chunks  # still indexed whole
         hits = index.probe("c", LdCache())
         # nld("c","ab") = 2*2/(1+2+2) = 0.8 <= 0.8, unreachable by segment
         # collision ("ab" is not a substring of "c"), so only the fallback finds it
@@ -219,6 +218,50 @@ class TestNldIndexShortTokens:
         space, _ = space_of(("1", ("ab",)), ("2", ("c",)))
         out = similar_token_pairs(space, space, 0.8, True)
         assert ("c", "ab", 2) in out
+
+
+def edited_vocabulary(rng, alphabet, bases=6, max_len=22):
+    """Random tokens of 1..max_len characters, each with a few edited variants."""
+    vocab = set()
+    for _ in range(bases):
+        base = rand_token(rng, max_len=max_len, alphabet=alphabet)
+        vocab.add(base)
+        for _ in range(rng.randint(0, 4)):
+            chars = list(base)
+            for _ in range(rng.randint(1, 4)):
+                pos = rng.randrange(len(chars) + 1)
+                op = rng.randrange(3)
+                if op == 1 or pos == len(chars):
+                    chars.insert(pos, rng.choice(alphabet))
+                elif op == 0:
+                    chars[pos] = rng.choice(alphabet)
+                else:
+                    del chars[pos]
+            if chars:
+                vocab.add("".join(chars))
+    return sorted(vocab)
+
+
+class TestNldIndexProbe:
+    @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.2, 0.3, 0.5, 0.8])
+    def test_matches_bruteforce_on_long_tokens(self, threshold, rng):
+        # tokens up to 22 characters reach U >= 2 at every threshold but 0.05,
+        # so hits at the edges of the multi-match-aware windows decide the outcome
+        t = Fraction(threshold)
+        for trial in range(30):
+            vocab = edited_vocabulary(rng, "ab" if trial % 2 else "abcd")
+            index = NldIndex(vocab, threshold)
+            cache = LdCache()
+            for x in vocab:
+                got = index.probe(x, cache)
+                assert all(gx == x and y != x for gx, y, _ in got)
+                expected = {
+                    (y, naive_ld(x, y))
+                    for y in vocab
+                    if y != x and len(y) >= len(x) and nld_frac(x, y) <= t
+                }
+                assert {(y, d) for _, y, d in got} == expected
+                assert len(got) == len(expected)
 
 
 class TestSimilarTokenCandidates:
@@ -241,12 +284,13 @@ class TestSimilarTokenCandidates:
         assert out == []
 
     def test_self_join_canonical_order_and_duplicate_token(self):
-        space, lens = space_of(("2", ("aa",)), ("1", ("aa",)), ("3", ("ab",)))
+        # "ab" sits in the smallest id, so each expanded pair must be swapped
+        space, lens = space_of(("2", ("aa",)), ("1", ("aa",)), ("0", ("ab",)))
         out = {
             (p.left_id, p.right_id)
-            for p in similar_token_candidates([("aa", "aa", 0), ("aa", "ab", 1)], space, space, True, lens)
+            for p in similar_token_candidates([("aa", "ab", 1)], space, space, True, lens)
         }
-        assert out == {("1", "2"), ("1", "3"), ("2", "3")}
+        assert out == {("0", "1"), ("0", "2")}
         assert all(l < r for l, r in out)
 
 

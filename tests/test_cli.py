@@ -1,9 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
-from tokenjoin.cli import main
+from tokenjoin.cli import build_parser, main
 from tokenjoin.corpusio import read_corpus, read_results, write_results
 from tokenjoin.errors import DataError
 from tokenjoin.pipeline import JoinResult
@@ -115,6 +116,18 @@ class TestJoinCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0]  # the synthetic corpus does contain similar pairs
+
+    def test_workers_default_is_the_cpu_affinity(self, monkeypatch):
+        argv = ["join", "--input", "c.txt", "--output", "o.tsv"]
+        if hasattr(os, "sched_getaffinity"):
+            expected = len(os.sched_getaffinity(0))
+            assert build_parser().parse_args(argv).workers == expected
+        # where the affinity call is missing, the machine's CPU count is used
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert build_parser().parse_args(argv).workers == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build_parser().parse_args(argv).workers == 1
 
     def test_two_set_join_and_tsv(self, tmp_path):
         left = tmp_path / "l.tsv"

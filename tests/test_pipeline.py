@@ -215,6 +215,14 @@ class TestJoinBasics:
         assert report.stages["generate"].items_out == 2
         assert report.stages["dedup"].items_out == 2
 
+    def test_pool_stage_only_with_a_pool(self):
+        corpus = reference_corpus()
+        _, serial = join(corpus, None, JoinConfig(threshold=0.2, workers=1))
+        assert "pool" not in serial.stages
+        _, parallel = join(corpus, None, JoinConfig(threshold=0.2, workers=2))
+        assert parallel.stages["pool"].items_in == 2
+        assert parallel.stages["pool"].millis > 0
+
     def test_side_size_limit(self):
         # one-string dedup needs bit 63 of the regrouped key for the side bit
         _check_side_size(2**31 - 1, "left")
@@ -304,6 +312,30 @@ class TestJoinAgainstOracle:
         engine, _ = join(corpus_r, corpus_p, cfg)
         oracle = join_bruteforce(corpus_r, corpus_p, 0.15)
         assert as_tuples(engine) == list(oracle.pairs)
+
+
+class TestSimilarTokensSkipped:
+    def test_short_tokens_at_point_one_probe_nothing(self, tmp_path):
+        # at T=0.1 no token of 8 or fewer characters admits an edit, so only
+        # identical tokens can match and the similar-token stage has no probe
+        from tokenjoin.corpusio import write_results
+        from tokenjoin.oracle import join_bruteforce
+
+        lines = generate_corpus(
+            300, seed=3, base_tokens=80, min_tokens=2, max_tokens=5, perturb_rate=0.5, max_edits=1
+        )
+        corpus = [r for r in corpus_from_lines(lines) if all(len(t) <= 8 for t in r.tokens)]
+        outputs = []
+        for workers in (1, 2):
+            res, report = join(corpus, None, JoinConfig(threshold=0.1, workers=workers))
+            stage = report.stages["similar-tokens"]
+            assert (stage.items_in, stage.items_out) == (0, 0)
+            path = tmp_path / f"out{workers}.tsv"
+            write_results(path, res)
+            outputs.append(path.read_bytes())
+        assert as_tuples(res) == list(join_bruteforce(corpus, None, 0.1).pairs)
+        assert any(r.distance > 0 for r in res)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")
