@@ -13,6 +13,7 @@ multi-million-pair streams compact.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 import threading
@@ -437,11 +438,18 @@ class _Side:
         Front-padding both sides of a pair to a common width leaves the
         pairwise sorted alignment (and therefore the |difference| sum)
         unchanged, so the histogram bound vectorizes as a row difference.
+        ``width`` must be at least the longest histogram.
         """
-        out = np.zeros((len(self.hists), width), dtype=np.int64)
-        for i, lens in enumerate(self.hists):
-            if lens:
-                out[i, width - len(lens) :] = lens
+        n = len(self.hists)
+        counts = np.fromiter(map(len, self.hists), dtype=np.int64, count=n)
+        flat = np.fromiter(chain.from_iterable(self.hists), dtype=np.int64, count=int(counts.sum()))
+        # the t-th flat value sits in row r = rows[t]; ending that row at
+        # column width - 1 puts it at column t + width - ends[r]
+        ends = np.cumsum(counts)
+        rows = np.repeat(np.arange(n), counts)
+        cols = np.arange(flat.size) + np.repeat(width - ends, counts)
+        out = np.zeros((n, width), dtype=np.int64)
+        out[rows, cols] = flat
         return out
 
 
@@ -562,7 +570,26 @@ def join(
     (left_id, right_id) and byte-identical across runs and worker counts.
     ``use_filters=False`` skips the pruning stage (the output must not change;
     the differential tests rely on this knob).
+
+    The cyclic garbage collector is paused for the call and left as the
+    caller had it: the join makes no reference cycles, and a full collection
+    would only rescan the long-lived corpus.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _join(corpus_r, corpus_p, cfg, use_filters)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _join(
+    corpus_r: Sequence[TokenizedString],
+    corpus_p: Sequence[TokenizedString] | None,
+    cfg: JoinConfig,
+    use_filters: bool,
+) -> tuple[list[JoinResult], StageReport]:
     cfg.validate()
     self_join = corpus_p is None
     if self_join != cfg.self_join:

@@ -243,11 +243,23 @@ def sld_capped(
     first and drop out: with the empty padding token, LD obeys the triangle
     inequality, so some optimal matching pairs equal tokens, and greedy takes
     exactly these zero-weight edges first in (left, right) order. The rest is
-    matched on the residual matrix. Edge weights come from the banded
-    distance capped at ``cap``; over-cap edges get the surrogate weight
-    cap+1, so any matching that needs one totals above the cap and is
-    rejected, while accepted totals are exact (an optimal matching within the
-    cap only uses exactly-weighted edges).
+    matched on the residual matrix.
+
+    Before any edit distance is computed, the residual token lengths decide
+    what they can: sorted, the shorter list front-padded with zeros, the sum
+    of max(1, |difference|) position by position is a lower bound on the
+    residual cost, and a bound above ``cap`` rejects the pair. Residual
+    tokens differ, so a real-real edge costs at least max(1, |length
+    difference|); a padding edge costs the token's length, at least 1 for a
+    non-empty token; and since max(1, |d|) is convex, the sorted alignment
+    minimizes its sum over all matchings. Greedy totals are never below the
+    exact one, so the bound serves both modes. The bound is skipped when a
+    residual token is empty.
+
+    Edge weights come from the bounded distance capped at ``cap``; over-cap
+    edges get the surrogate weight cap+1, so any matching that needs one
+    totals above the cap and is rejected, while accepted totals are exact (an
+    optimal matching within the cap only uses exactly-weighted edges).
     """
     rest_b = list(b_tokens)
     rest_a = []
@@ -261,6 +273,21 @@ def sld_capped(
     k = n_a if n_a > n_b else n_b
     if k == 0:
         return 0
+    lens_a = sorted(map(len, a_tokens))
+    lens_b = sorted(map(len, b_tokens))
+    # an empty token matches padding at cost 0, under the bound's 1 per
+    # edge; records never hold one
+    if (not lens_a or lens_a[0]) and (not lens_b or lens_b[0]):
+        if n_a < n_b:
+            lens_a[:0] = [0] * (n_b - n_a)
+        elif n_b < n_a:
+            lens_b[:0] = [0] * (n_a - n_b)
+        bound = 0
+        for la, lb in zip(lens_a, lens_b):
+            d = la - lb if la > lb else lb - la
+            bound += d if d else 1
+        if bound > cap:
+            return None
     bounded = ld_cache.bounded if ld_cache is not None else ld_bounded
     surrogate = cap + 1
     if k == 1:
@@ -322,11 +349,11 @@ def sld_capped(
 
 
 class LdCache:
-    """Memo for banded distances, reusable across differing caps.
+    """Memo for bounded distances, reusable across differing caps.
 
     Exact values are cached forever; over-cap outcomes remember the highest
     cap they were proven to exceed, so later queries with a smaller cap skip
-    the DP entirely.
+    the kernel entirely.
     """
 
     __slots__ = ("_exact", "_over")

@@ -56,9 +56,16 @@ def ld(x: str, y: str) -> int:
 def ld_bounded(x: str, y: str, cap: int) -> int | None:
     """Levenshtein distance if it does not exceed ``cap``, else None.
 
-    Runs the dynamic program on a diagonal band of width 2*cap+1 and exits as
-    soon as every cell in the current band exceeds the cap. Never misreports:
-    a non-None result equals ld(x, y).
+    Length difference, equality and caps 0 and 1 are decided without a dynamic
+    program (cap 1 by stripping the common prefix and suffix). Larger caps run
+    the bit-parallel algorithm of Myers (JACM 1999) in Hyyrö's edit-distance
+    form: the shorter string is the pattern, one Python int per bit vector
+    holds its whole column, so any length works, and each character of the
+    longer string advances the column with a dozen integer operations on
+    whole bit vectors. The last row's value moves by at most one per remaining text
+    character, so the loop exits as soon as it exceeds the cap by more than
+    what is left of the text. Never misreports: a non-None result equals
+    ld(x, y).
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -86,34 +93,38 @@ def ld_bounded(x: str, y: str, cap: int) -> int | None:
         if m == n:
             return 1 if mid_x <= 1 else None
         return 1 if min(mid_x, mid_y) == 0 else None
-    big = cap + 1
-    prev = [j if j <= cap else big for j in range(n + 1)]
-    for i in range(1, m + 1):
-        lo = max(1, i - cap)
-        hi = min(n, i + cap)
-        row = [big] * (n + 1)
-        if lo == 1 and i <= cap:
-            row[0] = i
-        cx = x[i - 1]
-        alive = False
-        for j in range(lo, hi + 1):
-            if cx == y[j - 1]:
-                v = prev[j - 1]
-            else:
-                v = prev[j - 1]
-                if prev[j] < v:
-                    v = prev[j]
-                if row[j - 1] < v:
-                    v = row[j - 1]
-                v += 1
-            if v < big:
-                row[j] = v
-                alive = True
-        if not alive:
+    if m > n:
+        x, y, m, n = y, x, n, m
+    # x is the pattern (bit i stands for x[i]), y the text
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in x:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv = mask  # vertical deltas of the column: +1 everywhere at column 0
+    mv = 0
+    score = m
+    slack = cap + n  # score - remaining text > cap  <=>  score > slack after the step
+    for c in y:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        slack -= 1
+        if score > slack:
             return None
-        prev = row
-    d = prev[n]
-    return d if d <= cap else None
+        ph = (ph << 1) | 1  # row 0 grows by one per text character
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score  # the last step's exit test was score > cap
 
 
 def nld(x: str, y: str) -> float:

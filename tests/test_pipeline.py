@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tokenjoin import pipeline
 from tokenjoin.candidates import CandidatePair
 from tokenjoin.errors import ConfigError, DataError, StageError
 from tokenjoin.filters import histogram_prunes, length_prunes
@@ -22,6 +24,7 @@ from tokenjoin.pipeline import (
     one_string_key_is_left,
     run_stage,
 )
+from tokenjoin.setdist import sld_capped
 from tokenjoin.strdist import threshold_ratio
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
@@ -229,6 +232,35 @@ class TestJoinBasics:
         with pytest.raises(DataError, match="right corpus"):
             _check_side_size(2**31, "right")
 
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_state_restored(self, collecting):
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            join(reference_corpus(), None, JoinConfig(threshold=0.2))
+            assert gc.isenabled() == collecting
+            with pytest.raises(DataError):
+                join([make_ts("1", ("a",)), make_ts("1", ("b",))], None, JoinConfig())
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_paused_while_verifying(self, monkeypatch):
+        states = []
+
+        def spy(*args, **kwargs):
+            states.append(gc.isenabled())
+            return sld_capped(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "sld_capped", spy)
+        was = gc.isenabled()
+        try:
+            gc.enable()
+            join(reference_corpus(), None, JoinConfig(threshold=0.2, workers=1))
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert states == [False]
+
     def test_results_sorted_by_string_ids(self):
         recs = [
             make_ts("10", ("aa",)),
@@ -256,6 +288,21 @@ def long_records(rng, prefix, n):
 
 
 class TestPackedFilter:
+    def test_hist_matrix_matches_per_record_rows(self, rng):
+        records = [make_ts(str(i), rand_multiset(rng, max_tokens=6, max_len=9)) for i in range(300)]
+        records += [make_ts("empty", ()), make_ts("wide", [rand_token(rng, max_len=12) for _ in range(2000)])]
+        side = _prepare_side(records, "left")
+        assert side.hists[side.ids.index("empty")] == ()
+        longest = max(map(len, side.hists))
+        assert longest == 2000
+        for width in (longest, longest + 3):
+            expected = np.zeros((len(side.hists), width), dtype=np.int64)
+            for i, lens in enumerate(side.hists):
+                if lens:
+                    expected[i, width - len(lens) :] = lens
+            got = side.hist_matrix(width)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
     @pytest.mark.parametrize("threshold", [0.025, 0.1, 0.2])
     @pytest.mark.parametrize("self_join", [True, False])
     def test_matches_scalar_specification(self, threshold, self_join, rng):

@@ -255,6 +255,47 @@ def random_and_overlapping_pairs(rng, n):
         yield overlapping_multisets(rng)
 
 
+def unshared_unequal_pairs(rng, n):
+    """Pairs with different token counts and no token in common.
+
+    One side is the other with each token a single edit away plus one or two
+    extra tokens, so many pairs cost exactly their residual length bound,
+    where the bound must still accept.
+    """
+    out = [(("abc", "def", "ghi"), ("abd", "deg", "ghj", "k"))]
+    while len(out) < n:
+        a = rand_multiset(rng, max_tokens=3, max_len=5, alphabet="abc", min_tokens=1)
+        b = []
+        for tok in a:
+            pos = rng.randrange(len(tok) + 1)
+            op = rng.randrange(3)
+            if op == 0 or pos == len(tok):
+                tok = tok[:pos] + rng.choice("abc") + tok[pos:]
+            elif op == 1 and len(tok) > 1:
+                tok = tok[:pos] + tok[pos + 1 :]
+            else:
+                tok = tok[:pos] + rng.choice("abc") + tok[pos + 1 :]
+            b.append(tok)
+        b += [rand_token(rng, max_len=3, alphabet="abc") for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            a, b = tuple(b), a
+        if len(a) != len(b) and not set(a) & set(b):
+            out.append((tuple(a), tuple(b)))
+    return out
+
+
+class CountingLdCache(LdCache):
+    """LdCache that counts its ``bounded`` lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def bounded(self, x, y, cap):
+        self.calls += 1
+        return super().bounded(x, y, cap)
+
+
 class TestSldCapped:
     def test_agrees_with_exact_within_cap(self, rng):
         cache = LdCache()
@@ -289,6 +330,39 @@ class TestSldCapped:
         # token drops out changes the greedy total
         g = sld_greedy(make_ts("a", a), make_ts("b", b)).sld
         assert sld_capped(a, b, 30, greedy=True) == g
+
+    def test_accepts_at_the_truth_and_rejects_one_below(self, rng):
+        tight = 0
+        for a, b in unshared_unequal_pairs(rng, 300):
+            truth = sld_perm(a, b)
+            greedy = sld_greedy(make_ts("a", a), make_ts("b", b)).sld
+            assert sld_capped(a, b, truth, ld_cache=LdCache()) == truth
+            assert sld_capped(a, b, truth - 1, ld_cache=LdCache()) is None
+            assert sld_capped(a, b, greedy, greedy=True, ld_cache=LdCache()) == greedy
+            assert sld_capped(a, b, greedy - 1, greedy=True, ld_cache=LdCache()) is None
+            lens_a, lens_b = sorted(map(len, a)), sorted(map(len, b))
+            pad = len(b) - len(a)
+            lens_a, lens_b = [0] * pad + lens_a, [0] * -pad + lens_b
+            tight += truth == sum(max(1, abs(p - q)) for p, q in zip(lens_a, lens_b))
+        assert tight > 50  # the boundary the bound itself must not cross
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_length_bound_above_cap_makes_no_lookup(self, greedy):
+        # equal lengths, so only max(1, |difference|) sees the cost of 3
+        a, b = ("abc", "def", "ghi"), ("abd", "deg", "ghj")
+        cache = CountingLdCache()
+        assert sld_capped(a, b, 2, greedy=greedy, ld_cache=cache) is None
+        assert sld_capped(("abc",), ("abd",), 0, greedy=greedy, ld_cache=cache) is None
+        assert sld_capped(("abc", "de"), ("abcdefgh",), 6, greedy=greedy, ld_cache=cache) is None
+        assert cache.calls == 0
+        assert sld_capped(a, b, 3, greedy=greedy, ld_cache=cache) == 3
+        assert cache.calls > 0
+
+    def test_empty_residual_token_skips_the_bound(self):
+        # the cost is 1 ("" against padding, "a" against "b"), but the bound
+        # would charge at least 1 per edge; records never hold an empty
+        # token, but sld_capped is public
+        assert sld_capped(("", "a"), ("b",), 1) == 1
 
 
 class TestLdCache:

@@ -71,6 +71,35 @@ class TestLdBounded:
         else:
             assert got is None
 
+    @pytest.mark.parametrize("alphabet", ["abcdef", "aéß€😀漢"])
+    def test_differential_long_and_non_ascii(self, alphabet):
+        # up to 150 characters, so the bit vectors run well past 64 bits; the
+        # variants are a few edits away, so many distances sit at or next to
+        # a cap and the early exit is reached with the cap exactly attainable
+        rng = random.Random(29)
+        for _ in range(80):
+            x = [rng.choice(alphabet) for _ in range(rng.choice((0, rng.randint(1, 150))))]
+            y = list(x)
+            for _ in range(rng.randint(0, 12)):
+                pos = rng.randint(0, len(y))
+                op = rng.randrange(3)
+                if op == 0:
+                    y.insert(pos, rng.choice(alphabet))
+                elif pos < len(y):
+                    if op == 1:
+                        del y[pos]
+                    else:
+                        y[pos] = rng.choice(alphabet)
+            x, y = "".join(x), "".join(y)
+            truth = naive_ld(x, y)
+            for cap in range(21):
+                want = truth if truth <= cap else None
+                assert ld_bounded(x, y, cap) == want
+                assert ld_bounded(y, x, cap) == want
+        assert ld_bounded("", "", 0) == 0
+        assert ld_bounded("", alphabet[:3], 3) == 3
+        assert ld_bounded(alphabet[:3], "", 2) is None
+
 
 class TestNld:
     def test_reference_values_exact_rationals(self):
