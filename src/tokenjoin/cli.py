@@ -78,7 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop tokens occurring in more than this many records ('inf' disables)",
     )
     p_join.add_argument("--matching", choices=MATCHING_MODES, default="fuzzy")
-    p_join.add_argument("--dedup", choices=DEDUP_STRATEGIES, default="one-string")
+    p_join.add_argument(
+        "--dedup",
+        choices=DEDUP_STRATEGIES,
+        default="one-string",
+        help="dedup grouping; both keep the same pairs, so the choice does not change the join",
+    )
     p_join.add_argument(
         "--workers",
         type=int,

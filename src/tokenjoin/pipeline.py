@@ -4,11 +4,12 @@ Every stage has map/group/reduce semantics over in-memory partitions and is
 deterministic: output depends only on the corpora and the configuration, never
 on the worker count or input record order. Heavy stages (similar-token probing
 and verification) fan out over a fork-based process pool; everything else runs
-serially at C-dict speed.
+serially, mostly as numpy array code.
 
-Record ids are interned to dense integers in sorted-id order; candidate pairs
-travel as single packed integers (left in the high 32 bits) to keep the
-multi-million-pair streams compact.
+Record ids are interned to dense integers in sorted-id order, and tokens to
+dense integers in first-occurrence order. The token index is a pair of CSR
+arrays per side, and candidate pairs travel as single packed integers (left in
+the high 32 bits) to keep the multi-million-pair streams compact.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, compress, count, islice
+from operator import attrgetter, eq
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import candidates as cand
-from .candidates import CandidatePair, NldIndex, TokenSpace
+from .candidates import CandidatePair, NldIndex
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
 from .setdist import LdCache, sld_capped
@@ -45,9 +46,14 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 _PACK_MASK = 0xFFFFFFFF
-# dense ids fill the low 31 bits of each packed half: one-string dedup shifts
-# a key id into bits 32..62 and keeps bit 63 for the side it came from
+# dense ids fill the low 31 bits of each packed half, so a packed pair
+# (left << 32 | right) and a posting key (token << 32 | record) stay
+# non-negative int64 values, which the index and generate stages build
 _MAX_RECORDS_PER_SIDE = 1 << 31
+# the filter's histogram matrices hold at most this many cells per token of
+# the joined sides (at least one column): a record with more tokens than that
+# width keeps only its largest lengths
+_HIST_CELLS_PER_TOKEN = 4
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -70,7 +76,11 @@ def one_string_key_is_left(hash_left: int, hash_right: int) -> bool:
 
 @dataclass(frozen=True)
 class JoinConfig:
-    """Everything a join run depends on besides the corpora themselves."""
+    """Everything a join run depends on besides the corpora themselves.
+
+    ``dedup`` is validated and reported, but it does not change the join: both
+    strategies keep the same pairs, and :func:`join` runs one pass for either.
+    """
 
     threshold: float = 0.1
     max_token_freq: int | float = 1000
@@ -294,13 +304,20 @@ class _JoinCtx:
         ``hist_cap[L] = floor(num·L/(2·den − num))``: the largest setwise cost
         within the threshold at combined length L (the verify cap). Both come
         from Python ints, so no threshold or length can overflow them.
+
+        The histogram matrices are as wide as the widest record, but at most
+        ``_HIST_CELLS_PER_TOKEN`` times the mean token count of the joined
+        sides, so they never hold more than that many cells per token.
         """
         self_join = side_p is side_r
         self.lens_arr_left = side_r.lens_array()
         self.lens_arr_right = self.lens_arr_left if self_join else side_p.lens_array()
-        width = max(
-            max((len(h) for h in side_r.hists), default=0),
-            max((len(h) for h in side_p.hists), default=0),
+        sides = (side_r,) if self_join else (side_r, side_p)
+        n_rows = sum(side.counts.size for side in sides)
+        n_tokens = sum(side.token_lens.size for side in sides)
+        width = min(
+            max(int(side.counts.max(initial=0)) for side in sides),
+            max(1, _HIST_CELLS_PER_TOKEN * n_tokens // max(n_rows, 1)),
         )
         if width:
             self.hist_mat_left = side_r.hist_matrix(width)
@@ -419,37 +436,43 @@ def dedup_candidates(
 
 @dataclass(slots=True)
 class _Side:
+    """One corpus in dense-id order (record ids sorted), in columnar form.
+
+    ``counts[i]`` is record i's token count and ``token_lens`` holds the
+    lengths of all tokens, record after record, in each record's token order.
+    """
+
     ids: list[str]
     tokens: list[tuple[str, ...]]
     lens: list[int]
-    hists: list[tuple[int, ...]]
-    fnv: list[int]
+    counts: np.ndarray
+    token_lens: np.ndarray
     empties: list[int]
-
-    def fnv_array(self) -> np.ndarray:
-        return np.array(self.fnv, dtype=np.uint64)
 
     def lens_array(self) -> np.ndarray:
         return np.array(self.lens, dtype=np.int64)
 
     def hist_matrix(self, width: int) -> np.ndarray:
-        """Sorted token lengths, right-aligned into a zero-padded matrix.
+        """The ``width`` largest token lengths of each record, ascending and right-aligned.
 
-        Front-padding both sides of a pair to a common width leaves the
-        pairwise sorted alignment (and therefore the |difference| sum)
-        unchanged, so the histogram bound vectorizes as a row difference.
-        ``width`` must be at least the longest histogram.
+        Rows are zero-padded in front. Front-padding both sides of a pair to
+        a common width leaves the pairwise sorted alignment (and therefore the
+        |difference| sum) unchanged, so the histogram bound vectorizes as a
+        row difference. A record with more tokens keeps only its ``width``
+        largest lengths: that drops the leftmost columns of its full row, and
+        with them only non-negative terms, so the bound stays a lower bound.
         """
-        n = len(self.hists)
-        counts = np.fromiter(map(len, self.hists), dtype=np.int64, count=n)
-        flat = np.fromiter(chain.from_iterable(self.hists), dtype=np.int64, count=int(counts.sum()))
-        # the t-th flat value sits in row r = rows[t]; ending that row at
-        # column width - 1 puts it at column t + width - ends[r]
-        ends = np.cumsum(counts)
-        rows = np.repeat(np.arange(n), counts)
-        cols = np.arange(flat.size) + np.repeat(width - ends, counts)
+        n = self.counts.size
+        rows = np.repeat(np.arange(n), self.counts)
+        # sorting (row, length) keys sorts the lengths within each row; the
+        # t-th sorted value sits in row rows[t], and ending that row at
+        # column width - 1 puts it at column t + width - ends[rows[t]]
+        flat = np.sort((rows << 32) | self.token_lens) & _PACK_MASK
+        ends = np.cumsum(self.counts)
+        cols = np.arange(flat.size) + np.repeat(width - ends, self.counts)
+        keep = cols >= 0
         out = np.zeros((n, width), dtype=np.int64)
-        out[rows, cols] = flat
+        out[rows[keep], cols[keep]] = flat[keep]
         return out
 
 
@@ -463,96 +486,163 @@ def _check_side_size(n_records: int, label: str) -> None:
 
 def _prepare_side(corpus: Sequence[TokenizedString], label: str) -> _Side:
     _check_side_size(len(corpus), label)
-    recs = sorted(corpus, key=lambda r: r.id)
-    ids: list[str] = []
-    tokens: list[tuple[str, ...]] = []
-    lens: list[int] = []
-    hists: list[tuple[int, ...]] = []
-    fnv: list[int] = []
-    empties: list[int] = []
-    prev = None
-    for dense, rec in enumerate(recs):
-        if rec.id == prev:
-            raise DataError(f"duplicate record id {rec.id!r} in {label} corpus")
-        prev = rec.id
-        ids.append(rec.id)
-        tokens.append(rec.tokens)
-        lens.append(rec.agg_len)
-        hists.append(tuple(sorted(len(t) for t in rec.tokens)))
-        fnv.append(fnv1a_64(rec.id.encode("utf-8")))
-        if not rec.tokens:
-            empties.append(dense)
-    return _Side(ids, tokens, lens, hists, fnv, empties)
+    recs = sorted(corpus, key=attrgetter("id"))
+    ids = [rec.id for rec in recs]
+    if any(map(eq, ids, islice(ids, 1, None))):
+        dup = next(a for a, b in zip(ids, islice(ids, 1, None)) if a == b)
+        raise DataError(f"duplicate record id {dup!r} in {label} corpus")
+    tokens = [rec.tokens for rec in recs]
+    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    token_lens = np.fromiter(
+        map(len, chain.from_iterable(tokens)), dtype=np.int64, count=int(counts.sum())
+    )
+    return _Side(
+        ids,
+        tokens,
+        [rec.agg_len for rec in recs],
+        counts,
+        token_lens,
+        np.flatnonzero(counts == 0).tolist(),
+    )
 
 
-def _build_space(side: _Side, max_freq: int | float) -> TokenSpace:
-    postings: dict[str, set[int]] = {}
-    for dense, toks in enumerate(side.tokens):
-        for tok in toks:
-            bucket = postings.get(tok)
-            if bucket is None:
-                postings[tok] = {dense}
-            else:
-                bucket.add(dense)
-    entries = {
-        tok: tuple(sorted(ids))
-        for tok, ids in sorted(postings.items())
-        if len(ids) <= max_freq
-    }
-    return TokenSpace(entries)
+@dataclass(slots=True)
+class _Postings:
+    """One side's posting lists over the interned token ids, in CSR form.
+
+    The records holding token ``t`` are ``rows[starts[t] : starts[t] +
+    counts[t]]``, distinct dense ids in ascending order. ``kept`` marks the
+    tokens that occur on this side in at most ``max_token_freq`` records.
+    """
+
+    rows: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    kept: np.ndarray
 
 
-def _shared_pairs_packed(space_r: TokenSpace, space_p: TokenSpace, self_join: bool) -> Iterator[int]:
-    if self_join:
-        for postings in space_r.entries.values():
-            n = len(postings)
-            for i in range(n - 1):
-                hi = postings[i] << 32
-                for j in range(i + 1, n):
-                    yield hi | postings[j]
-    else:
-        for tok, postings_r in space_r.entries.items():
-            postings_p = space_p.entries.get(tok)
-            if not postings_p:
-                continue
-            for left in postings_r:
-                hi = left << 32
-                for right in postings_p:
-                    yield hi | right
+def _postings(side: _Side, token_ids: np.ndarray, n_tokens: int, max_freq: int | float) -> _Postings:
+    rows = np.repeat(np.arange(side.counts.size, dtype=np.int64), side.counts)
+    # one (token, record) key per occurrence; sorting and keeping the first
+    # of each run of equal keys counts a token repeated in a record once
+    keys = np.sort((token_ids << 32) | rows)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    counts = np.bincount(keys >> 32, minlength=n_tokens)
+    return _Postings(
+        keys & _PACK_MASK,
+        np.cumsum(counts) - counts,
+        counts,
+        (counts > 0) & (counts <= max_freq),
+    )
 
 
-def _similar_pairs_packed(
-    token_pairs: Sequence[tuple[str, str, int]],
-    space_r: TokenSpace,
-    space_p: TokenSpace,
+def _index(
+    side_r: _Side, side_p: _Side, max_freq: int | float
+) -> tuple[dict[str, int], _Postings, _Postings]:
+    """Intern the tokens of both sides to dense ids and build each side's postings.
+
+    Ids follow the first occurrence of each token, left side first. A
+    self-join passes the same side twice and gets the same postings twice.
+    """
+    sides = (side_r,) if side_p is side_r else (side_r, side_p)
+    flats = [list(chain.from_iterable(side.tokens)) for side in sides]
+    vocab = dict(zip(dict.fromkeys(chain.from_iterable(flats)), count()))
+    posts = [
+        _postings(
+            side,
+            np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat)),
+            len(vocab),
+            max_freq,
+        )
+        for side, flat in zip(sides, flats)
+    ]
+    return vocab, posts[0], posts[-1]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + n)`` over the pairs ``(s, n)``.
+
+    Built as one running sum: steps of 1 within a range, and a jump from the
+    end of one range to the start of the next.
+    """
+    nonempty = lengths > 0
+    starts, lengths = starts[nonempty], lengths[nonempty]
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    if out.size:
+        out[0] = starts[0]
+        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
+
+
+def _cross(
+    post_a: _Postings, ta: np.ndarray, post_b: _Postings, tb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b) with a in the postings of ``ta[k]`` and b in those of ``tb[k]``.
+
+    Pairs come in k order, then a, then b.
+    """
+    na = post_a.counts[ta]
+    a = post_a.rows[_ranges(post_a.starts[ta], na)]
+    nb = np.repeat(post_b.counts[tb], na)
+    b = post_b.rows[_ranges(np.repeat(post_b.starts[tb], na), nb)]
+    return np.repeat(a, nb), b
+
+
+def _triangles(post: _Postings) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b), a < b, of two records holding the same kept token."""
+    pos = np.flatnonzero(np.repeat(post.kept, post.counts))
+    later = np.repeat(post.starts + post.counts, post.counts)[pos] - pos - 1
+    return np.repeat(post.rows[pos], later), post.rows[_ranges(pos + 1, later)]
+
+
+def _pack_into(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    np.left_shift(left, 32, out=out)
+    np.bitwise_or(out, right, out=out)
+
+
+def _generate(
+    post_r: _Postings,
+    post_p: _Postings,
+    sim_r: np.ndarray,
+    sim_p: np.ndarray,
     self_join: bool,
-) -> Iterator[int]:
-    """Record pairs from distinct similar tokens.
+) -> np.ndarray:
+    """Packed record pairs: shared-token pairs, then similar-token pairs.
 
-    ``NldIndex.probe`` never pairs a token with itself: that pair would
-    re-emit exactly the record pairs :func:`_shared_pairs_packed` yields.
+    ``(sim_r[k], sim_p[k])`` are the token ids of the k-th pair of distinct
+    similar tokens. They never pair a token with itself, whose record pairs
+    the shared-token expansion already holds. Each route is packed straight
+    into ``raw``, sized up front from the posting counts, so no more than one
+    route's (left, right) arrays exist beside it.
     """
     if self_join:
-        for tok_a, tok_b, _ in token_pairs:
-            postings_a = space_r.entries.get(tok_a)
-            postings_b = space_r.entries.get(tok_b)
-            if not postings_a or not postings_b:
-                continue
-            for a in postings_a:
-                for b in postings_b:
-                    if a == b:
-                        continue
-                    yield (a << 32) | b if a < b else (b << 32) | a
+        kept = post_r.counts[post_r.kept]
+        n_shared = int((kept * (kept - 1) // 2).sum())
     else:
-        for tok_r, tok_p, _ in token_pairs:
-            postings_r = space_r.entries.get(tok_r)
-            postings_p = space_p.entries.get(tok_p)
-            if not postings_r or not postings_p:
-                continue
-            for left in postings_r:
-                hi = left << 32
-                for right in postings_p:
-                    yield hi | right
+        both = np.flatnonzero(post_r.kept & post_p.kept)
+        n_shared = int(post_r.counts[both] @ post_p.counts[both])
+    n_similar = int(post_r.counts[sim_r] @ post_p.counts[sim_p])
+    raw = np.empty(n_shared + n_similar, dtype=np.int64)
+    shared = _triangles(post_r) if self_join else _cross(post_r, both, post_p, both)
+    _pack_into(raw[:n_shared], *shared)
+    del shared
+    a, b = _cross(post_r, sim_r, post_p, sim_p)
+    if self_join:
+        # drop a == b and order each pair as (min, max), compacting in place
+        similar = raw[n_shared:]
+        distinct = a != b
+        np.minimum(a, b, out=similar)
+        np.maximum(a, b, out=b)
+        del a
+        _pack_into(similar, similar, b)
+        del b
+        n_similar = int(np.count_nonzero(distinct))
+        similar[:n_similar] = similar[distinct]
+        raw = raw[: n_shared + n_similar]
+    else:
+        _pack_into(raw[n_shared:], a, b)
+    return raw.view(np.uint64)
 
 
 def join(
@@ -607,9 +697,8 @@ def _join(
     report.record("prepare", n_records, n_records, _ms(t0))
 
     t0 = time.perf_counter()
-    space_r = _build_space(side_r, cfg.max_token_freq)
-    space_p = space_r if self_join else _build_space(side_p, cfg.max_token_freq)
-    kept_tokens = len(space_r.entries) + (0 if self_join else len(space_p.entries))
+    vocab, post_r, post_p = _index(side_r, side_p, cfg.max_token_freq)
+    kept_tokens = int(post_r.kept.sum()) + (0 if self_join else int(post_p.kept.sum()))
     report.record("index", n_records, kept_tokens, _ms(t0))
 
     ctx = _JoinCtx()
@@ -635,13 +724,18 @@ def _join(
     t0 = time.perf_counter()
     if want_similar:
         # a token whose plan is empty has no distinct partner on that index
-        index_r = ctx.index_r = NldIndex(space_r.entries.keys(), cfg.threshold)
+        vocab_tokens = list(vocab)
+        kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
+        index_r = ctx.index_r = NldIndex(kept_r, cfg.threshold)
         if self_join:
-            probe_items = [(0, tok) for tok in space_r.entries if index_r.plan(len(tok))]
+            probe_items = [(0, tok) for tok in kept_r if index_r.plan(len(tok))]
         else:
-            index_p = ctx.index_p = NldIndex(space_p.entries.keys(), cfg.threshold)
-            probe_items = [(0, tok) for tok in space_p.entries if index_r.plan(len(tok))]
-            probe_items += [(1, tok) for tok in space_r.entries if index_p.plan(len(tok))]
+            kept_p = list(compress(vocab_tokens, post_p.kept.tolist()))
+            index_p = ctx.index_p = NldIndex(kept_p, cfg.threshold)
+            probe_items = [(0, tok) for tok in kept_p if index_r.plan(len(tok))]
+            probe_items += [(1, tok) for tok in kept_r if index_p.plan(len(tok))]
+            del kept_p
+        del vocab_tokens, kept_r
     index_ms = _ms(t0)
 
     pool = None
@@ -665,16 +759,19 @@ def _join(
                 pool=pool,
             )
         report.record("similar-tokens", len(probe_items), len(token_pairs), index_ms + _ms(t0))
+        del probe_items
 
         t0 = time.perf_counter()
-        stream = _shared_pairs_packed(space_r, space_p, self_join)
-        if want_similar:
-            stream = chain(stream, _similar_pairs_packed(token_pairs, space_r, space_p, self_join))
-        raw = np.fromiter(stream, dtype=np.uint64)
-        report.record("generate", kept_tokens + len(token_pairs), int(raw.size), _ms(t0))
+        n_pairs = len(token_pairs)
+        sim_r = np.fromiter((vocab[tok] for tok, _, _ in token_pairs), dtype=np.int64, count=n_pairs)
+        sim_p = np.fromiter((vocab[tok] for _, tok, _ in token_pairs), dtype=np.int64, count=n_pairs)
+        del vocab, token_pairs
+        raw = _generate(post_r, post_p, sim_r, sim_p, self_join)
+        del post_r, post_p, sim_r, sim_p
+        report.record("generate", kept_tokens + n_pairs, int(raw.size), _ms(t0))
 
         t0 = time.perf_counter()
-        unique = _dedup_packed(raw, cfg.dedup, side_r, side_p)
+        unique = _dedup_packed(raw)
         report.record("dedup", int(raw.size), int(unique.size), _ms(t0))
         del raw
 
@@ -732,34 +829,19 @@ def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def _dedup_packed(raw: np.ndarray, strategy: str, side_r: _Side, side_p: _Side) -> np.ndarray:
+def _dedup_packed(raw: np.ndarray) -> np.ndarray:
     """First occurrence of each distinct pair, in stream order.
 
-    ``both-strings`` groups on the packed pair directly. ``one-string``
-    regroups each pair under the key side chosen by the hash-parity rule
-    (with the value side as the dedup key within the group); the grouping
-    key is (key side, partner), which identifies the pair exactly, so the
-    surviving stream is the same and only the grouping topology differs.
+    Both dedup strategies keep exactly these occurrences. ``both-strings``
+    groups on the packed pair itself. ``one-string`` groups each pair as
+    (key side, key, partner), with the key side chosen by the hash-parity
+    rule; that regrouping maps pairs one to one, so the same occurrence of
+    each pair comes first and one sort-based pass serves both strategies.
+    :func:`dedup_candidates` is the grouping as specified.
     """
     if raw.size == 0:
         return raw
-    if strategy == BOTH_STRINGS:
-        combo = raw
-    else:
-        left = raw >> np.uint64(32)
-        right = raw & np.uint64(_PACK_MASK)
-        hl = side_r.fnv_array()[left.astype(np.int64)]
-        hr = side_p.fnv_array()[right.astype(np.int64)]
-        # int(HASH(l) < HASH(r)) == (HASH(l) + HASH(r)) mod 2; the parity of a
-        # wrapping sum is the xor of the low bits
-        key_is_left = (hl < hr) == ((hl ^ hr) & np.uint64(1)).astype(bool)
-        key = np.where(key_is_left, left, right)
-        partner = np.where(key_is_left, right, left)
-        # high bit disambiguates which side the key came from (two-set joins
-        # may reuse dense ids on both sides)
-        side_bit = np.where(key_is_left, np.uint64(0), np.uint64(1))
-        combo = (side_bit << np.uint64(63)) | (key << np.uint64(32)) | partner
-    _, first_idx = np.unique(combo, return_index=True)
+    _, first_idx = np.unique(raw, return_index=True)
     first_idx.sort()
     return raw[first_idx]
 

@@ -2,13 +2,23 @@ import dataclasses
 import gc
 import math
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tokenjoin import pipeline
-from tokenjoin.candidates import CandidatePair
+from tokenjoin.candidates import (
+    CandidatePair,
+    build_token_space,
+    shared_token_candidates,
+    similar_token_candidates,
+    similar_token_pairs,
+)
 from tokenjoin.errors import ConfigError, DataError, StageError
 from tokenjoin.filters import histogram_prunes, length_prunes
 from tokenjoin.pipeline import (
@@ -114,6 +124,34 @@ class TestFnvDedup:
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
             list(dedup_candidates([], "sometimes"))
+
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_one_string_regrouping_keeps_the_packed_first_occurrences(self, rng, self_join):
+        # both sides use the ids "0".."n-1", as the CLI's line corpora do, so
+        # a two-set stream reuses every dense id on both sides
+        n = 40
+        ids = [str(i) for i in range(n)]
+        hashes = [fnv1a_64(rid.encode("utf-8")) for rid in ids]
+        for _ in range(20):
+            pool = []
+            while len(pool) < 30:
+                left, right = rng.randrange(n), rng.randrange(n)
+                if self_join and left >= right:
+                    continue
+                pool.append((left << 32) | right)
+            raw = np.array([rng.choice(pool) for _ in range(200)], dtype=np.uint64)
+            seen, first = set(), []
+            for idx, packed in enumerate(raw.tolist()):
+                left, right = packed >> 32, packed & 0xFFFFFFFF
+                if one_string_key_is_left(hashes[left], hashes[right]):
+                    group = (0, left, right)
+                else:
+                    group = (1, right, left)
+                if group not in seen:
+                    seen.add(group)
+                    first.append(idx)
+            assert len(first) < raw.size
+            assert np.array_equal(pipeline._dedup_packed(raw), raw[first])
 
 
 class TestRunStage:
@@ -227,10 +265,33 @@ class TestJoinBasics:
         assert parallel.stages["pool"].millis > 0
 
     def test_side_size_limit(self):
-        # one-string dedup needs bit 63 of the regrouped key for the side bit
+        # a packed pair (left << 32 | right) must stay a non-negative int64
         _check_side_size(2**31 - 1, "left")
         with pytest.raises(DataError, match="right corpus"):
             _check_side_size(2**31, "right")
+
+    def test_join_imports_nothing_new(self):
+        # lazy imports inside a join (numpy.ma behind a plain np.unique, for
+        # one) are paid again by every fresh process that joins
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import tokenjoin
+before = set(sys.modules)
+from tokenjoin.pipeline import JoinConfig, join
+from tokenjoin.synth import generate_corpus
+from tokenjoin.textnorm import tokenize
+lines = generate_corpus(300, seed=3, base_tokens=60, perturb_rate=0.5, max_edits=2)
+corpus = [tokenize(line, record_id=str(i)) for i, line in enumerate(lines)]
+res, _ = join(corpus, None, JoinConfig(threshold=0.2))
+cfg = JoinConfig(threshold=0.2, self_join=False, matching="greedy")
+res2, _ = join(corpus[:150], corpus[150:], cfg)
+assert res and res2
+print(sorted(set(sys.modules) - before))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("collecting", [True, False])
     def test_collector_state_restored(self, collecting):
@@ -287,21 +348,78 @@ def long_records(rng, prefix, n):
     return out
 
 
+def hist_rows(side):
+    """Each record's ascending token lengths, from its tokens."""
+    return [tuple(sorted(map(len, toks))) for toks in side.tokens]
+
+
+def expected_hist_matrix(hists, width):
+    """Right-aligned rows of each record's ``width`` largest token lengths."""
+    expected = np.zeros((len(hists), width), dtype=np.int64)
+    for i, lens in enumerate(hists):
+        if lens:
+            kept = lens[-width:]
+            expected[i, width - len(kept) :] = kept
+    return expected
+
+
+def wide_records(rng):
+    records = [make_ts(str(i), rand_multiset(rng, max_tokens=6, max_len=9)) for i in range(300)]
+    return records + [make_ts("empty", ()), make_ts("wide", [rand_token(rng, max_len=12) for _ in range(2000)])]
+
+
 class TestPackedFilter:
     def test_hist_matrix_matches_per_record_rows(self, rng):
-        records = [make_ts(str(i), rand_multiset(rng, max_tokens=6, max_len=9)) for i in range(300)]
-        records += [make_ts("empty", ()), make_ts("wide", [rand_token(rng, max_len=12) for _ in range(2000)])]
-        side = _prepare_side(records, "left")
-        assert side.hists[side.ids.index("empty")] == ()
-        longest = max(map(len, side.hists))
+        side = _prepare_side(wide_records(rng), "left")
+        hists = hist_rows(side)
+        assert hists[side.ids.index("empty")] == ()
+        longest = max(map(len, hists))
         assert longest == 2000
         for width in (longest, longest + 3):
-            expected = np.zeros((len(side.hists), width), dtype=np.int64)
-            for i, lens in enumerate(side.hists):
-                if lens:
-                    expected[i, width - len(lens) :] = lens
+            expected = expected_hist_matrix(hists, width)
             got = side.hist_matrix(width)
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_width_cap_keeps_every_specified_survivor(self, rng):
+        records = wide_records(rng)
+        wide = records[-1]
+        # near copies of the wide record: one token edited, one token dropped
+        records.append(make_ts("wide-edit", (wide.tokens[0] + "z",) + wide.tokens[1:]))
+        records.append(make_ts("wide-drop", wide.tokens[1:]))
+        side = _prepare_side(records, "left")
+        hists = hist_rows(side)
+        num, den = threshold_ratio(0.2)
+        ctx = _JoinCtx()
+        ctx.set_filter_inputs(side, side, num, den)
+        n = len(side.ids)
+        # three records of about 2,000 tokens among 301 short ones: the matrix is
+        # capped at its cells-per-token budget and keeps the largest lengths
+        width = ctx.hist_mat_left.shape[1]
+        assert width == pipeline._HIST_CELLS_PER_TOKEN * sum(map(len, hists)) // n
+        assert max(map(len, hists)) > width
+        assert np.array_equal(ctx.hist_mat_left, expected_hist_matrix(hists, width))
+        # alone, the wide records are within the budget and keep full rows
+        alone = _prepare_side(records[-3:], "left")
+        ctx_alone = _JoinCtx()
+        ctx_alone.set_filter_inputs(alone, alone, num, den)
+        assert ctx_alone.hist_mat_left.shape == (3, 2000)
+
+        pairs = [(left << 32) | right for left in range(n) for right in range(left + 1, n)]
+        survivors, stats = _filter_packed(np.array(pairs, dtype=np.uint64), ctx)
+
+        expected, by_len = [], 0
+        for packed in pairs:
+            left, right = packed >> 32, packed & 0xFFFFFFFF
+            la, lb = side.lens[left], side.lens[right]
+            if length_prunes(la, lb, num, den):
+                by_len += 1
+            elif not histogram_prunes(hists[left], hists[right], la, lb, num, den):
+                expected.append(packed)
+        assert set(expected) <= set(survivors)
+        assert stats.pruned_by_length == by_len
+        wide_ids = {side.ids.index(rid) for rid in ("wide", "wide-edit", "wide-drop")}
+        wide_pairs = [p for p in expected if {p >> 32, p & 0xFFFFFFFF} <= wide_ids]
+        assert len(wide_pairs) == 3
 
     @pytest.mark.parametrize("threshold", [0.025, 0.1, 0.2])
     @pytest.mark.parametrize("self_join", [True, False])
@@ -309,9 +427,12 @@ class TestPackedFilter:
         side_r = _prepare_side(long_records(rng, "r", 30), "left")
         side_p = side_r if self_join else _prepare_side(long_records(rng, "p", 25), "right")
         assert min(side_r.lens) > 31 and min(side_p.lens) > 31
+        hists_r, hists_p = hist_rows(side_r), hist_rows(side_p)
         num, den = threshold_ratio(threshold)
         ctx = _JoinCtx()
         ctx.set_filter_inputs(side_r, side_p, num, den)
+        # no record is cut by the width cap, so the counts are exact
+        assert ctx.hist_mat_left.shape[1] == max(map(len, hists_r + hists_p))
         pairs = [
             (left << 32) | right
             for left in range(len(side_r.ids))
@@ -326,7 +447,7 @@ class TestPackedFilter:
             la, lb = side_r.lens[left], side_p.lens[right]
             if length_prunes(la, lb, num, den):
                 by_len += 1
-            elif histogram_prunes(side_r.hists[left], side_p.hists[right], la, lb, num, den):
+            elif histogram_prunes(hists_r[left], hists_p[right], la, lb, num, den):
                 by_hist += 1
             else:
                 expected.append(packed)
@@ -334,6 +455,61 @@ class TestPackedFilter:
         assert (stats.pruned_by_length, stats.pruned_by_histogram) == (by_len, by_hist)
         assert stats.surviving == len(expected) and stats.input_pairs == len(pairs)
         assert by_hist > 0 and expected
+
+
+def random_side(rng, prefix, n, vocab):
+    """Records of 0-5 tokens from ``vocab``, some repeating a token."""
+    out = []
+    for i in range(n):
+        toks = [rng.choice(vocab) for _ in range(rng.randint(0, 5))]
+        if toks and rng.random() < 0.3:
+            toks.append(rng.choice(toks))
+        out.append(make_ts(f"{prefix}{i}", toks))
+    return out
+
+
+class TestCandidateStream:
+    @pytest.mark.parametrize("cap", [1, 2, math.inf])
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_raw_stream_matches_library_twins(self, cap, self_join, rng, monkeypatch):
+        streams = []
+        dedup = pipeline._dedup_packed
+
+        def spy(raw):
+            streams.append(raw.copy())
+            return dedup(raw)
+
+        monkeypatch.setattr(pipeline, "_dedup_packed", spy)
+        threshold = 0.3
+        routes = Counter()
+        for trial in range(12):
+            vocab = [rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)]
+            # the sides share only part of the vocabulary
+            corpus_r = random_side(rng, "r", rng.randint(0, 30), vocab[:20])
+            corpus_p = None if self_join else random_side(rng, "p", rng.randint(0, 30), vocab[5:])
+            matching = "exact-token" if trial % 4 == 3 else "fuzzy"
+            cfg = JoinConfig(threshold=threshold, max_token_freq=cap, matching=matching, self_join=self_join)
+            join(corpus_r, corpus_p, cfg)
+            raw = streams.pop()
+
+            both = corpus_r + (corpus_p or [])
+            lengths = {rec.id: rec.agg_len for rec in both}
+            dense = {rec.id: i for i, rec in enumerate(sorted(corpus_r, key=lambda r: r.id))}
+            if corpus_p is not None:
+                dense.update({rec.id: i for i, rec in enumerate(sorted(corpus_p, key=lambda r: r.id))})
+            space_r = build_token_space(corpus_r, cap)
+            space_p = space_r if self_join else build_token_space(corpus_p, cap)
+            pairs = list(shared_token_candidates(space_r, space_p, self_join, lengths))
+            if matching == "fuzzy":
+                token_pairs = similar_token_pairs(space_r, space_p, threshold, self_join)
+                pairs += similar_token_candidates(token_pairs, space_r, space_p, self_join, lengths)
+            routes.update(pair.source for pair in pairs)
+            expected = Counter((dense[pair.left_id] << 32) | dense[pair.right_id] for pair in pairs)
+            assert Counter(raw.tolist()) == expected
+            routes["repeats"] += raw.size - len(expected)
+        assert routes["similar-token"]
+        # under a cap of 1 every kept token sits in one record of its side
+        assert (routes["shared-token"] and routes["repeats"]) or cap == 1
 
 
 class TestJoinAgainstOracle:
