@@ -1,10 +1,10 @@
 """Join orchestration: generate, dedup, filter, verify.
 
-Every stage has map/group/reduce semantics over in-memory partitions and is
-deterministic: output depends only on the corpora and the configuration, never
-on the worker count or input record order. Heavy stages (similar-token probing
-and verification) fan out over a fork-based process pool; everything else runs
-serially, mostly as numpy array code.
+Every stage is deterministic: output depends only on the corpora and the
+configuration, never on the worker count or input record order. Similar-token
+probing fans out over a fork-based process pool (map/group/reduce), and so
+does verification when its survivors fill more than one block; everything
+else runs serially, mostly as numpy array code.
 
 Record ids are interned to dense integers in sorted-id order, and tokens to
 dense integers in first-occurrence order. The token index is a pair of CSR
@@ -24,14 +24,16 @@ from itertools import chain, compress, count, islice
 from operator import attrgetter, eq
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-import numpy as np
-
+# the package's modules compile before numpy loads (see strdist)
 from .candidates import CandidatePair, NldIndex
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
-from .setdist import LdCache, sld_capped
+from .residual import Residuals, VerifyStats, block_rows, filter_pairs, verify_block
+from .setdist import LdCache
 from .strdist import threshold_ratio
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
+
+import numpy as np
 
 FUZZY = "fuzzy"
 GREEDY = "greedy"
@@ -50,10 +52,6 @@ _PACK_MASK = 0xFFFFFFFF
 # (left << 32 | right) and a posting key (token << 32 | record) stay
 # non-negative int64 values, which the index and generate stages build
 _MAX_RECORDS_PER_SIDE = 1 << 31
-# the filter's histogram matrices hold at most this many cells per token of
-# the joined sides (at least one column): a record with more tokens than that
-# width keeps only its largest lengths
-_HIST_CELLS_PER_TOKEN = 4
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -136,7 +134,7 @@ class StageCounts:
 
 @dataclass(slots=True)
 class StageReport:
-    """Per-stage item counts and wall times plus the filter counters.
+    """Per-stage item counts and wall times plus the filter and verify counters.
 
     The ``pool`` stage, present only when a worker pool was made, times the
     pool's start-up and shutdown.
@@ -144,6 +142,7 @@ class StageReport:
 
     stages: dict[str, StageCounts] = field(default_factory=dict)
     filters: FilterStats = field(default_factory=FilterStats)
+    verify: VerifyStats = field(default_factory=VerifyStats)
 
     def record(self, name: str, items_in: int, items_out: int, millis: float) -> None:
         self.stages[name] = StageCounts(items_in, items_out, millis)
@@ -155,6 +154,7 @@ class StageReport:
                 for name, c in self.stages.items()
             },
             "filters": self.filters.to_dict(),
+            "verify": self.verify.to_dict(),
         }
 
 
@@ -273,20 +273,7 @@ class _JoinCtx:
     """Read-only state shared with stage workers (copied into them by fork)."""
 
     __slots__ = (
-        "tokens_left",
-        "tokens_right",
-        "lens_left",
-        "lens_right",
-        "lens_arr_left",
-        "lens_arr_right",
-        "hist_mat_left",
-        "hist_mat_right",
-        "maxdiff",
-        "hist_cap",
-        "num",
-        "den",
-        "greedy",
-        "threshold",
+        "residuals",
         "index_r",
         "index_p",
         "self_join",
@@ -296,41 +283,6 @@ class _JoinCtx:
     def __init__(self):
         self.ld_cache = LdCache()
 
-    def set_filter_inputs(self, side_r: "_Side", side_p: "_Side", num: int, den: int) -> None:
-        """Length arrays, histogram matrices and exact prune tables for the filter.
-
-        ``maxdiff[l] = floor(num·l/den)``: a pair whose longer side has length
-        l is pruned by length when the lengths differ by more.
-        ``hist_cap[L] = floor(num·L/(2·den − num))``: the largest setwise cost
-        within the threshold at combined length L (the verify cap). Both come
-        from Python ints, so no threshold or length can overflow them.
-
-        The histogram matrices are as wide as the widest record, but at most
-        ``_HIST_CELLS_PER_TOKEN`` times the mean token count of the joined
-        sides, so they never hold more than that many cells per token.
-        """
-        self_join = side_p is side_r
-        self.lens_arr_left = side_r.lens_array()
-        self.lens_arr_right = self.lens_arr_left if self_join else side_p.lens_array()
-        sides = (side_r,) if self_join else (side_r, side_p)
-        n_rows = sum(side.counts.size for side in sides)
-        n_tokens = sum(side.token_lens.size for side in sides)
-        width = min(
-            max(int(side.counts.max(initial=0)) for side in sides),
-            max(1, _HIST_CELLS_PER_TOKEN * n_tokens // max(n_rows, 1)),
-        )
-        if width:
-            self.hist_mat_left = side_r.hist_matrix(width)
-            self.hist_mat_right = self.hist_mat_left if self_join else side_p.hist_matrix(width)
-        else:
-            self.hist_mat_left = None
-            self.hist_mat_right = None
-        max_len = max(max(side_r.lens, default=0), max(side_p.lens, default=0))
-        self.maxdiff = np.array([num * l // den for l in range(max_len + 1)], dtype=np.int64)
-        hist_den = 2 * den - num
-        self.hist_cap = np.array(
-            [num * total // hist_den for total in range(2 * max_len + 1)], dtype=np.int64
-        )
 
 
 def _probe_map(item):
@@ -354,29 +306,6 @@ def _probe_map(item):
 
 def _pair_reduce(key, values):
     yield (key[0], key[1], values[0])
-
-
-def _verify_map(packed: int):
-    """packed pair -> [(packed, distance)] if within threshold, else []."""
-    ctx = _current_ctx()
-    left = packed >> 32
-    right = packed & _PACK_MASK
-    total_len = ctx.lens_left[left] + ctx.lens_right[right]
-    cap = (ctx.num * total_len) // (2 * ctx.den - ctx.num)
-    s = sld_capped(
-        ctx.tokens_left[left],
-        ctx.tokens_right[right],
-        cap,
-        greedy=ctx.greedy,
-        ld_cache=ctx.ld_cache,
-    )
-    if s is None:
-        return ()
-    return ((packed, (2.0 * s) / (total_len + s)),)
-
-
-def _identity_reduce(key, values):
-    yield (key, values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +369,8 @@ class _Side:
 
     ``counts[i]`` is record i's token count and ``token_lens`` holds the
     lengths of all tokens, record after record, in each record's token order.
+    ``token_ids`` holds their interned ids in the same order, from
+    :func:`_index` until :class:`residual.Residuals` has read them.
     """
 
     ids: list[str]
@@ -448,32 +379,7 @@ class _Side:
     counts: np.ndarray
     token_lens: np.ndarray
     empties: list[int]
-
-    def lens_array(self) -> np.ndarray:
-        return np.array(self.lens, dtype=np.int64)
-
-    def hist_matrix(self, width: int) -> np.ndarray:
-        """The ``width`` largest token lengths of each record, ascending and right-aligned.
-
-        Rows are zero-padded in front. Front-padding both sides of a pair to
-        a common width leaves the pairwise sorted alignment (and therefore the
-        |difference| sum) unchanged, so the histogram bound vectorizes as a
-        row difference. A record with more tokens keeps only its ``width``
-        largest lengths: that drops the leftmost columns of its full row, and
-        with them only non-negative terms, so the bound stays a lower bound.
-        """
-        n = self.counts.size
-        rows = np.repeat(np.arange(n), self.counts)
-        # sorting (row, length) keys sorts the lengths within each row; the
-        # t-th sorted value sits in row rows[t], and ending that row at
-        # column width - 1 puts it at column t + width - ends[rows[t]]
-        flat = np.sort((rows << 32) | self.token_lens) & _PACK_MASK
-        ends = np.cumsum(self.counts)
-        cols = np.arange(flat.size) + np.repeat(width - ends, self.counts)
-        keep = cols >= 0
-        out = np.zeros((n, width), dtype=np.int64)
-        out[rows[keep], cols[keep]] = flat[keep]
-        return out
+    token_ids: np.ndarray | None = None
 
 
 def _check_side_size(n_records: int, label: str) -> None:
@@ -541,21 +447,16 @@ def _index(
 ) -> tuple[dict[str, int], _Postings, _Postings]:
     """Intern the tokens of both sides to dense ids and build each side's postings.
 
-    Ids follow the first occurrence of each token, left side first. A
-    self-join passes the same side twice and gets the same postings twice.
+    Ids follow the first occurrence of each token, left side first, and
+    each side's ``token_ids`` are set. A self-join passes the same side twice
+    and gets the same postings twice.
     """
     sides = (side_r,) if side_p is side_r else (side_r, side_p)
     flats = [list(chain.from_iterable(side.tokens)) for side in sides]
     vocab = dict(zip(dict.fromkeys(chain.from_iterable(flats)), count()))
-    posts = [
-        _postings(
-            side,
-            np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat)),
-            len(vocab),
-            max_freq,
-        )
-        for side, flat in zip(sides, flats)
-    ]
+    for side, flat in zip(sides, flats):
+        side.token_ids = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
+    posts = [_postings(side, side.token_ids, len(vocab), max_freq) for side in sides]
     return vocab, posts[0], posts[-1]
 
 
@@ -702,29 +603,22 @@ def _join(
     report.record("index", n_records, kept_tokens, _ms(t0))
 
     ctx = _JoinCtx()
-    ctx.tokens_left = side_r.tokens
-    ctx.tokens_right = side_p.tokens
-    ctx.lens_left = side_r.lens
-    ctx.lens_right = side_p.lens
-    ctx.num = num
-    ctx.den = den
-    ctx.greedy = cfg.matching == GREEDY
-    ctx.threshold = cfg.threshold
     ctx.self_join = self_join
     ctx.index_r = None
     ctx.index_p = None
-    filter_inputs_ms = 0.0
-    if use_filters:
-        t0 = time.perf_counter()
-        ctx.set_filter_inputs(side_r, side_p, num, den)
-        filter_inputs_ms = _ms(t0)
+    vocab_tokens = list(vocab)
+    t0 = time.perf_counter()
+    ctx.residuals = Residuals(
+        side_r, side_p, vocab_tokens, num, den, greedy=cfg.matching == GREEDY, ld_cache=ctx.ld_cache
+    )
+    side_r.token_ids = side_p.token_ids = None  # the key rows hold what later stages read
+    residual_inputs_ms = _ms(t0)
 
     want_similar = cfg.matching in (FUZZY, GREEDY)
     probe_items: list[tuple[int, str]] = []
     t0 = time.perf_counter()
     if want_similar:
         # a token whose plan is empty has no distinct partner on that index
-        vocab_tokens = list(vocab)
         kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
         index_r = ctx.index_r = NldIndex(kept_r, cfg.threshold)
         if self_join:
@@ -735,7 +629,8 @@ def _join(
             probe_items = [(0, tok) for tok in kept_p if index_r.plan(len(tok))]
             probe_items += [(1, tok) for tok in kept_r if index_p.plan(len(tok))]
             del kept_p
-        del vocab_tokens, kept_r
+        del kept_r
+    del vocab_tokens
     index_ms = _ms(t0)
 
     pool = None
@@ -771,30 +666,25 @@ def _join(
         report.record("generate", kept_tokens + n_pairs, int(raw.size), _ms(t0))
 
         t0 = time.perf_counter()
+        n_raw = int(raw.size)
         unique = _dedup_packed(raw)
-        report.record("dedup", int(raw.size), int(unique.size), _ms(t0))
         del raw
+        report.record("dedup", n_raw, int(unique.size), _ms(t0))
 
         t0 = time.perf_counter()
         if use_filters:
-            survivors, fstats = _filter_packed(unique, ctx, workers=cfg.workers, pool=pool)
+            survivors, report.filters = filter_pairs(unique, ctx.residuals)
+            report.record("filter", int(unique.size), int(survivors.size), residual_inputs_ms + _ms(t0))
         else:
-            survivors = unique.tolist()
-            fstats = FilterStats(input_pairs=len(survivors), surviving=len(survivors))
-        report.filters = fstats
-        report.record("filter", int(unique.size), len(survivors), filter_inputs_ms + _ms(t0))
+            survivors = unique
+            report.filters = FilterStats(input_pairs=int(unique.size), surviving=int(unique.size))
+            report.record("filter", int(unique.size), int(unique.size), _ms(t0))
         del unique
 
         t0 = time.perf_counter()
-        accepted: list[tuple[int, float]] = run_stage(
-            survivors,
-            _verify_map,
-            _identity_reduce,
-            cfg.workers,
-            stage="verify",
-            pool=pool,
-        )
-        report.record("verify", len(survivors), len(accepted), _ms(t0))
+        accepted, report.verify = _verify(survivors, ctx, cfg.workers, pool)
+        verify_ms = _ms(t0) + (0.0 if use_filters else residual_inputs_ms)
+        report.record("verify", int(survivors.size), len(accepted), verify_ms)
     finally:
         _TLS.ctx = None
         if pool is not None:
@@ -830,101 +720,47 @@ def _ms(t0: float) -> float:
 
 
 def _dedup_packed(raw: np.ndarray) -> np.ndarray:
-    """First occurrence of each distinct pair, in stream order.
+    """The distinct pairs of ``raw``, ascending; sorts ``raw`` in place.
 
-    Both dedup strategies keep exactly these occurrences. ``both-strings``
-    groups on the packed pair itself. ``one-string`` groups each pair as
-    (key side, key, partner), with the key side chosen by the hash-parity
-    rule; that regrouping maps pairs one to one, so the same occurrence of
-    each pair comes first and one sort-based pass serves both strategies.
-    :func:`dedup_candidates` is the grouping as specified.
+    Both dedup strategies keep one copy of each distinct pair, and the copies
+    of a pair are equal, so one sort-based pass serves both.
+    ``both-strings`` groups on the packed pair itself. ``one-string`` groups
+    each pair as (key side, key, partner), with the key side chosen by the
+    hash-parity rule; that regrouping maps pairs one to one, so it keeps the
+    same pairs. :func:`dedup_candidates` is the grouping as specified.
     """
-    if raw.size == 0:
-        return raw
-    _, first_idx = np.unique(raw, return_index=True)
-    first_idx.sort()
-    return raw[first_idx]
+    raw.sort()
+    keep = np.empty(raw.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(raw[1:], raw[:-1], out=keep[1:])
+    return raw[keep]
 
 
-_FILTER_BLOCK = 1 << 19
+def _verify(
+    survivors: np.ndarray, ctx: _JoinCtx, workers: int, pool
+) -> tuple[list[tuple[int, float]], VerifyStats]:
+    """(packed pair, distance) of each survivor within the threshold, and the counters.
 
-
-def _filter_blocks(
-    arr: np.ndarray,
-    lens_l: np.ndarray,
-    lens_r: np.ndarray,
-    hist_l: np.ndarray | None,
-    hist_r: np.ndarray | None,
-    maxdiff: np.ndarray,
-    hist_cap: np.ndarray,
-) -> tuple[list[int], int, int]:
-    """Length then histogram pruning over packed pairs, block by block."""
-    survivors: list[int] = []
-    pruned_len = 0
-    pruned_hist = 0
-    for start in range(0, arr.size, _FILTER_BLOCK):
-        block = arr[start : start + _FILTER_BLOCK]
-        li = (block >> np.uint64(32)).astype(np.int64)
-        ri = (block & np.uint64(_PACK_MASK)).astype(np.int64)
-        la = lens_l[li]
-        lb = lens_r[ri]
-        mx = np.maximum(la, lb)
-        len_prune = mx - np.minimum(la, lb) > maxdiff[mx]
-        pruned_len += int(len_prune.sum())
-        keep = ~len_prune
-        if hist_l is not None:
-            lk = li[keep]
-            rk = ri[keep]
-            lower = np.abs(hist_l[lk] - hist_r[rk]).sum(axis=1)
-            hist_prune = lower > hist_cap[la[keep] + lb[keep]]
-            pruned_hist += int(hist_prune.sum())
-            survivors.extend(block[keep][~hist_prune].tolist())
+    Runs :func:`residual.verify_block` over blocks of survivors in the
+    caller, or, with more than one block and a pool, over the pool in block
+    order.
+    """
+    step = block_rows(ctx.residuals.width)
+    blocks = [survivors[start : start + step] for start in range(0, survivors.size, step)]
+    try:
+        if pool is not None and workers > 1 and len(blocks) > 1:
+            parts = pool.map(_verify_task, blocks)
         else:
-            survivors.extend(block[keep].tolist())
-    return survivors, pruned_len, pruned_hist
+            parts = [verify_block(block, ctx.residuals) for block in blocks]
+    except Exception as exc:
+        raise StageError("verify", None, f"{type(exc).__name__}: {exc}") from exc
+    accepted: list[tuple[int, float]] = []
+    stats = VerifyStats()
+    for packed, dists, block_stats in parts:
+        accepted.extend(zip(packed.tolist(), dists.tolist()))
+        stats.add(block_stats)
+    return accepted, stats
 
 
-def _filter_chunk(arr: np.ndarray, ctx: "_JoinCtx | None" = None) -> tuple[list[int], int, int]:
-    ctx = ctx if ctx is not None else _current_ctx()
-    return _filter_blocks(
-        arr,
-        ctx.lens_arr_left,
-        ctx.lens_arr_right,
-        ctx.hist_mat_left,
-        ctx.hist_mat_right,
-        ctx.maxdiff,
-        ctx.hist_cap,
-    )
-
-
-def _filter_packed(
-    unique: np.ndarray,
-    ctx: _JoinCtx,
-    workers: int = 1,
-    pool=None,
-) -> tuple[list[int], FilterStats]:
-    """Vectorized length + histogram pruning with exact integer predicates.
-
-    Reads the arrays and tables of :meth:`_JoinCtx.set_filter_inputs`. Runs
-    over the pool in contiguous chunks when one is available (merge order is
-    partition order, so results match the serial pass exactly).
-    """
-    stats = FilterStats()
-    stats.input_pairs = int(unique.size)
-    if pool is not None and workers > 1 and unique.size >= 4 * _FILTER_BLOCK:
-        n_parts = workers * 2
-        size = (unique.size + n_parts - 1) // n_parts
-        chunks = [unique[i * size : (i + 1) * size] for i in range(n_parts)]
-        survivors: list[int] = []
-        pruned_len = 0
-        pruned_hist = 0
-        for part_survivors, n_len, n_hist in pool.map(_filter_chunk, chunks):
-            survivors.extend(part_survivors)
-            pruned_len += n_len
-            pruned_hist += n_hist
-    else:
-        survivors, pruned_len, pruned_hist = _filter_chunk(unique, ctx)
-    stats.pruned_by_length = pruned_len
-    stats.pruned_by_histogram = pruned_hist
-    stats.surviving = len(survivors)
-    return survivors, stats
+def _verify_task(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, VerifyStats]:
+    return verify_block(block, _current_ctx().residuals)

@@ -229,6 +229,41 @@ def sld_lower_bound(ha: TokenLengthHistogram, hb: TokenLengthHistogram) -> int:
     return sorted_lengths_lower_bound(ha.sorted_lengths(), hb.sorted_lengths())
 
 
+def drop_shared(a_tokens: Sequence[str], b_tokens: Sequence[str]) -> tuple[list[str], list[str]]:
+    """Each side's tokens left after removing the token multiset the two share.
+
+    A token repeated on both sides is removed as often as its smaller count.
+    """
+    rest_b = list(b_tokens)
+    rest_a = []
+    for tok in a_tokens:
+        if tok in rest_b:
+            rest_b.remove(tok)
+        else:
+            rest_a.append(tok)
+    return rest_a, rest_b
+
+
+def residual_lower_bound(a_tokens: Sequence[str], b_tokens: Sequence[str]) -> int:
+    """Lower bound on the setwise cost of two token lists with no token in common.
+
+    Sorts each side's token lengths, front-pads the shorter list with zeros
+    and sums max(1, |difference|) position by position. The tokens must be
+    non-empty: see :func:`sld_capped`.
+    """
+    lens_a = sorted(map(len, a_tokens))
+    lens_b = sorted(map(len, b_tokens))
+    if len(lens_a) < len(lens_b):
+        lens_a[:0] = [0] * (len(lens_b) - len(lens_a))
+    elif len(lens_b) < len(lens_a):
+        lens_b[:0] = [0] * (len(lens_a) - len(lens_b))
+    bound = 0
+    for la, lb in zip(lens_a, lens_b):
+        d = la - lb if la > lb else lb - la
+        bound += d if d else 1
+    return bound
+
+
 def sld_capped(
     a_tokens: Sequence[str],
     b_tokens: Sequence[str],
@@ -261,33 +296,15 @@ def sld_capped(
     totals above the cap and is rejected, while accepted totals are exact (an
     optimal matching within the cap only uses exactly-weighted edges).
     """
-    rest_b = list(b_tokens)
-    rest_a = []
-    for tok in a_tokens:
-        if tok in rest_b:
-            rest_b.remove(tok)
-        else:
-            rest_a.append(tok)
-    a_tokens, b_tokens = rest_a, rest_b
+    a_tokens, b_tokens = drop_shared(a_tokens, b_tokens)
     n_a, n_b = len(a_tokens), len(b_tokens)
     k = n_a if n_a > n_b else n_b
     if k == 0:
         return 0
-    lens_a = sorted(map(len, a_tokens))
-    lens_b = sorted(map(len, b_tokens))
     # an empty token matches padding at cost 0, under the bound's 1 per
     # edge; records never hold one
-    if (not lens_a or lens_a[0]) and (not lens_b or lens_b[0]):
-        if n_a < n_b:
-            lens_a[:0] = [0] * (n_b - n_a)
-        elif n_b < n_a:
-            lens_b[:0] = [0] * (n_a - n_b)
-        bound = 0
-        for la, lb in zip(lens_a, lens_b):
-            d = la - lb if la > lb else lb - la
-            bound += d if d else 1
-        if bound > cap:
-            return None
+    if "" not in a_tokens and "" not in b_tokens and residual_lower_bound(a_tokens, b_tokens) > cap:
+        return None
     bounded = ld_cache.bounded if ld_cache is not None else ld_bounded
     surrogate = cap + 1
     if k == 1:

@@ -9,11 +9,18 @@ arithmetic on the binary64 value of the threshold. Floating-point floor/ceil of
 these formulas can be off by one at representable boundaries, which would break
 candidate-generation completeness, so every integer bound goes through
 fractions.Fraction.
+
+The batch kernel imports numpy where it runs, not at module import. The
+package imports this module first; when the sources are compiled at every
+import (no cached bytecode), numpy loaded that early sits above the memory
+that compiling the larger modules frees, so the memory is not given back,
+and a join's peak RSS rose by about a megabyte.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -125,6 +132,120 @@ def ld_bounded(x: str, y: str, cap: int) -> int | None:
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
     return score  # the last step's exit test was score > cap
+
+
+# the batch kernel holds a pattern in one 64-bit word; longer ones fall back
+_BATCH_PATTERN_MAX = 63
+_GATHER_BYTE_FLAGS = 0x0102040810204080  # sum of 2**(56 - 7k), k = 0..7
+# one kernel pass holds at most this many code points of patterns and texts
+# (512 KB); passes of 2**17 to 2**22 took about the same time on W1
+_BATCH_CODE_POINTS = 1 << 17
+
+
+def ld_bounded_batch(xs: Sequence[str], ys: Sequence[str], caps: Sequence[int]) -> np.ndarray:
+    """Per pair ``(xs[i], ys[i])``, the distance if it is at most ``caps[i]``, else -1.
+
+    Cap 0, empty strings and length differences over the cap are decided
+    without the kernel. The other pairs run :func:`ld_bounded`'s
+    bit-parallel column update on numpy words, all pairs at once: the shorter
+    string is the pattern (one uint64 per pair, so at most 63 characters;
+    longer patterns fall back to :func:`ld_bounded`) and the longer one the
+    text, both as UTF-32 code points. Sorted by text length, the pairs still
+    reading text at step j are a prefix of the batch, so each step works on
+    a contiguous slice and no pair is masked. The sorted pairs run in passes
+    of at most ``_BATCH_CODE_POINTS`` code points, so a few very long texts
+    cannot blow up the matrices.
+    """
+    import numpy as np
+
+    n_pairs = len(xs)
+    xs = np.asarray(xs, dtype=object)
+    ys = np.asarray(ys, dtype=object)
+    caps = np.asarray(caps, dtype=np.int64)
+    out = np.full(n_pairs, -1, dtype=np.int64)
+    if n_pairs == 0:
+        return out
+    len_x = np.fromiter(map(len, xs), dtype=np.int64, count=n_pairs)
+    len_y = np.fromiter(map(len, ys), dtype=np.int64, count=n_pairs)
+    short = np.minimum(len_x, len_y)
+    long = np.maximum(len_x, len_y)
+    for i in np.flatnonzero((caps == 0) & (short == long)).tolist():
+        if xs[i] == ys[i]:
+            out[i] = 0
+    open_ = (caps > 0) & (long - short <= caps)
+    empty = open_ & (short == 0)
+    out[empty] = long[empty]  # the length difference is within the cap
+    open_ &= short > 0
+    for i in np.flatnonzero(open_ & (short > _BATCH_PATTERN_MAX)).tolist():
+        d = ld_bounded(xs[i], ys[i], int(caps[i]))
+        out[i] = -1 if d is None else d
+    run = np.flatnonzero(open_ & (short <= _BATCH_PATTERN_MAX))
+    # longest text first: the pairs still reading text form a prefix
+    run = run[np.argsort(-long[run], kind="stable")]
+    start = 0
+    while start < run.size:
+        part = run[start : start + max(1, _BATCH_CODE_POINTS // (64 + int(long[run[start]])))]
+        start += part.size
+        x_first = len_x[part] <= len_y[part]
+        pats = np.where(x_first, xs[part], ys[part])
+        texts = np.where(x_first, ys[part], xs[part])
+        m, n = short[part], long[part]
+        width = -(-int(m.max()) // 8) * 8  # whole bytes of pattern bits
+        dist = _myers_batch(_code_points(pats, width), _code_points(texts, int(n[0])), m, n)
+        out[part] = np.where(dist <= caps[part], dist, -1)
+    return out
+
+
+def _code_points(strings: np.ndarray, width: int) -> np.ndarray:
+    """One row of ``width`` UTF-32 code points per string (numpy's ``str_`` layout), zero-padded."""
+    import numpy as np
+
+    return np.array(strings, dtype=f"<U{width}").view("<u4").reshape(len(strings), width)
+
+
+def _myers_batch(pats: np.ndarray, texts: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Levenshtein distances of pattern/text rows; ``n`` must be non-increasing.
+
+    Pattern row i holds ``m[i]`` characters and text row i ``n[i]``; the
+    padding after them is never read as text, and pattern bits at or above
+    ``m[i]`` never reach the lower bits (shifts and carries only move up),
+    so what the padding matches does not matter. The pattern matrix is at
+    most 64 columns wide, a multiple of 8.
+    """
+    import numpy as np
+
+    m_u = m.astype(np.uint64)
+    mask = (np.uint64(1) << m_u) - np.uint64(1)
+    last = np.uint64(1) << (m_u - np.uint64(1))
+    pv = mask.copy()
+    mv = np.zeros_like(pv)
+    score = m.copy()
+    # active[j] = how many pairs have a text character at position j
+    active = np.searchsorted(-n, -np.arange(int(n[0])), side="left").tolist()
+    # the match bits of one text character, in the low bytes of a word
+    eq_bytes = np.zeros((m.size, 8), dtype=np.uint8)
+    n_bytes = pats.shape[1] // 8
+    for j, c in enumerate(active):
+        if c < pv.size:
+            pv, mv, mask, last, pats = pv[:c], mv[:c], mask[:c], last[:c], pats[:c]
+            eq_bytes = eq_bytes[:c]
+        # each 8 match flags (bytes 0/1) read as one word; the multiply puts
+        # flag k at bit 56 + k with no carries, so the top byte packs them
+        hit = (pats == texts[:c, j, None]).view("<u8")
+        eq_bytes[:, :n_bytes] = (hit * np.uint64(_GATHER_BYTE_FLAGS)) >> np.uint64(56)
+        eq = eq_bytes.view("<u8")[:, 0]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        s = score[:c]
+        s += (ph & last) != 0
+        s -= (mh & last) != 0
+        ph = (ph << np.uint64(1)) | np.uint64(1)
+        mh <<= np.uint64(1)
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def nld(x: str, y: str) -> float:

@@ -73,8 +73,10 @@ class TestJoinCommand:
         assert code == 0
         assert out.read_bytes() == b"0\t1\t0.200000\n"
         payload = json.loads(report.read_text())
-        assert set(payload) == {"stages", "filters", "config"}
+        assert set(payload) == {"stages", "filters", "verify", "config"}
         assert payload["config"]["threshold"] == 0.2
+        # the two records share no token: one pair with two residual tokens a side
+        assert payload["verify"]["pairs_by_k"] == {"0": 0, "1": 0, "2": 1, "3": 0, "4": 0, "5+": 0}
         for counts in payload["stages"].values():
             assert set(counts) == {"items_in", "items_out", "millis"}
 

@@ -8,6 +8,7 @@ from tokenjoin.filters import (
     histogram_prunes,
     length_filter,
     length_prunes,
+    residual_prunes,
 )
 from tokenjoin.setdist import TokenLengthHistogram
 
@@ -89,6 +90,51 @@ class TestHistogramFilter:
                         num,
                         den,
                     )
+
+
+class TestResidualFilter:
+    def test_frozen_examples(self):
+        num, den = 1, 10
+        # identical multisets leave nothing: bound 0
+        assert not residual_prunes(("ab", "cd"), ("cd", "ab"), 4, 4, num, den)
+        # "chan kalan" vs "chank alan" share nothing; lengths [4, 5] both
+        # sides, so the bound is 1 + 1 = 2 and 2*2/(18 + 2) = 0.2
+        a, b = ("chan", "kalan"), ("chank", "alan")
+        assert residual_prunes(a, b, 9, 9, num, den)
+        assert not residual_prunes(a, b, 9, 9, 1, 5)
+        # the histogram bound is 0 on these lengths and never prunes
+        assert not histogram_prunes((4, 5), (4, 5), 9, 9, num, den)
+        # a repeated token drops once per shared copy: "aa" is left on one side
+        assert residual_prunes(("aa", "aa", "bbbbbbbb"), ("aa", "bbbbbbbb"), 12, 10, num, den)
+        assert not residual_prunes(("aa", "aa", "bbbbbbbb"), ("aa", "bbbbbbbb"), 12, 10, 1, 5)
+
+    def test_empty_token_never_prunes(self):
+        assert not residual_prunes(("", "abc"), ("xyzuvw",), 3, 6, 1, 10)
+        assert not residual_prunes(("abc",), ("", "xyzuvw"), 3, 6, 1, 10)
+
+    def test_never_prunes_true_positive(self, rng):
+        for threshold in (0.1, 0.3, 0.6):
+            num, den = Fraction(threshold).numerator, Fraction(threshold).denominator
+            for _ in range(300):
+                a = rand_multiset(rng, max_tokens=3, max_len=4, alphabet="abc")
+                b = rand_multiset(rng, max_tokens=3, max_len=4, alphabet="abc")
+                if nsld_frac(a, b) <= Fraction(threshold):
+                    assert not residual_prunes(a, b, sum(map(len, a)), sum(map(len, b)), num, den)
+
+    def test_histogram_prune_implies_residual_prune(self, rng):
+        pruned = {"histogram": 0, "residual": 0}
+        for threshold in (0.05, 0.2, 0.5):
+            num, den = Fraction(threshold).numerator, Fraction(threshold).denominator
+            for _ in range(300):
+                a = rand_multiset(rng, max_tokens=4, max_len=4, alphabet="ab")
+                b = rand_multiset(rng, max_tokens=4, max_len=4, alphabet="ab")
+                la, lb = sum(map(len, a)), sum(map(len, b))
+                hist = histogram_prunes(tuple(sorted(map(len, a))), tuple(sorted(map(len, b))), la, lb, num, den)
+                res = residual_prunes(a, b, la, lb, num, den)
+                assert res or not hist
+                pruned["histogram"] += hist
+                pruned["residual"] += res
+        assert pruned["residual"] > pruned["histogram"] > 0
 
 
 class TestFilterStats:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenjoin import pipeline
+from tokenjoin import pipeline, residual
 from tokenjoin.candidates import (
     CandidatePair,
     build_token_space,
@@ -20,13 +20,11 @@ from tokenjoin.candidates import (
     similar_token_pairs,
 )
 from tokenjoin.errors import ConfigError, DataError, StageError
-from tokenjoin.filters import histogram_prunes, length_prunes
+from tokenjoin.filters import length_prunes, residual_prunes
 from tokenjoin.pipeline import (
     JoinConfig,
     JoinResult,
     _check_side_size,
-    _filter_packed,
-    _JoinCtx,
     _prepare_side,
     dedup_candidates,
     fnv1a_64,
@@ -34,8 +32,8 @@ from tokenjoin.pipeline import (
     one_string_key_is_left,
     run_stage,
 )
-from tokenjoin.setdist import sld_capped
-from tokenjoin.strdist import threshold_ratio
+from tokenjoin.setdist import LdCache, drop_shared, sld_capped
+from tokenjoin.strdist import ld_bounded_batch, threshold_ratio
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
 
@@ -128,7 +126,8 @@ class TestFnvDedup:
     @pytest.mark.parametrize("self_join", [True, False])
     def test_one_string_regrouping_keeps_the_packed_first_occurrences(self, rng, self_join):
         # both sides use the ids "0".."n-1", as the CLI's line corpora do, so
-        # a two-set stream reuses every dense id on both sides
+        # a two-set stream reuses every dense id on both sides; the join
+        # sorts its pairs before finalize, so dedup returns them ascending
         n = 40
         ids = [str(i) for i in range(n)]
         hashes = [fnv1a_64(rid.encode("utf-8")) for rid in ids]
@@ -151,7 +150,9 @@ class TestFnvDedup:
                     seen.add(group)
                     first.append(idx)
             assert len(first) < raw.size
-            assert np.array_equal(pipeline._dedup_packed(raw), raw[first])
+            got = pipeline._dedup_packed(raw.copy())
+            assert np.all(got[1:] > got[:-1])
+            assert set(got.tolist()) == set(raw[first].tolist())
 
 
 class TestRunStage:
@@ -307,13 +308,15 @@ print(sorted(set(sys.modules) - before))
             (gc.enable if was else gc.disable)()
 
     def test_collector_paused_while_verifying(self, monkeypatch):
+        # the reference pair has two residual tokens a side: its four token
+        # pairs go to the batched kernel in one call
         states = []
 
         def spy(*args, **kwargs):
             states.append(gc.isenabled())
-            return sld_capped(*args, **kwargs)
+            return ld_bounded_batch(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "sld_capped", spy)
+        monkeypatch.setattr(residual, "ld_bounded_batch", spy)
         was = gc.isenabled()
         try:
             gc.enable()
@@ -333,11 +336,16 @@ print(sorted(set(sys.modules) - before))
 
 
 def long_records(rng, prefix, n):
-    """Records of 32+ characters, each followed by a near copy."""
+    """Records of 32+ characters, each followed by a near copy.
+
+    Some records repeat a token, and the near copy keeps or drops a copy.
+    """
     out = []
     for i in range(n):
         toks = [rand_token(rng, max_len=14, alphabet="abc") for _ in range(rng.randint(3, 6))]
         toks[0] = toks[0].ljust(32, "a")
+        if rng.random() < 0.3:
+            toks.append(rng.choice(toks))
         out.append(make_ts(f"{prefix}{2 * i}", toks))
         near = list(toks)
         j = rng.randrange(len(near))
@@ -348,19 +356,26 @@ def long_records(rng, prefix, n):
     return out
 
 
-def hist_rows(side):
-    """Each record's ascending token lengths, from its tokens."""
-    return [tuple(sorted(map(len, toks))) for toks in side.tokens]
+def residual_rows(side_r, side_p, threshold, greedy=False):
+    """The residual rows of the two prepared sides, and the interned vocabulary."""
+    vocab, _, _ = pipeline._index(side_r, side_p, math.inf)
+    num, den = threshold_ratio(threshold)
+    res = residual.Residuals(side_r, side_p, list(vocab), num, den, greedy=greedy, ld_cache=LdCache())
+    return res, vocab, num, den
 
 
-def expected_hist_matrix(hists, width):
-    """Right-aligned rows of each record's ``width`` largest token lengths."""
-    expected = np.zeros((len(hists), width), dtype=np.int64)
-    for i, lens in enumerate(hists):
-        if lens:
-            kept = lens[-width:]
-            expected[i, width - len(kept) :] = kept
-    return expected
+def expected_residual_rows(side, vocab, width):
+    """Key rows of each record, and which records are left out."""
+    keys = np.full((len(side.tokens), width), -1, dtype=np.int64)
+    left_out = np.zeros(len(side.tokens), dtype=bool)
+    for i, toks in enumerate(side.tokens):
+        if len(toks) > width or "" in toks:
+            left_out[i] = True
+            continue
+        ordered = sorted(toks, key=lambda tok: (len(tok), vocab[tok]))
+        for col, tok in enumerate(ordered, start=width - len(toks)):
+            keys[i, col] = (vocab[tok] << 32) | ordered[: col - width + len(toks)].count(tok)
+    return keys, left_out
 
 
 def wide_records(rng):
@@ -368,17 +383,38 @@ def wide_records(rng):
     return records + [make_ts("empty", ()), make_ts("wide", [rand_token(rng, max_len=12) for _ in range(2000)])]
 
 
+def specified_survivors(pairs, side_r, side_p, num, den):
+    """The scalar specification of the filter: survivors, length prunes, residual prunes."""
+    expected, by_len, by_res = [], 0, 0
+    for packed in pairs:
+        left, right = packed >> 32, packed & 0xFFFFFFFF
+        la, lb = side_r.lens[left], side_p.lens[right]
+        if length_prunes(la, lb, num, den):
+            by_len += 1
+        elif residual_prunes(side_r.tokens[left], side_p.tokens[right], la, lb, num, den):
+            by_res += 1
+        else:
+            expected.append(packed)
+    return expected, by_len, by_res
+
+
 class TestPackedFilter:
-    def test_hist_matrix_matches_per_record_rows(self, rng):
-        side = _prepare_side(wide_records(rng), "left")
-        hists = hist_rows(side)
-        assert hists[side.ids.index("empty")] == ()
-        longest = max(map(len, hists))
-        assert longest == 2000
-        for width in (longest, longest + 3):
-            expected = expected_hist_matrix(hists, width)
-            got = side.hist_matrix(width)
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    def test_residual_matrices_match_per_record_rows(self, rng):
+        records = wide_records(rng)
+        records += [make_ts("repeats", ("ab", "c", "ab", "zz", "ab")), make_ts("blank", ("ab", ""))]
+        side = _prepare_side(records, "left")
+        res, vocab, _, _ = residual_rows(side, side, 0.1)
+        assert res.width == residual.CELLS_PER_TOKEN * int(side.counts.sum()) // len(side.ids)
+        keys, left_out = expected_residual_rows(side, vocab, res.width)
+        assert np.array_equal(res.keys_left, keys)
+        assert np.array_equal(res.scalar_left, left_out)
+        assert res.vocab_lens.tolist() == [len(tok) for tok in vocab]
+        assert res.keys_right is res.keys_left
+        # the 2,000-token record and the record with an empty token only
+        assert sorted(np.array(side.ids)[left_out]) == ["blank", "wide"]
+        row = side.ids.index("repeats")
+        ab = vocab["ab"] << 32
+        assert [key for key in res.keys_left[row].tolist() if key >> 32 == vocab["ab"]] == [ab, ab | 1, ab | 2]
 
     def test_width_cap_keeps_every_specified_survivor(self, rng):
         records = wide_records(rng)
@@ -387,74 +423,54 @@ class TestPackedFilter:
         records.append(make_ts("wide-edit", (wide.tokens[0] + "z",) + wide.tokens[1:]))
         records.append(make_ts("wide-drop", wide.tokens[1:]))
         side = _prepare_side(records, "left")
-        hists = hist_rows(side)
-        num, den = threshold_ratio(0.2)
-        ctx = _JoinCtx()
-        ctx.set_filter_inputs(side, side, num, den)
+        res, _, num, den = residual_rows(side, side, 0.2)
         n = len(side.ids)
-        # three records of about 2,000 tokens among 301 short ones: the matrix is
-        # capped at its cells-per-token budget and keeps the largest lengths
-        width = ctx.hist_mat_left.shape[1]
-        assert width == pipeline._HIST_CELLS_PER_TOKEN * sum(map(len, hists)) // n
-        assert max(map(len, hists)) > width
-        assert np.array_equal(ctx.hist_mat_left, expected_hist_matrix(hists, width))
+        # three records of about 2,000 tokens among 301 short ones: the
+        # matrices are capped at their cells-per-token budget and leave the
+        # three out, so their pairs get the length prune only
+        assert res.width == residual.CELLS_PER_TOKEN * int(side.counts.sum()) // n
+        assert int(side.counts.max()) > res.width
+        wide_ids = {side.ids.index(rid) for rid in ("wide", "wide-edit", "wide-drop")}
+        assert set(np.flatnonzero(res.scalar_left).tolist()) == wide_ids
         # alone, the wide records are within the budget and keep full rows
         alone = _prepare_side(records[-3:], "left")
-        ctx_alone = _JoinCtx()
-        ctx_alone.set_filter_inputs(alone, alone, num, den)
-        assert ctx_alone.hist_mat_left.shape == (3, 2000)
+        res_alone, _, _, _ = residual_rows(alone, alone, 0.2)
+        assert res_alone.keys_left.shape == (3, 2000) and not res_alone.scalar_left.any()
 
         pairs = [(left << 32) | right for left in range(n) for right in range(left + 1, n)]
-        survivors, stats = _filter_packed(np.array(pairs, dtype=np.uint64), ctx)
-
-        expected, by_len = [], 0
-        for packed in pairs:
-            left, right = packed >> 32, packed & 0xFFFFFFFF
-            la, lb = side.lens[left], side.lens[right]
-            if length_prunes(la, lb, num, den):
-                by_len += 1
-            elif not histogram_prunes(hists[left], hists[right], la, lb, num, den):
-                expected.append(packed)
-        assert set(expected) <= set(survivors)
+        survivors, stats = residual.filter_pairs(np.array(pairs, dtype=np.uint64), res)
+        expected, by_len, _ = specified_survivors(pairs, side, side, num, den)
+        assert set(expected) <= set(survivors.tolist())
         assert stats.pruned_by_length == by_len
-        wide_ids = {side.ids.index(rid) for rid in ("wide", "wide-edit", "wide-drop")}
         wide_pairs = [p for p in expected if {p >> 32, p & 0xFFFFFFFF} <= wide_ids]
         assert len(wide_pairs) == 3
 
     @pytest.mark.parametrize("threshold", [0.025, 0.1, 0.2])
     @pytest.mark.parametrize("self_join", [True, False])
     def test_matches_scalar_specification(self, threshold, self_join, rng):
-        side_r = _prepare_side(long_records(rng, "r", 30), "left")
-        side_p = side_r if self_join else _prepare_side(long_records(rng, "p", 25), "right")
-        assert min(side_r.lens) > 31 and min(side_p.lens) > 31
-        hists_r, hists_p = hist_rows(side_r), hist_rows(side_p)
-        num, den = threshold_ratio(threshold)
-        ctx = _JoinCtx()
-        ctx.set_filter_inputs(side_r, side_p, num, den)
-        # no record is cut by the width cap, so the counts are exact
-        assert ctx.hist_mat_left.shape[1] == max(map(len, hists_r + hists_p))
+        # repeated tokens (long_records), an empty record and a record with
+        # an empty token, which TokenizedString.from_tokens allows
+        extra = [make_ts("empty", ()), make_ts("blank", ("", "a" * 40))]
+        side_r = _prepare_side(long_records(rng, "r", 30) + extra, "left")
+        side_p = side_r if self_join else _prepare_side(long_records(rng, "p", 25) + extra, "right")
+        res, _, num, den = residual_rows(side_r, side_p, threshold)
+        # no record is wider than the matrices, so the counts are exact
+        assert res.width == max(int(side_r.counts.max()), int(side_p.counts.max()))
         pairs = [
             (left << 32) | right
             for left in range(len(side_r.ids))
             for right in range(len(side_p.ids))
             if not self_join or left < right
         ]
-        survivors, stats = _filter_packed(np.array(pairs, dtype=np.uint64), ctx)
+        survivors, stats = residual.filter_pairs(np.array(pairs, dtype=np.uint64), res)
 
-        expected, by_len, by_hist = [], 0, 0
-        for packed in pairs:
-            left, right = packed >> 32, packed & 0xFFFFFFFF
-            la, lb = side_r.lens[left], side_p.lens[right]
-            if length_prunes(la, lb, num, den):
-                by_len += 1
-            elif histogram_prunes(hists_r[left], hists_p[right], la, lb, num, den):
-                by_hist += 1
-            else:
-                expected.append(packed)
-        assert survivors == expected
-        assert (stats.pruned_by_length, stats.pruned_by_histogram) == (by_len, by_hist)
+        expected, by_len, by_res = specified_survivors(pairs, side_r, side_p, num, den)
+        assert survivors.tolist() == expected
+        assert (stats.pruned_by_length, stats.pruned_by_histogram) == (by_len, by_res)
         assert stats.surviving == len(expected) and stats.input_pairs == len(pairs)
-        assert by_hist > 0 and expected
+        assert by_res > 0 and expected
+        blank = side_r.ids.index("blank") << 32
+        assert any(p >> 32 == blank >> 32 for p in expected)
 
 
 def random_side(rng, prefix, n, vocab):
@@ -639,4 +655,84 @@ class TestJoinProperties:
         assert stages["verify"].items_in == stages["filter"].items_out
         assert stages["filter"].items_out == stats.surviving
         payload = report.to_dict()
-        assert set(payload) == {"stages", "filters"}
+        assert set(payload) == {"stages", "filters", "verify"}
+        verify = payload["verify"]
+        assert list(verify["pairs_by_k"]) == ["0", "1", "2", "3", "4", "5+"]
+        assert sum(verify["pairs_by_k"].values()) + verify["residual_rejects"] == stages["verify"].items_in
+        # the filter ran the residual bound already
+        assert verify["residual_rejects"] == 0
+        assert verify["pairs_by_k"]["0"] and verify["pairs_by_k"]["1"] and verify["pairs_by_k"]["2"]
+        assert 0 < verify["kernel_token_pairs"] < verify["kernel_cells"]
+        _, report_off = join(corpus, None, cfg, use_filters=False)
+        off = report_off.to_dict()["verify"]
+        assert sum(off["pairs_by_k"].values()) + off["residual_rejects"] == report_off.stages["verify"].items_in
+        assert off["residual_rejects"] > 0
+
+
+def verify_corpus(rng, n=120):
+    """Records of 0-7 tokens over a small vocabulary, with repeats, one record
+    with an empty token and one record wider than the residual matrices."""
+    vocab = [rand_token(rng, max_len=6, alphabet="abc") for _ in range(40)]
+    records = []
+    for i in range(n):
+        toks = [rng.choice(vocab) for _ in range(rng.randint(0, 7))]
+        if toks and rng.random() < 0.3:
+            toks.append(rng.choice(toks))
+        records.append(make_ts(str(i), toks))
+    records.append(make_ts("blank", ("", vocab[0], vocab[1])))
+    records.append(make_ts("wide", [rng.choice(vocab) for _ in range(200)]))
+    return records
+
+
+class TestVerify:
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("threshold", [0.2, 0.5])
+    def test_every_pair_matches_sld_capped(self, rng, greedy, threshold):
+        side = _prepare_side(verify_corpus(rng), "left")
+        res, _, num, den = residual_rows(side, side, threshold, greedy)
+        n = len(side.ids)
+        # two records without tokens never become a candidate pair
+        pairs = [(a << 32) | b for a in range(n) for b in range(a + 1, n) if side.tokens[a] or side.tokens[b]]
+        pairs = np.array(pairs, dtype=np.uint64)
+        packed, dists, stats = residual.verify_block(pairs, res)
+        accepted = list(zip(packed.tolist(), dists.tolist()))
+
+        expected = []
+        by_k = [0] * 6
+        for packed in pairs.tolist():
+            a, b = packed >> 32, packed & 0xFFFFFFFF
+            total = side.lens[a] + side.lens[b]
+            cap = num * total // (2 * den - num)
+            rest_a, rest_b = drop_shared(side.tokens[a], side.tokens[b])
+            by_k[min(max(len(rest_a), len(rest_b)), 5)] += 1
+            s = sld_capped(side.tokens[a], side.tokens[b], cap, greedy=greedy, ld_cache=LdCache())
+            if s is not None:
+                expected.append((packed, (2.0 * s) / (total + s)))
+        assert sorted(accepted) == expected
+        # without the filter, the k of a pair the bound rejects is not counted
+        assert sum(stats.pairs_by_k) + stats.residual_rejects == pairs.size
+        assert stats.residual_rejects > 0
+        assert all(got <= want for got, want in zip(stats.pairs_by_k, by_k))
+        assert stats.pairs_by_k[0] == by_k[0] and stats.pairs_by_k[5] > 0
+        # the 200-token record is left out; with it, the empty-token record,
+        # k >= 5 and (greedy) k >= 2 go to sld_capped
+        assert res.scalar_left[side.ids.index("wide")] and res.scalar_left[side.ids.index("blank")]
+        assert stats.scalar_fallbacks >= 2 * (n - 1) - 1
+        assert 0 < stats.kernel_token_pairs <= stats.kernel_cells
+
+    def test_pooled_blocks_match_one_block(self, monkeypatch):
+        lines = generate_corpus(400, seed=37, base_tokens=120, perturb_rate=0.5, max_edits=2)
+        corpus = corpus_from_lines(lines)
+        cfg = JoinConfig(threshold=0.2)
+        one, report_one = join(corpus, None, cfg)
+        # records of two tokens or more: at most 250 pairs per filter and verify block
+        monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
+        assert report_one.stages["verify"].items_in > 3 * 250
+        for workers in (1, 2):
+            res, report = join(corpus, None, dataclasses.replace(cfg, workers=workers))
+            assert res == one
+            # token pairs are deduplicated within a block, so only their count moves
+            got, want = report.to_dict()["verify"], report_one.to_dict()["verify"]
+            assert got.pop("kernel_token_pairs") > want.pop("kernel_token_pairs")
+            assert got == want
+            assert report.filters == report_one.filters

@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tokenjoin import strdist
 from tokenjoin.strdist import (
     distance_to_similarity,
     ld,
     ld_bounded,
+    ld_bounded_batch,
     max_ld_given_nld,
     min_ld_given_nld_exceeds,
     min_partner_len,
@@ -99,6 +102,75 @@ class TestLdBounded:
         assert ld_bounded("", "", 0) == 0
         assert ld_bounded("", alphabet[:3], 3) == 3
         assert ld_bounded(alphabet[:3], "", 2) is None
+
+
+def edited(rng, x, alphabet, max_edits):
+    """``x`` after up to ``max_edits`` random inserts, deletes and substitutions."""
+    y = list(x)
+    for _ in range(rng.randint(0, max_edits)):
+        pos = rng.randint(0, len(y))
+        op = rng.randrange(3)
+        if op == 0:
+            y.insert(pos, rng.choice(alphabet))
+        elif pos < len(y):
+            if op == 1:
+                del y[pos]
+            else:
+                y[pos] = rng.choice(alphabet)
+    return "".join(y)
+
+
+class TestLdBoundedBatch:
+    @pytest.mark.parametrize("alphabet", ["abc", "aé漢字\x00"])
+    def test_equals_ld_bounded(self, alphabet):
+        # lengths 0-70 cross the kernel's 63-character pattern limit; near
+        # copies put many distances at or next to their cap
+        rng = random.Random(41)
+        xs, ys, caps = [], [], []
+        for _ in range(3000):
+            x = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+            if rng.random() < 0.6:
+                y = edited(rng, x, alphabet, 6)
+            else:
+                y = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+            xs.append(x)
+            ys.append(y)
+            caps.append(rng.randint(0, 6))
+        got = ld_bounded_batch(xs, ys, caps)
+        assert got.dtype == np.int64 and got.shape == (len(xs),)
+        want = [ld_bounded(x, y, cap) for x, y, cap in zip(xs, ys, caps)]
+        assert got.tolist() == [-1 if d is None else d for d in want]
+        lens = [min(len(x), len(y)) for x, y in zip(xs, ys)]
+        assert max(lens) > 63 and sum(0 < n <= 63 for n in lens) > 1000
+
+    def test_equal_strings_and_edges(self):
+        xs = ["abc", "", "abc", "", "ab", "a" * 64, "é漢", "ab"]
+        ys = ["abc", "", "abd", "xyz", "ab", "a" * 63 + "b", "漢é", "ba"]
+        caps = [0, 0, 0, 3, 5, 1, 2, 1]
+        assert ld_bounded_batch(xs, ys, caps).tolist() == [0, 0, -1, 3, 0, 1, 2, -1]
+        assert ld_bounded_batch([], [], []).tolist() == []
+
+    def test_small_passes_give_the_same_distances(self, monkeypatch):
+        # about one pair per pass when texts are long, a few when short
+        rng = random.Random(47)
+        xs = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 70))) for _ in range(200)]
+        ys = [edited(rng, x, "ab", 4) for x in xs]
+        caps = [rng.randint(1, 6) for _ in xs]
+        whole = ld_bounded_batch(xs, ys, caps)
+        monkeypatch.setattr(strdist, "_BATCH_CODE_POINTS", 150)
+        assert ld_bounded_batch(xs, ys, caps).tolist() == whole.tolist()
+        want = [ld_bounded(x, y, cap) for x, y, cap in zip(xs, ys, caps)]
+        assert whole.tolist() == [-1 if d is None else d for d in want]
+
+    def test_order_and_duplicates_do_not_matter(self):
+        rng = random.Random(43)
+        words = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 12))) for _ in range(30)]
+        xs = [rng.choice(words) for _ in range(400)]
+        ys = [rng.choice(words) for _ in range(400)]
+        caps = [rng.randint(1, 6) for _ in range(400)]
+        got = ld_bounded_batch(xs, ys, caps)
+        assert got.tolist() == [naive_ld(x, y) if naive_ld(x, y) <= c else -1 for x, y, c in zip(xs, ys, caps)]
+        assert ld_bounded_batch(ys[::-1], xs[::-1], caps[::-1]).tolist() == got.tolist()[::-1]
 
 
 class TestNld:
