@@ -33,7 +33,6 @@ from .pipeline import (
     dedup_candidates,
     fnv1a_64,
     join,
-    run_stage,
 )
 from .setdist import (
     AlignmentCost,
@@ -95,7 +94,6 @@ __all__ = [
     "nsld",
     "nsld_bounds_from_lengths",
     "partition_even",
-    "run_stage",
     "shared_token_candidates",
     "similar_token_candidates",
     "similar_token_pairs",

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=_default_workers(),
-        help="parallel worker processes (default: the CPUs this process may use)",
+        help="worker processes for verify (default: the CPUs this process may use)",
     )
     p_join.add_argument("--report", help="write a JSON stage report here")
     p_join.set_defaults(func=cmd_join)

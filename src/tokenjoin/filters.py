@@ -31,12 +31,6 @@ class FilterStats:
     pruned_by_histogram: int = 0
     surviving: int = 0
 
-    def merge(self, other: "FilterStats") -> None:
-        self.input_pairs += other.input_pairs
-        self.pruned_by_length += other.pruned_by_length
-        self.pruned_by_histogram += other.pruned_by_histogram
-        self.surviving += other.surviving
-
     def to_dict(self) -> dict[str, int]:
         return {
             "input_pairs": self.input_pairs,

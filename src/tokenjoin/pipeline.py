@@ -1,10 +1,11 @@
 """Join orchestration: generate, dedup, filter, verify.
 
 Every stage is deterministic: output depends only on the corpora and the
-configuration, never on the worker count or input record order. Similar-token
-probing fans out over a fork-based process pool (map/group/reduce), and so
-does verification when its survivors fill more than one block; everything
-else runs serially, mostly as numpy array code.
+configuration, never on the worker count or input record order. Every stage
+runs in the calling process, mostly as numpy array code, except that verify
+maps its blocks over one fork-based process pool when ``workers`` is above 1
+and its survivors fill more than one block. A worker that fails or dies ends
+the join with a :class:`StageError`.
 
 Record ids are interned to dense integers in sorted-id order, and tokens to
 dense integers in first-occurrence order. The token index is a pair of CSR
@@ -16,13 +17,11 @@ from __future__ import annotations
 
 import gc
 import math
-import multiprocessing
-import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice
 from operator import attrgetter, eq
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 # the package's modules compile before numpy loads (see strdist)
 from .candidates import CandidatePair, NldIndex
@@ -136,8 +135,8 @@ class StageCounts:
 class StageReport:
     """Per-stage item counts and wall times plus the filter and verify counters.
 
-    The ``pool`` stage, present only when a worker pool was made, times the
-    pool's start-up and shutdown.
+    The ``pool`` stage, present only when verify made a worker pool, times the
+    pool's start-up and shutdown; its items are the pool's processes.
     """
 
     stages: dict[str, StageCounts] = field(default_factory=dict)
@@ -156,156 +155,6 @@ class StageReport:
             "filters": self.filters.to_dict(),
             "verify": self.verify.to_dict(),
         }
-
-
-# ---------------------------------------------------------------------------
-# Generic map/group/reduce stage execution
-# ---------------------------------------------------------------------------
-
-def _run_map_partition(args):
-    stage, idx, map_fn, part = args
-    try:
-        out = []
-        for item in part:
-            out.extend(map_fn(item))
-        return ("ok", idx, out)
-    except Exception as exc:  # surfaced as StageError with partition identity
-        return ("error", idx, f"{type(exc).__name__}: {exc}")
-
-
-def run_stage(
-    items: Iterable,
-    map_fn: Callable[[Any], Iterable[tuple[Hashable, Any]]],
-    reduce_fn: Callable[[Hashable, list], Iterable],
-    workers: int = 1,
-    *,
-    stage: str = "stage",
-    pool=None,
-) -> list:
-    """Map items to keyed values, group by key, reduce each complete group.
-
-    Output is exactly what sequential execution produces (reduce over sorted
-    keys, values in item order); the worker count changes only wall time. Map
-    fans out over the pool when one is supplied (or created here for a
-    standalone parallel call); grouping and reducing stay in the caller.
-    Parallel execution ships ``map_fn`` to worker processes, so it must be
-    picklable (a module-level function, not a closure).
-    """
-    items = list(items) if not isinstance(items, (list, tuple)) else items
-    own_pool = None
-    try:
-        if workers > 1 and pool is None and len(items) >= 2:
-            own_pool = _make_pool(workers, None)
-            pool = own_pool
-        grouped: dict[Hashable, list] = {}
-        if pool is not None and workers > 1 and len(items) >= 2:
-            n_parts = min(len(items), workers * 4)
-            size = (len(items) + n_parts - 1) // n_parts
-            tasks = [
-                (stage, idx, map_fn, items[idx * size : (idx + 1) * size])
-                for idx in range(n_parts)
-            ]
-            for status, idx, payload in pool.map(_run_map_partition, tasks):
-                if status != "ok":
-                    raise StageError(stage, idx, payload)
-                for k, v in payload:
-                    bucket = grouped.get(k)
-                    if bucket is None:
-                        grouped[k] = [v]
-                    else:
-                        bucket.append(v)
-        else:
-            try:
-                for item in items:
-                    for k, v in map_fn(item):
-                        bucket = grouped.get(k)
-                        if bucket is None:
-                            grouped[k] = [v]
-                        else:
-                            bucket.append(v)
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(stage, None, f"{type(exc).__name__}: {exc}") from exc
-        out = []
-        try:
-            for k in sorted(grouped):
-                out.extend(reduce_fn(k, grouped[k]))
-        except Exception as exc:
-            raise StageError(stage, None, f"{type(exc).__name__}: {exc}") from exc
-        return out
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-            own_pool.join()
-
-
-# ---------------------------------------------------------------------------
-# Worker context plumbing: the context reaches pool workers through fork
-# inheritance (set around pool creation) and the calling thread through TLS.
-# ---------------------------------------------------------------------------
-
-_FORK_LOCK = threading.Lock()
-_FORKED_CTX = None
-_TLS = threading.local()
-
-
-def _current_ctx():
-    ctx = getattr(_TLS, "ctx", None)
-    return ctx if ctx is not None else _FORKED_CTX
-
-
-def _make_pool(workers: int, ctx):
-    global _FORKED_CTX
-    try:
-        mp = multiprocessing.get_context("fork")
-    except ValueError:
-        return None  # no fork on this platform: stages run inline
-    with _FORK_LOCK:
-        _FORKED_CTX = ctx
-        try:
-            return mp.Pool(processes=workers)
-        finally:
-            _FORKED_CTX = None
-
-
-class _JoinCtx:
-    """Read-only state shared with stage workers (copied into them by fork)."""
-
-    __slots__ = (
-        "residuals",
-        "index_r",
-        "index_p",
-        "self_join",
-        "ld_cache",
-    )
-
-    def __init__(self):
-        self.ld_cache = LdCache()
-
-
-
-def _probe_map(item):
-    """(direction, token) -> [((token_r, token_p), ld)] for the similar-token join."""
-    ctx = _current_ctx()
-    direction, token = item
-    out = []
-    if ctx.self_join:
-        for x, y, d in ctx.index_r.probe(token, ctx.ld_cache):
-            key = (x, y) if (len(x), x) <= (len(y), y) else (y, x)
-            out.append((key, d))
-    elif direction == 0:
-        # probe P-side token against the R-side index: hits are (x=p, y=r)
-        for x, y, d in ctx.index_r.probe(token, ctx.ld_cache):
-            out.append(((y, x), d))
-    else:
-        for x, y, d in ctx.index_p.probe(token, ctx.ld_cache):
-            out.append(((x, y), d))
-    return out
-
-
-def _pair_reduce(key, values):
-    yield (key[0], key[1], values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -602,96 +451,53 @@ def _join(
     kept_tokens = int(post_r.kept.sum()) + (0 if self_join else int(post_p.kept.sum()))
     report.record("index", n_records, kept_tokens, _ms(t0))
 
-    ctx = _JoinCtx()
-    ctx.self_join = self_join
-    ctx.index_r = None
-    ctx.index_p = None
+    ld_cache = LdCache()
     vocab_tokens = list(vocab)
     t0 = time.perf_counter()
-    ctx.residuals = Residuals(
-        side_r, side_p, vocab_tokens, num, den, greedy=cfg.matching == GREEDY, ld_cache=ctx.ld_cache
+    residuals = Residuals(
+        side_r, side_p, vocab_tokens, num, den, greedy=cfg.matching == GREEDY, ld_cache=ld_cache
     )
     side_r.token_ids = side_p.token_ids = None  # the key rows hold what later stages read
     residual_inputs_ms = _ms(t0)
 
-    want_similar = cfg.matching in (FUZZY, GREEDY)
-    probe_items: list[tuple[int, str]] = []
     t0 = time.perf_counter()
-    if want_similar:
-        # a token whose plan is empty has no distinct partner on that index
-        kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
-        index_r = ctx.index_r = NldIndex(kept_r, cfg.threshold)
-        if self_join:
-            probe_items = [(0, tok) for tok in kept_r if index_r.plan(len(tok))]
-        else:
-            kept_p = list(compress(vocab_tokens, post_p.kept.tolist()))
-            index_p = ctx.index_p = NldIndex(kept_p, cfg.threshold)
-            probe_items = [(0, tok) for tok in kept_p if index_r.plan(len(tok))]
-            probe_items += [(1, tok) for tok in kept_r if index_p.plan(len(tok))]
-            del kept_p
-        del kept_r
+    n_probes, token_pairs = 0, []
+    if cfg.matching in (FUZZY, GREEDY):
+        n_probes, token_pairs = _similar_tokens(vocab_tokens, post_r, post_p, cfg.threshold, self_join, ld_cache)
     del vocab_tokens
-    index_ms = _ms(t0)
+    report.record("similar-tokens", n_probes, len(token_pairs), _ms(t0))
 
-    pool = None
-    pool_ms = 0.0
-    _TLS.ctx = ctx
-    try:
-        if cfg.workers > 1:
-            t0 = time.perf_counter()
-            pool = _make_pool(cfg.workers, ctx)
-            pool_ms = _ms(t0)
+    t0 = time.perf_counter()
+    n_pairs = len(token_pairs)
+    sim_r = np.fromiter((vocab[tok] for tok, _ in token_pairs), dtype=np.int64, count=n_pairs)
+    sim_p = np.fromiter((vocab[tok] for _, tok in token_pairs), dtype=np.int64, count=n_pairs)
+    del vocab, token_pairs
+    raw = _generate(post_r, post_p, sim_r, sim_p, self_join)
+    del post_r, post_p, sim_r, sim_p
+    report.record("generate", kept_tokens + n_pairs, int(raw.size), _ms(t0))
 
-        t0 = time.perf_counter()
-        token_pairs: list[tuple[str, str, int]] = []
-        if want_similar:
-            token_pairs = run_stage(
-                probe_items,
-                _probe_map,
-                _pair_reduce,
-                cfg.workers,
-                stage="similar-tokens",
-                pool=pool,
-            )
-        report.record("similar-tokens", len(probe_items), len(token_pairs), index_ms + _ms(t0))
-        del probe_items
+    t0 = time.perf_counter()
+    n_raw = int(raw.size)
+    unique = _dedup_packed(raw)
+    del raw
+    report.record("dedup", n_raw, int(unique.size), _ms(t0))
 
-        t0 = time.perf_counter()
-        n_pairs = len(token_pairs)
-        sim_r = np.fromiter((vocab[tok] for tok, _, _ in token_pairs), dtype=np.int64, count=n_pairs)
-        sim_p = np.fromiter((vocab[tok] for _, tok, _ in token_pairs), dtype=np.int64, count=n_pairs)
-        del vocab, token_pairs
-        raw = _generate(post_r, post_p, sim_r, sim_p, self_join)
-        del post_r, post_p, sim_r, sim_p
-        report.record("generate", kept_tokens + n_pairs, int(raw.size), _ms(t0))
+    t0 = time.perf_counter()
+    if use_filters:
+        survivors, report.filters = filter_pairs(unique, residuals)
+        report.record("filter", int(unique.size), int(survivors.size), residual_inputs_ms + _ms(t0))
+    else:
+        survivors = unique
+        report.filters = FilterStats(input_pairs=int(unique.size), surviving=int(unique.size))
+        report.record("filter", int(unique.size), int(unique.size), _ms(t0))
+    del unique
 
-        t0 = time.perf_counter()
-        n_raw = int(raw.size)
-        unique = _dedup_packed(raw)
-        del raw
-        report.record("dedup", n_raw, int(unique.size), _ms(t0))
-
-        t0 = time.perf_counter()
-        if use_filters:
-            survivors, report.filters = filter_pairs(unique, ctx.residuals)
-            report.record("filter", int(unique.size), int(survivors.size), residual_inputs_ms + _ms(t0))
-        else:
-            survivors = unique
-            report.filters = FilterStats(input_pairs=int(unique.size), surviving=int(unique.size))
-            report.record("filter", int(unique.size), int(unique.size), _ms(t0))
-        del unique
-
-        t0 = time.perf_counter()
-        accepted, report.verify = _verify(survivors, ctx, cfg.workers, pool)
-        verify_ms = _ms(t0) + (0.0 if use_filters else residual_inputs_ms)
-        report.record("verify", int(survivors.size), len(accepted), verify_ms)
-    finally:
-        _TLS.ctx = None
-        if pool is not None:
-            t0 = time.perf_counter()
-            pool.close()
-            pool.join()
-            report.record("pool", cfg.workers, cfg.workers, pool_ms + _ms(t0))
+    t0 = time.perf_counter()
+    accepted, report.verify, pool = _verify(survivors, residuals, cfg.workers)
+    verify_ms = _ms(t0) - (0.0 if pool is None else pool.millis) + (0.0 if use_filters else residual_inputs_ms)
+    report.record("verify", int(survivors.size), len(accepted), verify_ms)
+    if pool is not None:
+        report.stages["pool"] = pool
 
     t0 = time.perf_counter()
     if self_join:
@@ -736,31 +542,110 @@ def _dedup_packed(raw: np.ndarray) -> np.ndarray:
     return raw[keep]
 
 
-def _verify(
-    survivors: np.ndarray, ctx: _JoinCtx, workers: int, pool
-) -> tuple[list[tuple[int, float]], VerifyStats]:
-    """(packed pair, distance) of each survivor within the threshold, and the counters.
+def _similar_tokens(
+    vocab_tokens: list[str],
+    post_r: _Postings,
+    post_p: _Postings,
+    threshold: float,
+    self_join: bool,
+    ld_cache: LdCache,
+) -> tuple[int, list[tuple[str, str]]]:
+    """The number of probes and the distinct pairs of distinct similar kept tokens.
 
-    Runs :func:`residual.verify_block` over blocks of survivors in the
-    caller, or, with more than one block and a pool, over the pool in block
-    order.
+    A self-join probes one index and keys each pair ``(len, str)``-ordered;
+    a two-set join probes each side's tokens against the other side's index
+    and keys each pair (left token, right token). Either way an equal-length
+    pair is found twice and kept once. A token whose plan is empty has no
+    distinct partner on that index and is not probed.
     """
-    step = block_rows(ctx.residuals.width)
+    kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
+    index_r = NldIndex(kept_r, threshold)
+    if self_join:
+        directions = [(index_r, kept_r, lambda x, y: (x, y) if (len(x), x) <= (len(y), y) else (y, x))]
+    else:
+        kept_p = list(compress(vocab_tokens, post_p.kept.tolist()))
+        index_p = NldIndex(kept_p, threshold)
+        # a right token's hits on the left index are (right, left) pairs
+        directions = [(index_r, kept_p, lambda x, y: (y, x)), (index_p, kept_r, lambda x, y: (x, y))]
+    n_probes = 0
+    pairs: dict[tuple[str, str], None] = {}
+    for index, tokens, key in directions:
+        for x in tokens:
+            if index.plan(len(x)):
+                n_probes += 1
+                for _, y, _ in index.probe(x, ld_cache):
+                    pairs[key(x, y)] = None
+    return n_probes, list(pairs)
+
+
+def _verify(
+    survivors: np.ndarray, residuals: Residuals, workers: int
+) -> tuple[list[tuple[int, float]], VerifyStats, StageCounts | None]:
+    """(packed pair, distance) of each survivor within the threshold, the
+    counters, and the ``pool`` stage if a pool was made.
+
+    Runs :func:`residual.verify_block` over blocks of survivors, in block
+    order: in the caller, or over a fork-based process pool when ``workers``
+    is above 1 and there is more than one block. The pool stage times the
+    pool's start-up (making it and handing it the blocks, which forks the
+    workers) and its shutdown. A block that raises, or a worker that dies,
+    becomes a :class:`StageError` naming the first block whose result is
+    missing; pending blocks are cancelled.
+    """
+    step = block_rows(residuals.width)
     blocks = [survivors[start : start + step] for start in range(0, survivors.size, step)]
-    try:
-        if pool is not None and workers > 1 and len(blocks) > 1:
-            parts = pool.map(_verify_task, blocks)
-        else:
-            parts = [verify_block(block, ctx.residuals) for block in blocks]
-    except Exception as exc:
-        raise StageError("verify", None, f"{type(exc).__name__}: {exc}") from exc
+    n_workers = min(workers, len(blocks))
+    t0 = time.perf_counter()
+    executor = _fork_executor(n_workers, residuals) if n_workers > 1 else None
+    pool = None
     accepted: list[tuple[int, float]] = []
     stats = VerifyStats()
-    for packed, dists, block_stats in parts:
-        accepted.extend(zip(packed.tolist(), dists.tolist()))
-        stats.add(block_stats)
-    return accepted, stats
+    done = 0
+    try:
+        if executor is None:
+            parts = (verify_block(block, residuals) for block in blocks)
+        else:
+            parts = executor.map(_verify_task, blocks)
+            pool = StageCounts(n_workers, n_workers, _ms(t0))
+        for packed, dists, block_stats in parts:
+            accepted.extend(zip(packed.tolist(), dists.tolist()))
+            stats.add(block_stats)
+            done += 1
+    except Exception as exc:
+        raise StageError("verify", done, f"{type(exc).__name__}: {exc}") from exc
+    finally:
+        if executor is not None:
+            t0 = time.perf_counter()
+            executor.shutdown(cancel_futures=True)
+            if pool is not None:
+                pool.millis += _ms(t0)
+    return accepted, stats, pool
+
+
+def _fork_executor(workers: int, residuals: Residuals):
+    """A process pool whose workers inherit ``residuals`` by fork, or None without fork.
+
+    Imported here: ``concurrent.futures`` would otherwise add to every
+    process that imports the package, pool or not.
+    """
+    import multiprocessing
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return None  # no fork on this platform: verify runs inline
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=context, initializer=_set_residuals, initargs=(residuals,))
+
+
+_worker_residuals: Residuals | None = None
+
+
+def _set_residuals(residuals: Residuals) -> None:
+    global _worker_residuals
+    _worker_residuals = residuals
 
 
 def _verify_task(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, VerifyStats]:
-    return verify_block(block, _current_ctx().residuals)
+    return verify_block(block, _worker_residuals)

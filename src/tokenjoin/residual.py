@@ -79,7 +79,7 @@ class VerifyStats:
 
 
 class Residuals:
-    """What filter and verify read about both sides (shared with pool workers by fork).
+    """What filter and verify read about both sides (verify's pool workers inherit it by fork).
 
     ``lens_left[i]`` is left record i's aggregate length and
     ``tokens_left[i]`` its tokens; ``keys_left`` and ``scalar_left`` are

@@ -30,7 +30,6 @@ from tokenjoin.pipeline import (
     fnv1a_64,
     join,
     one_string_key_is_left,
-    run_stage,
 )
 from tokenjoin.setdist import LdCache, drop_shared, sld_capped
 from tokenjoin.strdist import ld_bounded_batch, threshold_ratio
@@ -50,6 +49,11 @@ def corpus_from_lines(lines, scheme="whitespace-punct"):
 
 def reference_corpus():
     return corpus_from_lines(["chan kalan", "chank alan"], scheme="whitespace")
+
+
+def multi_block_corpus():
+    """With ``residual.BLOCK_CELLS`` at 1000, verify gets more than three blocks."""
+    return corpus_from_lines(generate_corpus(400, seed=37, base_tokens=120, perturb_rate=0.5, max_edits=2))
 
 
 def as_tuples(results):
@@ -155,50 +159,6 @@ class TestFnvDedup:
             assert set(got.tolist()) == set(raw[first].tolist())
 
 
-class TestRunStage:
-    def test_identity_map_counting_reduce(self):
-        out = run_stage(
-            ["k", "k", "k"],
-            lambda item: [(item, 1)],
-            lambda key, values: [(key, len(values))],
-            workers=1,
-        )
-        assert out == [("k", 3)]
-
-    def test_empty_input(self):
-        assert run_stage([], lambda i: [(i, i)], lambda k, v: v, workers=1) == []
-
-    def test_worker_counts_agree(self):
-        items = list(range(200))
-        seq = run_stage(items, _mod7_map, _sum_reduce, workers=1)
-        par = run_stage(items, _mod7_map, _sum_reduce, workers=4, stage="t")
-        assert seq == par
-
-    def test_worker_error_carries_partition_identity(self):
-        with pytest.raises(StageError) as exc_info:
-            run_stage(list(range(64)), _boom_map, lambda k, v: v, workers=2, stage="explode")
-        assert "explode" in str(exc_info.value)
-        assert "partition" in str(exc_info.value)
-
-    def test_inline_error_wrapped(self):
-        with pytest.raises(StageError):
-            run_stage([1], _boom_map, lambda k, v: v, workers=1, stage="inline")
-
-
-def _boom_map(i):
-    if i == 13 or i == 1:
-        raise RuntimeError("boom")
-    return [(i, i)]
-
-
-def _mod7_map(i):
-    return [(i % 7, i)]
-
-
-def _sum_reduce(key, values):
-    yield (key, sum(values))
-
-
 class TestJoinBasics:
     def test_reference_pair_found_at_point_two(self):
         res, _ = join(reference_corpus(), None, JoinConfig(threshold=0.2))
@@ -257,12 +217,17 @@ class TestJoinBasics:
         assert report.stages["generate"].items_out == 2
         assert report.stages["dedup"].items_out == 2
 
-    def test_pool_stage_only_with_a_pool(self):
+    def test_pool_stage_only_with_a_pool(self, monkeypatch):
+        # only verify forks, and only for more than one block
         corpus = reference_corpus()
         _, serial = join(corpus, None, JoinConfig(threshold=0.2, workers=1))
         assert "pool" not in serial.stages
-        _, parallel = join(corpus, None, JoinConfig(threshold=0.2, workers=2))
-        assert parallel.stages["pool"].items_in == 2
+        _, one_block = join(corpus, None, JoinConfig(threshold=0.2, workers=2))
+        assert one_block.stages["verify"].items_in == 1
+        assert "pool" not in one_block.stages
+        monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
+        _, parallel = join(multi_block_corpus(), None, JoinConfig(threshold=0.2, workers=2))
+        assert parallel.stages["pool"].items_in == parallel.stages["pool"].items_out == 2
         assert parallel.stages["pool"].millis > 0
 
     def test_side_size_limit(self):
@@ -721,8 +686,7 @@ class TestVerify:
         assert 0 < stats.kernel_token_pairs <= stats.kernel_cells
 
     def test_pooled_blocks_match_one_block(self, monkeypatch):
-        lines = generate_corpus(400, seed=37, base_tokens=120, perturb_rate=0.5, max_edits=2)
-        corpus = corpus_from_lines(lines)
+        corpus = multi_block_corpus()
         cfg = JoinConfig(threshold=0.2)
         one, report_one = join(corpus, None, cfg)
         # records of two tokens or more: at most 250 pairs per filter and verify block
@@ -736,3 +700,106 @@ class TestVerify:
             assert got.pop("kernel_token_pairs") > want.pop("kernel_token_pairs")
             assert got == want
             assert report.filters == report_one.filters
+            assert ("pool" in report.stages) == (workers == 2)
+
+
+class TestVerifyFailsFast:
+    def test_a_dying_worker_raises_stage_error(self):
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        code = f"""
+import os, sys
+sys.path.insert(0, {src!r})
+from tokenjoin import pipeline, residual
+from tokenjoin.errors import StageError
+from tokenjoin.pipeline import JoinConfig, join
+from tokenjoin.synth import generate_corpus
+from tokenjoin.textnorm import tokenize
+
+parent = os.getpid()
+verify_block = pipeline.verify_block
+
+def dying(block, res):
+    if os.getpid() != parent:
+        os._exit(3)
+    return verify_block(block, res)
+
+residual.BLOCK_CELLS = 1000
+pipeline.verify_block = dying
+lines = generate_corpus(400, seed=37, base_tokens=120, perturb_rate=0.5, max_edits=2)
+corpus = [tokenize(line, record_id=str(i)) for i, line in enumerate(lines)]
+try:
+    join(corpus, None, JoinConfig(threshold=0.2, workers=2))
+except StageError as exc:
+    print(exc.stage, exc)
+    sys.exit(7)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 7, out.stderr
+        assert out.stdout.startswith("verify ")
+        assert "BrokenProcessPool" in out.stdout
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_block_raises_stage_error(self, workers, monkeypatch):
+        def boom(block, res):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
+        monkeypatch.setattr(pipeline, "verify_block", boom)
+        with pytest.raises(StageError) as exc_info:
+            join(multi_block_corpus(), None, JoinConfig(threshold=0.2, workers=workers))
+        assert exc_info.value.stage == "verify"
+        assert exc_info.value.partition == 0
+        assert "RuntimeError: boom" in str(exc_info.value)
+
+    def test_without_fork_verify_runs_inline(self, monkeypatch):
+        import multiprocessing
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
+        corpus = multi_block_corpus()
+        cfg = JoinConfig(threshold=0.2)
+        one, report_one = join(corpus, None, cfg)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        two, report_two = join(corpus, None, dataclasses.replace(cfg, workers=2))
+        assert two == one
+        assert "pool" not in report_two.stages
+        counts = lambda report: {name: (c.items_in, c.items_out) for name, c in report.stages.items()}
+        assert counts(report_two) == counts(report_one)
+        assert report_two.filters == report_one.filters
+        assert report_two.verify == report_one.verify
+
+
+def similar_token_corpus(rng, prefix, n, vocab):
+    return [make_ts(f"{prefix}{i}", rng.sample(vocab, rng.randint(1, 4))) for i in range(n)]
+
+
+class TestSimilarTokenCounts:
+    @pytest.mark.parametrize("threshold", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_probe_counts_match_the_specification(self, threshold, self_join, rng):
+        # tokens of 10-16 characters and variants with one or two substitutions:
+        # an equal-length similar pair is found from both of its tokens
+        base = ["".join(rng.choice("abcd") for _ in range(rng.randint(10, 16))) for _ in range(30)]
+        vocab = list(base)
+        for tok in base:
+            for edits in (1, 2):
+                chars = list(tok)
+                for pos in rng.sample(range(len(chars)), edits):
+                    chars[pos] = "e"
+                vocab.append("".join(chars))
+        corpus_r = similar_token_corpus(rng, "r", 60, vocab)
+        corpus_p = None if self_join else similar_token_corpus(rng, "p", 60, vocab)
+        space_r = build_token_space(corpus_r)
+        space_p = space_r if self_join else build_token_space(corpus_p)
+        spec = similar_token_pairs(space_r, space_p, threshold, self_join)
+        assert any(len(x) == len(y) for x, y, _ in spec)
+        counts = []
+        for workers in (1, 2):
+            cfg = JoinConfig(threshold=threshold, max_token_freq=math.inf, self_join=self_join, workers=workers)
+            _, report = join(corpus_r, corpus_p, cfg)
+            stage = report.stages["similar-tokens"]
+            assert stage.items_out == len(spec)
+            counts.append((stage.items_in, stage.items_out, report.stages["generate"].items_out))
+        assert counts[0] == counts[1]
