@@ -2,21 +2,14 @@
 
 A tokenized string is a multiset of tokens (e.g. the words of a full name).
 The package computes a normalized setwise edit distance between such records
-and finds all pairs within a threshold via a generate-filter-verify pipeline:
-inverted-index and segment-index candidate generation, provably lossless
-length/histogram filters, and minimum-weight-matching verification. A
-brute-force oracle ships alongside for differential testing.
+and finds all pairs within a threshold via a generate-filter-verify pipeline
+(:func:`join`): candidate generation through each side's token index and a
+segment index of similar tokens, provably lossless length and residual
+filters, and minimum-weight-matching verification. A brute-force oracle ships
+alongside for differential testing.
 """
 
-from .candidates import (
-    CandidatePair,
-    TokenSpace,
-    build_token_space,
-    partition_even,
-    shared_token_candidates,
-    similar_token_candidates,
-    similar_token_pairs,
-)
+from .candidates import partition_even
 from .errors import (
     ConfigError,
     DataError,
@@ -24,24 +17,15 @@ from .errors import (
     OracleGuardError,
     StageError,
 )
-from .filters import FilterStats, histogram_filter, length_filter
+from .filters import FilterStats
 from .oracle import OracleResult, join_bruteforce, sld_bruteforce
-from .pipeline import (
-    JoinConfig,
-    JoinResult,
-    StageReport,
-    dedup_candidates,
-    fnv1a_64,
-    join,
-)
+from .pipeline import JoinConfig, JoinResult, StageReport, join
 from .setdist import (
     AlignmentCost,
-    TokenLengthHistogram,
     nsld,
     nsld_bounds_from_lengths,
     sld_exact,
     sld_greedy,
-    sld_lower_bound,
 )
 from .strdist import (
     distance_to_similarity,
@@ -60,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentCost",
-    "CandidatePair",
     "ConfigError",
     "DataError",
     "FilterStats",
@@ -72,20 +55,13 @@ __all__ = [
     "StageError",
     "StageReport",
     "Token",
-    "TokenLengthHistogram",
-    "TokenSpace",
     "TokenizedString",
-    "build_token_space",
-    "dedup_candidates",
     "distance_to_similarity",
-    "fnv1a_64",
     "generate_corpus",
-    "histogram_filter",
     "join",
     "join_bruteforce",
     "ld",
     "ld_bounded",
-    "length_filter",
     "max_ld_given_nld",
     "min_ld_given_nld_exceeds",
     "min_partner_len",
@@ -94,12 +70,8 @@ __all__ = [
     "nsld",
     "nsld_bounds_from_lengths",
     "partition_even",
-    "shared_token_candidates",
-    "similar_token_candidates",
-    "similar_token_pairs",
     "sld_bruteforce",
     "sld_exact",
     "sld_greedy",
-    "sld_lower_bound",
     "tokenize",
 ]

@@ -1,115 +1,51 @@
-"""Candidate-pair generation.
+"""Similar-token search and the specification of the posting lists.
 
-Two routes feed verification. The shared-token route groups records through an
-inverted index of their tokens. The similar-token route finds all pairs of
-distinct tokens whose normalized edit distance is within the threshold by
-indexing each token's even partition segments and probing with
-position-restricted substrings of the other side's tokens, then expands the
-surviving token pairs through the posting lists. Together (with no frequency
-cap) they reach every record pair within the join threshold.
+The join (:mod:`pipeline`) reaches candidate record pairs by two routes
+through each side's posting lists: record pairs sharing a kept token, and
+record pairs holding a pair of distinct similar kept tokens. Together (with
+no frequency cap) they reach every record pair within the join threshold.
+This module finds the similar token pairs: :class:`NldIndex` indexes each
+token's even partition segments and probes with position-restricted
+substrings of the other side's tokens, and :func:`similar_token_pairs` runs
+the probes the join runs. :func:`build_token_space` states the posting lists
+as plain values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import DataError, NotPartitionable
 from .setdist import LdCache
 from .strdist import max_ld_given_nld, threshold_ratio
 from .textnorm import TokenizedString
 
-SHARED_TOKEN = "shared-token"
-SIMILAR_TOKEN = "similar-token"
-
 RecordId = Hashable
 # one lookup of a probe plan: (segment table, slice start, slice end, LD cap)
 PlanEntry = tuple[dict[str, list[str]], int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class CandidatePair:
-    """A record pair surviving generation, not yet verified."""
-
-    left_id: RecordId
-    right_id: RecordId
-    left_len: int
-    right_len: int
-    source: str
-
-
-@dataclass(frozen=True, slots=True)
-class TokenSpace:
-    """Distinct tokens of a corpus mapped to the sorted ids containing them."""
-
-    entries: dict[str, tuple[RecordId, ...]]
-
-    def frequency(self, token: str) -> int:
-        return len(self.entries.get(token, ()))
-
-
 def build_token_space(
     corpus: Sequence[TokenizedString], max_freq: int | float = math.inf
-) -> TokenSpace:
-    """Invert the corpus, dropping tokens present in more than ``max_freq`` records.
+) -> dict[str, tuple[RecordId, ...]]:
+    """Each token held by at most ``max_freq`` records, mapped to their sorted ids.
 
-    Capped tokens stay inside the records themselves (verification always sees
-    the full multisets); they just stop generating candidates.
+    The specification of one side's posting lists: a token repeated in a
+    record counts once, and a capped token stays in its records (verification
+    sees the full multisets) but generates no candidates.
     """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
-    seen_ids: set[RecordId] = set()
+    if len({rec.id for rec in corpus}) < len(corpus):
+        raise DataError("duplicate record id")
     postings: dict[str, set[RecordId]] = {}
     for rec in corpus:
-        if rec.id in seen_ids:
-            raise DataError(f"duplicate record id {rec.id!r}")
-        seen_ids.add(rec.id)
         for tok in rec.tokens:
-            bucket = postings.get(tok)
-            if bucket is None:
-                postings[tok] = {rec.id}
-            else:
-                bucket.add(rec.id)
-    entries = {
-        tok: tuple(sorted(ids))
-        for tok, ids in sorted(postings.items())
-        if len(ids) <= max_freq
-    }
-    return TokenSpace(entries)
-
-
-def shared_token_candidates(
-    space_r: TokenSpace,
-    space_p: TokenSpace,
-    self_join: bool,
-    lengths: Mapping[RecordId, int],
-) -> Iterator[CandidatePair]:
-    """Emit every id pair co-occurring in some token's posting lists.
-
-    Self-joins enumerate each unordered pair once per shared token (duplicates
-    across tokens are the dedup stage's job); two-set joins cross the two
-    posting lists per token.
-    """
-    if self_join:
-        for postings in space_r.entries.values():
-            n = len(postings)
-            for i in range(n - 1):
-                left = postings[i]
-                for j in range(i + 1, n):
-                    right = postings[j]
-                    yield CandidatePair(left, right, lengths[left], lengths[right], SHARED_TOKEN)
-    else:
-        for tok, postings_r in space_r.entries.items():
-            postings_p = space_p.entries.get(tok)
-            if not postings_p:
-                continue
-            for left in postings_r:
-                llen = lengths[left]
-                for right in postings_p:
-                    yield CandidatePair(left, right, llen, lengths[right], SHARED_TOKEN)
+            postings.setdefault(tok, set()).add(rec.id)
+    return {tok: tuple(sorted(ids)) for tok, ids in sorted(postings.items()) if len(ids) <= max_freq}
 
 
 @lru_cache(maxsize=None)
@@ -242,66 +178,35 @@ class NldIndex:
 
 
 def similar_token_pairs(
-    space_r: TokenSpace,
-    space_p: TokenSpace,
+    tokens_r: Sequence[str],
+    tokens_p: Sequence[str] | None,
     threshold: float,
-    self_join: bool,
-) -> list[tuple[str, str, int]]:
-    """Exactly the pairs of distinct tokens across the two spaces within threshold.
+    ld_cache: LdCache,
+) -> tuple[int, list[tuple[str, str]]]:
+    """The number of probes and the distinct pairs of distinct similar tokens.
 
-    A token is never paired with itself, in either join shape: identical tokens
-    are the shared-token route's job. Self-joins run the single |x| <= |y|
-    direction over one space and emit each unordered pair once, shorter (then
-    lexicographically smaller) token first; two-set joins run both role
-    assignments and emit (r-side, p-side) tuples.
+    ``tokens_p`` of None selects a self-join: one index over ``tokens_r``,
+    each pair keyed ``(len, str)``-ordered. A two-set join probes each side's
+    tokens against the other side's index and keys each pair (left token,
+    right token). Either way an equal-length pair is found twice and kept
+    once, in first-found order. A token is never paired with itself: identical
+    tokens are the shared-token route's job. A token whose plan is empty has
+    no distinct partner on that index and is not probed. Every edit distance
+    is looked up through ``ld_cache``.
     """
-    cache = LdCache()
-    pairs: dict[tuple[str, str], int] = {}
-    if self_join:
-        index = NldIndex(space_r.entries.keys(), threshold)
-        for x in space_r.entries:
-            for _, y, d in index.probe(x, cache):
-                key = (x, y) if (len(x), x) <= (len(y), y) else (y, x)
-                pairs[key] = d
+    index_r = NldIndex(tokens_r, threshold)
+    if tokens_p is None:
+        directions = [(index_r, tokens_r, lambda x, y: (x, y) if (len(x), x) <= (len(y), y) else (y, x))]
     else:
-        index_r = NldIndex(space_r.entries.keys(), threshold)
-        for x in space_p.entries:
-            for _, y, d in index_r.probe(x, cache):
-                pairs[(y, x)] = d
-        index_p = NldIndex(space_p.entries.keys(), threshold)
-        for x in space_r.entries:
-            for _, y, d in index_p.probe(x, cache):
-                pairs[(x, y)] = d
-    return sorted((tr, tp, d) for (tr, tp), d in pairs.items())
-
-
-def similar_token_candidates(
-    pairs: Iterable[tuple[str, str, int]],
-    space_r: TokenSpace,
-    space_p: TokenSpace,
-    self_join: bool,
-    lengths: Mapping[RecordId, int],
-) -> Iterator[CandidatePair]:
-    """Expand pairs of distinct similar tokens through the posting lists into record pairs."""
-    if self_join:
-        for tok_a, tok_b, _ in pairs:
-            postings_a = space_r.entries.get(tok_a)
-            postings_b = space_r.entries.get(tok_b)
-            if not postings_a or not postings_b:
-                continue
-            for a in postings_a:
-                for b in postings_b:
-                    if a == b:
-                        continue
-                    left, right = (a, b) if a < b else (b, a)
-                    yield CandidatePair(left, right, lengths[left], lengths[right], SIMILAR_TOKEN)
-    else:
-        for tok_r, tok_p, _ in pairs:
-            postings_r = space_r.entries.get(tok_r)
-            postings_p = space_p.entries.get(tok_p)
-            if not postings_r or not postings_p:
-                continue
-            for left in postings_r:
-                llen = lengths[left]
-                for right in postings_p:
-                    yield CandidatePair(left, right, llen, lengths[right], SIMILAR_TOKEN)
+        index_p = NldIndex(tokens_p, threshold)
+        # a right token's hits on the left index are (right, left) pairs
+        directions = [(index_r, tokens_p, lambda x, y: (y, x)), (index_p, tokens_r, lambda x, y: (x, y))]
+    n_probes = 0
+    pairs: dict[tuple[str, str], None] = {}
+    for index, tokens, key in directions:
+        for x in tokens:
+            if index.plan(len(x)):
+                n_probes += 1
+                for _, y, _ in index.probe(x, ld_cache):
+                    pairs[key(x, y)] = None
+    return n_probes, list(pairs)

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .pipeline import JoinResult
 from .textnorm import TokenizedString, tokenize
 
 LINES = "lines"
@@ -54,18 +53,12 @@ def read_corpus(
     return records
 
 
-def format_results(results: Iterable[JoinResult | tuple[str, str, float]]) -> str:
-    rows = []
-    for item in results:
-        if isinstance(item, JoinResult):
-            left, right, dist = item.left_id, item.right_id, item.distance
-        else:
-            left, right, dist = item
-        rows.append(f"{left}\t{right}\t{dist:.6f}\n")
-    return "".join(rows)
+def format_results(results: Iterable[tuple[str, str, float]]) -> str:
+    """Result rows for ``(left, right, distance)`` triples, such as join's ``JoinResult``."""
+    return "".join(f"{left}\t{right}\t{dist:.6f}\n" for left, right, dist in results)
 
 
-def write_results(path: str | Path, results: Iterable[JoinResult | tuple[str, str, float]]) -> None:
+def write_results(path: str | Path, results: Iterable[tuple[str, str, float]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_results(results))
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .candidates import CandidatePair
-from .setdist import TokenLengthHistogram, drop_shared, residual_lower_bound, sorted_lengths_lower_bound
+from .setdist import drop_shared, residual_lower_bound, sorted_lengths_lower_bound
 from .strdist import threshold_ratio
 
 
@@ -51,10 +50,9 @@ def length_prunes(la: int, lb: int, num: int, den: int) -> bool:
     return (lb - la) * den > num * lb
 
 
-def length_filter(pair: CandidatePair, threshold: float) -> bool:
+def length_filter(la: int, lb: int, threshold: float) -> bool:
     """Keep/prune decision from aggregate lengths only. True means keep."""
-    num, den = threshold_ratio(threshold)
-    return not length_prunes(pair.left_len, pair.right_len, num, den)
+    return not length_prunes(la, lb, *threshold_ratio(threshold))
 
 
 def histogram_prunes(
@@ -96,17 +94,12 @@ def residual_prunes(
 
 
 def histogram_filter(
-    hists: tuple[TokenLengthHistogram, TokenLengthHistogram],
-    lens: tuple[int, int],
-    threshold: float,
+    lens_a: tuple[int, ...], lens_b: tuple[int, ...], la: int, lb: int, threshold: float
 ) -> bool:
-    """Keep/prune decision from token-length histograms. True means keep.
+    """Keep/prune decision from ascending token-length lists. True means keep.
 
     Never prunes a pair whose true normalized setwise distance is within the
     threshold: the bound is a lower bound on the setwise cost and the
     normalization is increasing in it.
     """
-    num, den = threshold_ratio(threshold)
-    ha, hb = hists
-    la, lb = lens
-    return not histogram_prunes(ha.sorted_lengths(), hb.sorted_lengths(), la, lb, num, den)
+    return not histogram_prunes(lens_a, lens_b, la, lb, *threshold_ratio(threshold))

@@ -21,10 +21,10 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice
 from operator import attrgetter, eq
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, NamedTuple, Sequence
 
 # the package's modules compile before numpy loads (see strdist)
-from .candidates import CandidatePair, NldIndex
+from .candidates import similar_token_pairs
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
 from .residual import Residuals, VerifyStats, block_rows, filter_pairs, verify_block
@@ -43,32 +43,11 @@ ONE_STRING = "one-string"
 BOTH_STRINGS = "both-strings"
 DEDUP_STRATEGIES = (ONE_STRING, BOTH_STRINGS)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
 _PACK_MASK = 0xFFFFFFFF
 # dense ids fill the low 31 bits of each packed half, so a packed pair
 # (left << 32 | right) and a posting key (token << 32 | record) stay
 # non-negative int64 values, which the index and generate stages build
 _MAX_RECORDS_PER_SIDE = 1 << 31
-
-
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a, fixed constants, bit-exact across platforms."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _U64
-    return h
-
-
-def one_string_key_is_left(hash_left: int, hash_right: int) -> bool:
-    """Load-balancing side choice for grouping-on-one-string dedup.
-
-    The left id becomes the key iff int(HASH(left) < HASH(right)) equals
-    (HASH(left) + HASH(right)) mod 2.
-    """
-    return (1 if hash_left < hash_right else 0) == ((hash_left + hash_right) & 1)
 
 
 @dataclass(frozen=True)
@@ -115,8 +94,7 @@ class JoinConfig:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class JoinResult:
+class JoinResult(NamedTuple):
     """A verified pair and its normalized setwise distance (<= threshold)."""
 
     left_id: str
@@ -156,61 +134,6 @@ class StageReport:
             "verify": self.verify.to_dict(),
         }
 
-
-# ---------------------------------------------------------------------------
-# Deduplication
-# ---------------------------------------------------------------------------
-
-def dedup_candidates(
-    pairs: Iterable[CandidatePair],
-    strategy: str,
-    *,
-    hash_bytes: Callable[[Any], bytes] | None = None,
-) -> Iterator[CandidatePair]:
-    """Pass each distinct (left, right) pair through exactly once.
-
-    ``both-strings`` groups on the full pair key; ``one-string`` keys each pair
-    on the side chosen by the hash-parity rule and dedups within that key's
-    value set. The fingerprint is 64-bit FNV-1a over the id bytes (utf-8 of
-    str(id) unless ``hash_bytes`` overrides).
-    """
-    if strategy not in DEDUP_STRATEGIES:
-        raise ConfigError(f"dedup must be one of {DEDUP_STRATEGIES}, got {strategy!r}")
-    if hash_bytes is None:
-        hash_bytes = lambda rid: str(rid).encode("utf-8")
-    if strategy == BOTH_STRINGS:
-        seen: set[tuple] = set()
-        for pair in pairs:
-            key = (pair.left_id, pair.right_id)
-            if key not in seen:
-                seen.add(key)
-                yield pair
-    else:
-        by_key: dict[Any, set] = {}
-        hashes: dict[Any, int] = {}
-        for pair in pairs:
-            hl = hashes.get(pair.left_id)
-            if hl is None:
-                hl = hashes[pair.left_id] = fnv1a_64(hash_bytes(pair.left_id))
-            hr = hashes.get(pair.right_id)
-            if hr is None:
-                hr = hashes[pair.right_id] = fnv1a_64(hash_bytes(pair.right_id))
-            if one_string_key_is_left(hl, hr):
-                key, partner = pair.left_id, pair.right_id
-            else:
-                key, partner = pair.right_id, pair.left_id
-            bucket = by_key.get(key)
-            if bucket is None:
-                by_key[key] = {partner}
-                yield pair
-            elif partner not in bucket:
-                bucket.add(partner)
-                yield pair
-
-
-# ---------------------------------------------------------------------------
-# The join itself
-# ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
 class _Side:
@@ -463,7 +386,10 @@ def _join(
     t0 = time.perf_counter()
     n_probes, token_pairs = 0, []
     if cfg.matching in (FUZZY, GREEDY):
-        n_probes, token_pairs = _similar_tokens(vocab_tokens, post_r, post_p, cfg.threshold, self_join, ld_cache)
+        kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
+        kept_p = None if self_join else list(compress(vocab_tokens, post_p.kept.tolist()))
+        n_probes, token_pairs = similar_token_pairs(kept_r, kept_p, cfg.threshold, ld_cache)
+        del kept_r, kept_p
     del vocab_tokens
     report.record("similar-tokens", n_probes, len(token_pairs), _ms(t0))
 
@@ -478,7 +404,7 @@ def _join(
 
     t0 = time.perf_counter()
     n_raw = int(raw.size)
-    unique = _dedup_packed(raw)
+    unique = dedup_candidates(raw)
     del raw
     report.record("dedup", n_raw, int(unique.size), _ms(t0))
 
@@ -525,57 +451,19 @@ def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def _dedup_packed(raw: np.ndarray) -> np.ndarray:
-    """The distinct pairs of ``raw``, ascending; sorts ``raw`` in place.
+def dedup_candidates(raw: np.ndarray) -> np.ndarray:
+    """The distinct packed pairs of ``raw``, ascending; sorts ``raw`` in place.
 
-    Both dedup strategies keep one copy of each distinct pair, and the copies
-    of a pair are equal, so one sort-based pass serves both.
-    ``both-strings`` groups on the packed pair itself. ``one-string`` groups
-    each pair as (key side, key, partner), with the key side chosen by the
-    hash-parity rule; that regrouping maps pairs one to one, so it keeps the
-    same pairs. :func:`dedup_candidates` is the grouping as specified.
+    Serves both ``dedup`` strategies. Each keeps one copy of each distinct
+    pair, and the copies of a pair are equal: ``both-strings`` groups on the
+    pair itself, and ``one-string`` groups each pair under one of its two
+    ids, which maps pairs one to one and so keeps the same pairs.
     """
     raw.sort()
     keep = np.empty(raw.size, dtype=bool)
     keep[:1] = True
     np.not_equal(raw[1:], raw[:-1], out=keep[1:])
     return raw[keep]
-
-
-def _similar_tokens(
-    vocab_tokens: list[str],
-    post_r: _Postings,
-    post_p: _Postings,
-    threshold: float,
-    self_join: bool,
-    ld_cache: LdCache,
-) -> tuple[int, list[tuple[str, str]]]:
-    """The number of probes and the distinct pairs of distinct similar kept tokens.
-
-    A self-join probes one index and keys each pair ``(len, str)``-ordered;
-    a two-set join probes each side's tokens against the other side's index
-    and keys each pair (left token, right token). Either way an equal-length
-    pair is found twice and kept once. A token whose plan is empty has no
-    distinct partner on that index and is not probed.
-    """
-    kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
-    index_r = NldIndex(kept_r, threshold)
-    if self_join:
-        directions = [(index_r, kept_r, lambda x, y: (x, y) if (len(x), x) <= (len(y), y) else (y, x))]
-    else:
-        kept_p = list(compress(vocab_tokens, post_p.kept.tolist()))
-        index_p = NldIndex(kept_p, threshold)
-        # a right token's hits on the left index are (right, left) pairs
-        directions = [(index_r, kept_p, lambda x, y: (y, x)), (index_p, kept_r, lambda x, y: (x, y))]
-    n_probes = 0
-    pairs: dict[tuple[str, str], None] = {}
-    for index, tokens, key in directions:
-        for x in tokens:
-            if index.plan(len(x)):
-                n_probes += 1
-                for _, y, _ in index.probe(x, ld_cache):
-                    pairs[key(x, y)] = None
-    return n_probes, list(pairs)
 
 
 def _verify(

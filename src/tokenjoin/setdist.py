@@ -8,13 +8,15 @@ string-level normalization.
 
 Exact matching uses an O(k^3) Hungarian solver on the padded square cost
 matrix; a greedy aligner provides the cheaper upper-bound approximation. The
-token-length histogram lower bound feeds the pre-verification filter.
+residual lower bound (:func:`residual_lower_bound`: drop the shared tokens,
+then at least one edit per remaining token pair) feeds the pre-verification
+filter, and :func:`sld_capped` is the scalar verifier.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .strdist import ld, ld_bounded
 from .textnorm import TokenizedString
@@ -35,26 +37,6 @@ class AlignmentCost:
 
     sld: int
     pairing: tuple[tuple[int | None, int | None], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class TokenLengthHistogram:
-    """Multiplicity of each token length within one record."""
-
-    counts: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, ts: TokenizedString) -> "TokenLengthHistogram":
-        counts: dict[int, int] = {}
-        for tok in ts.tokens:
-            counts[len(tok)] = counts.get(len(tok), 0) + 1
-        return cls(counts)
-
-    def sorted_lengths(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for length in sorted(self.counts):
-            out.extend([length] * self.counts[length])
-        return tuple(out)
 
 
 def hungarian(cost: list[list[int]]) -> tuple[int, list[int]]:
@@ -222,11 +204,6 @@ def sorted_lengths_lower_bound(lens_a: tuple[int, ...], lens_b: tuple[int, ...])
     elif diff < 0:
         lens_a = (0,) * -diff + lens_a
     return sum(abs(p - q) for p, q in zip(lens_a, lens_b))
-
-
-def sld_lower_bound(ha: TokenLengthHistogram, hb: TokenLengthHistogram) -> int:
-    """Histogram form of :func:`sorted_lengths_lower_bound`."""
-    return sorted_lengths_lower_bound(ha.sorted_lengths(), hb.sorted_lengths())
 
 
 def drop_shared(a_tokens: Sequence[str], b_tokens: Sequence[str]) -> tuple[list[str], list[str]]:

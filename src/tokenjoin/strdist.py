@@ -265,17 +265,6 @@ def threshold_ratio(threshold: float) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
-def normalized_within(edits: int, total_len: int, threshold: float) -> bool:
-    """Exact test of 2*edits/(total_len + edits) <= threshold.
-
-    Works for both the string-level and the tokenized-string-level normalized
-    distances (same formula, different length sums). Integer cross
-    multiplication, no rounding.
-    """
-    num, den = threshold_ratio(threshold)
-    return 2 * edits * den <= num * (total_len + edits)
-
-
 @lru_cache(maxsize=None)
 def max_ld_given_nld(y_len: int, threshold: float, x_shorter: bool) -> int:
     """Largest LD(x, y) consistent with nld(x, y) <= threshold.

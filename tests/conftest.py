@@ -2,13 +2,15 @@
 
 The reference implementations here are deliberately naive and independent of
 the package internals: a full-matrix edit-distance DP, exact rational
-normalized distances, and a permutation-enumeration setwise cost. They are the
-ground truth the fast paths are checked against.
+normalized distances, a permutation-enumeration setwise cost, and the
+candidate stream by brute force over record pairs. They are the ground truth
+the fast paths are checked against.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -63,6 +65,46 @@ def nsld_frac(tokens_a, tokens_b) -> Fraction:
     la = sum(len(t) for t in tokens_a)
     lb = sum(len(t) for t in tokens_b)
     return Fraction(2 * s, la + lb + s)
+
+
+def all_pairs_token_oracle(tokens_r, tokens_p, threshold):
+    """Every cross pair of distinct tokens within the threshold, by direct evaluation."""
+    t = Fraction(threshold)
+    return {(x, y) for x in tokens_r for y in tokens_p if x != y and nld_frac(x, y) <= t}
+
+
+def candidate_stream(corpus_r, corpus_p, threshold, max_freq, similar=True) -> Counter:
+    """The packed record pairs candidate generation emits, with their multiplicity.
+
+    Records are numbered in sorted-id order on each side, a pair packs as
+    ``left << 32 | right``, and ``corpus_p`` of None is a self-join, whose
+    pairs have left < right. A token is kept on a side when at most
+    ``max_freq`` of that side's records hold it. A pair is emitted once per
+    kept token both records hold and, when ``similar``, once per (x, y) of
+    distinct kept tokens, x in the left record and y in the right one, with
+    nld(x, y) <= threshold.
+    """
+
+    def kept_sets(corpus):
+        sets = [set(rec.tokens) for rec in sorted(corpus, key=lambda rec: rec.id)]
+        freq = Counter(tok for toks in sets for tok in toks)
+        return [{tok for tok in toks if freq[tok] <= max_freq} for toks in sets]
+
+    left = kept_sets(corpus_r)
+    right = left if corpus_p is None else kept_sets(corpus_p)
+    near = {}
+    if similar:
+        vocab_r, vocab_p = set().union(*left), set().union(*right)
+        for x, y in all_pairs_token_oracle(vocab_r, vocab_p, threshold):
+            near.setdefault(x, set()).add(y)
+    stream = Counter()
+    for i, toks_i in enumerate(left):
+        for j in range(i + 1 if corpus_p is None else 0, len(right)):
+            toks_j = right[j]
+            n = len(toks_i & toks_j) + sum(len(near.get(x, set()) & toks_j) for x in toks_i)
+            if n:
+                stream[(i << 32) | j] = n
+    return stream
 
 
 def strings_upto(alphabet: str, max_len: int, include_empty: bool = True) -> list[str]:

@@ -1,28 +1,49 @@
 import math
-import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from tokenjoin import pipeline, setdist
 from tokenjoin.candidates import (
     NldIndex,
     build_token_space,
     partition_even,
     segment_layout,
-    shared_token_candidates,
-    similar_token_candidates,
     similar_token_pairs,
 )
 from tokenjoin.errors import DataError, NotPartitionable
+from tokenjoin.pipeline import JoinConfig, join
 from tokenjoin.setdist import LdCache
 from tokenjoin.strdist import max_ld_given_nld, min_partner_len
 
-from conftest import make_ts, naive_ld, nld_frac, rand_token
+from conftest import all_pairs_token_oracle, make_ts, naive_ld, nld_frac, rand_token
 
 
-def space_of(*id_token_lists):
-    corpus = [make_ts(rid, toks) for rid, toks in id_token_lists]
-    return build_token_space(corpus), {rid: sum(map(len, toks)) for rid, toks in id_token_lists}
+@pytest.fixture
+def generate(monkeypatch):
+    """Runs join() and returns its raw candidate stream, as a Counter of id pairs, and its report."""
+    streams = []
+    dedup = pipeline.dedup_candidates
+
+    def spy(raw):
+        streams.append(raw.copy())
+        return dedup(raw)
+
+    monkeypatch.setattr(pipeline, "dedup_candidates", spy)
+
+    def run(corpus_r, corpus_p=None, **cfg):
+        _, report = join(corpus_r, corpus_p, JoinConfig(self_join=corpus_p is None, **cfg))
+        ids_r = sorted(rec.id for rec in corpus_r)
+        ids_p = ids_r if corpus_p is None else sorted(rec.id for rec in corpus_p)
+        stream = Counter((ids_r[p >> 32], ids_p[p & 0xFFFFFFFF]) for p in streams.pop().tolist())
+        return stream, report
+
+    return run
+
+
+def records(*id_token_lists):
+    return [make_ts(rid, toks) for rid, toks in id_token_lists]
 
 
 class TestBuildTokenSpace:
@@ -33,19 +54,18 @@ class TestBuildTokenSpace:
             make_ts("3", ("john",)),
         ]
         capped = build_token_space(corpus, 2)
-        assert "john" not in capped.entries
-        assert capped.entries["smith"] == ("1",)
+        assert "john" not in capped
+        assert capped["smith"] == ("1",)
         full = build_token_space(corpus, math.inf)
-        assert full.entries["john"] == ("1", "2", "3")
-        assert full.frequency("john") == 3
+        assert full["john"] == ("1", "2", "3")
 
     def test_duplicate_tokens_in_one_record_count_once(self):
         corpus = [make_ts("1", ("bob", "bob")), make_ts("2", ("bob",))]
         space = build_token_space(corpus, 2)
-        assert space.entries["bob"] == ("1", "2")
+        assert space["bob"] == ("1", "2")
 
     def test_empty_corpus(self):
-        assert build_token_space([], 10).entries == {}
+        assert build_token_space([], 10) == {}
 
     def test_duplicate_record_id_rejected(self):
         with pytest.raises(DataError):
@@ -57,26 +77,27 @@ class TestBuildTokenSpace:
 
 
 class TestSharedTokenCandidates:
-    def test_single_shared_token_two_set(self):
-        space_r, lens_r = space_of(("1", ("alan",)))
-        space_p, lens_p = space_of(("2", ("alan",)))
-        pairs = list(shared_token_candidates(space_r, space_p, False, {**lens_r, **lens_p}))
-        assert [(p.left_id, p.right_id, p.source) for p in pairs] == [("1", "2", "shared-token")]
+    def test_single_shared_token_two_set(self, generate):
+        stream, _ = generate(records(("1", ("alan",))), records(("2", ("alan",))))
+        assert stream == Counter({("1", "2"): 1})
 
-    def test_self_join_triangle(self):
-        space, lens = space_of(("1", ("alan",)), ("2", ("alan",)), ("3", ("alan",)))
-        pairs = {(p.left_id, p.right_id) for p in shared_token_candidates(space, space, True, lens)}
-        assert pairs == {("1", "2"), ("1", "3"), ("2", "3")}
+    def test_self_join_triangle(self, generate):
+        stream, _ = generate(records(("1", ("alan",)), ("2", ("alan",)), ("3", ("alan",))))
+        assert stream == Counter({("1", "2"): 1, ("1", "3"): 1, ("2", "3"): 1})
 
-    def test_disjoint_spaces_empty(self):
-        space_r, lens_r = space_of(("1", ("aa",)))
-        space_p, lens_p = space_of(("2", ("bb",)))
-        assert not list(shared_token_candidates(space_r, space_p, False, {**lens_r, **lens_p}))
+    def test_disjoint_spaces_empty(self, generate):
+        stream, _ = generate(records(("1", ("aa",))), records(("2", ("bb",))))
+        assert not stream
 
-    def test_lengths_attached(self):
-        space, lens = space_of(("1", ("ab", "c")), ("2", ("ab",)))
-        (pair,) = shared_token_candidates(space, space, True, lens)
-        assert (pair.left_len, pair.right_len) == (3, 2)
+    def test_lengths_attached(self, generate):
+        # the pair's aggregate lengths, 3 and 2, reach the length prune: 1 - 2/3 > 0.3
+        corpus = records(("1", ("ab", "c")), ("2", ("ab",)))
+        stream, report = generate(corpus, threshold=0.3)
+        assert stream == Counter({("1", "2"): 1})
+        assert report.filters.pruned_by_length == 1
+        _, report = generate(corpus, threshold=0.4)
+        assert report.filters.pruned_by_length == 0
+        assert report.stages["verify"].items_out == 1  # nsld = 2/(3 + 2 + 1)
 
 
 class TestPartitionEven:
@@ -133,70 +154,58 @@ class TestPartitionEven:
             assert any(seg in x for seg in partition_even(y, u))
 
 
-def all_pairs_token_oracle(tokens_r, tokens_p, threshold):
-    """Every cross pair of distinct tokens within the threshold, by direct evaluation."""
-    t = Fraction(threshold)
-    return {
-        (x, y)
-        for x in tokens_r
-        for y in tokens_p
-        if x != y and nld_frac(x, y) <= t
-    }
-
-
 class TestSimilarTokenPairs:
     def test_frozen_example(self):
-        space_r, _ = space_of(("1", ("kalan",)))
-        space_p, _ = space_of(("2", ("alan",)))
-        out = similar_token_pairs(space_r, space_p, 0.2, False)
-        assert out == [("kalan", "alan", 1)]
+        assert similar_token_pairs(["kalan"], ["alan"], 0.2, LdCache()) == (1, [("kalan", "alan")])
 
     def test_dissimilar_tokens_empty(self):
-        space_r, _ = space_of(("1", ("chan",)))
-        space_p, _ = space_of(("2", ("xyzw",)))
-        assert similar_token_pairs(space_r, space_p, 0.2, False) == []
+        assert similar_token_pairs(["chan"], ["xyzw"], 0.2, LdCache())[1] == []
 
     def test_self_join_threshold_zero_is_equality(self):
         # at T=0 only identical tokens match, and those are never returned
-        space, _ = space_of(("1", ("alan", "chan")), ("2", ("alan",)))
-        out = similar_token_pairs(space, space, 0.0, True)
-        assert out == []
+        assert similar_token_pairs(["alan", "chan"], None, 0.0, LdCache()) == (0, [])
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.2, 0.4, 0.6])
     def test_exactly_matches_all_pairs_oracle_two_set(self, threshold, rng):
         for trial in range(20):
-            tokens_r = {rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)}
-            tokens_p = {rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)}
-            space_r, _ = space_of(*((f"r{i}", (t,)) for i, t in enumerate(sorted(tokens_r))))
-            space_p, _ = space_of(*((f"p{i}", (t,)) for i, t in enumerate(sorted(tokens_p))))
-            got = {(tr, tp) for tr, tp, _ in similar_token_pairs(space_r, space_p, threshold, False)}
-            assert got == all_pairs_token_oracle(tokens_r, tokens_p, threshold)
+            tokens_r = sorted({rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)})
+            tokens_p = sorted({rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)})
+            _, got = similar_token_pairs(tokens_r, tokens_p, threshold, LdCache())
+            assert len(got) == len(set(got))
+            assert set(got) == all_pairs_token_oracle(tokens_r, tokens_p, threshold)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.25, 0.5])
     def test_exactly_matches_all_pairs_oracle_self_join(self, threshold, rng):
         for trial in range(20):
             tokens = sorted({rand_token(rng, max_len=7, alphabet="abc") for _ in range(30)})
-            space, _ = space_of(*((f"r{i}", (t,)) for i, t in enumerate(tokens)))
-            got = {(a, b) for a, b, _ in similar_token_pairs(space, space, threshold, True)}
+            _, got = similar_token_pairs(tokens, None, threshold, LdCache())
             expected = set()
             for i, x in enumerate(tokens):
                 for y in tokens[i + 1 :]:
                     if nld_frac(x, y) <= Fraction(threshold):
                         key = (x, y) if (len(x), x) <= (len(y), y) else (y, x)
                         expected.add(key)
-            assert got == expected
+            assert len(got) == len(set(got))
+            assert set(got) == expected
 
-    def test_reported_ld_values_are_exact(self, rng):
+    def test_reported_ld_values_are_exact(self, rng, monkeypatch):
+        # verify reuses the probe's cache, so every pair found leaves its exact LD there
         tokens = sorted({rand_token(rng, max_len=6, alphabet="ab") for _ in range(20)})
-        space, _ = space_of(*((f"r{i}", (t,)) for i, t in enumerate(tokens)))
-        for a, b, d in similar_token_pairs(space, space, 0.5, True):
-            assert d == naive_ld(a, b)
+        cache = LdCache()
+        _, pairs = similar_token_pairs(tokens, None, 0.5, cache)
+        assert pairs
+
+        def uncached(*args):
+            raise AssertionError("not in the cache")
+
+        monkeypatch.setattr(setdist, "ld_bounded", uncached)
+        for a, b in pairs:
+            assert cache.bounded(a, b, len(a) + len(b)) == naive_ld(a, b)
 
     def test_length_condition_never_violated(self, rng):
         for threshold in (0.1, 0.3):
             tokens = sorted({rand_token(rng, max_len=9) for _ in range(40)})
-            space, _ = space_of(*((f"r{i}", (t,)) for i, t in enumerate(tokens)))
-            for a, b, _ in similar_token_pairs(space, space, threshold, True):
+            for a, b in similar_token_pairs(tokens, None, threshold, LdCache())[1]:
                 shorter, longer = sorted((a, b), key=len)
                 assert min_partner_len(len(longer), threshold) <= len(shorter) <= len(longer)
 
@@ -215,9 +224,7 @@ class TestNldIndexShortTokens:
         assert ("c", "ab", 2) in hits
 
     def test_short_tokens_covered_in_full_pair_search(self):
-        space, _ = space_of(("1", ("ab",)), ("2", ("c",)))
-        out = similar_token_pairs(space, space, 0.8, True)
-        assert ("c", "ab", 2) in out
+        assert ("c", "ab") in similar_token_pairs(["ab", "c"], None, 0.8, LdCache())[1]
 
 
 def edited_vocabulary(rng, alphabet, bases=6, max_len=22):
@@ -265,40 +272,30 @@ class TestNldIndexProbe:
 
 
 class TestSimilarTokenCandidates:
-    def test_expansion_and_missing_postings(self):
-        space_r, lens_r = space_of(("1", ("kalan",)))
-        space_p, lens_p = space_of(("2", ("alan",)))
-        lens = {**lens_r, **lens_p}
-        out = list(
-            similar_token_candidates([("kalan", "alan", 1)], space_r, space_p, False, lens)
-        )
-        assert [(p.left_id, p.right_id, p.source) for p in out] == [("1", "2", "similar-token")]
-        # a token absent from the space (e.g. capped) emits nothing
-        assert not list(
-            similar_token_candidates([("gone", "alan", 1)], space_r, space_p, False, lens)
-        )
+    def test_expansion_and_missing_postings(self, generate):
+        stream, _ = generate(records(("1", ("kalan",))), records(("2", ("alan",))), threshold=0.2)
+        assert stream == Counter({("1", "2"): 1})
+        # a capped token is neither probed nor indexed, so it emits nothing
+        left = records(("1", ("kalan",)), ("3", ("kalan",)))
+        stream, _ = generate(left, records(("2", ("alan",))), threshold=0.2, max_token_freq=1)
+        assert not stream
 
-    def test_self_join_never_reflexive(self):
-        space, lens = space_of(("1", ("aa", "ab")))
-        out = list(similar_token_candidates([("aa", "ab", 1)], space, space, True, lens))
-        assert out == []
+    def test_self_join_never_reflexive(self, generate):
+        stream, report = generate(records(("1", ("aa", "ab"))), threshold=0.4)
+        assert report.stages["similar-tokens"].items_out == 1
+        assert not stream
 
-    def test_self_join_canonical_order_and_duplicate_token(self):
+    def test_self_join_canonical_order_and_duplicate_token(self, generate):
         # "ab" sits in the smallest id, so each expanded pair must be swapped
-        space, lens = space_of(("2", ("aa",)), ("1", ("aa",)), ("0", ("ab",)))
-        out = {
-            (p.left_id, p.right_id)
-            for p in similar_token_candidates([("aa", "ab", 1)], space, space, True, lens)
-        }
-        assert out == {("0", "1"), ("0", "2")}
-        assert all(l < r for l, r in out)
+        stream, _ = generate(records(("2", ("aa",)), ("1", ("aa",)), ("0", ("ab",))), threshold=0.4)
+        assert stream == Counter({("0", "1"): 1, ("0", "2"): 1, ("1", "2"): 1})
 
 
 class TestCompleteness:
     @pytest.mark.parametrize("threshold", [0.1, 0.2, 0.35])
-    def test_generation_reaches_every_true_pair(self, threshold, rng):
-        # the load-bearing guarantee: generation with no cap is a superset of
-        # the truth on random small corpora
+    def test_generation_reaches_every_true_pair(self, threshold, rng, generate):
+        # the load-bearing guarantee: join()'s raw stream with no cap is a
+        # superset of the truth on random small corpora
         from conftest import nsld_frac, rand_multiset
 
         for _ in range(10):
@@ -306,17 +303,7 @@ class TestCompleteness:
                 make_ts(str(i), rand_multiset(rng, max_tokens=3, max_len=6, alphabet="abc", min_tokens=1))
                 for i in range(30)
             ]
-            lens = {r.id: r.agg_len for r in corpus}
-            space = build_token_space(corpus, math.inf)
-            generated = {
-                (p.left_id, p.right_id)
-                for p in shared_token_candidates(space, space, True, lens)
-            }
-            token_pairs = similar_token_pairs(space, space, threshold, True)
-            generated |= {
-                (p.left_id, p.right_id)
-                for p in similar_token_candidates(token_pairs, space, space, True, lens)
-            }
+            generated, _ = generate(corpus, threshold=threshold, max_token_freq=math.inf)
             t = Fraction(threshold)
             for i in range(len(corpus)):
                 for j in range(i + 1, len(corpus)):

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-from tokenjoin.candidates import CandidatePair
 from tokenjoin.filters import (
     FilterStats,
     histogram_filter,
@@ -10,21 +9,16 @@ from tokenjoin.filters import (
     length_prunes,
     residual_prunes,
 )
-from tokenjoin.setdist import TokenLengthHistogram
 
 from conftest import make_ts, nsld_frac, rand_multiset
 
 
-def pair_with_lens(la, lb):
-    return CandidatePair("a", "b", la, lb, "shared-token")
-
-
 class TestLengthFilter:
     def test_frozen_examples(self):
-        assert length_filter(pair_with_lens(9, 9), 0.1) is True
-        assert length_filter(pair_with_lens(5, 9), 0.1) is False  # 1 - 5/9 > 0.1
-        assert length_filter(pair_with_lens(0, 9), 0.5) is False  # empty side forces 1
-        assert length_filter(pair_with_lens(0, 0), 0.3) is True  # both empty kept
+        assert length_filter(9, 9, 0.1) is True
+        assert length_filter(5, 9, 0.1) is False  # 1 - 5/9 > 0.1
+        assert length_filter(0, 9, 0.5) is False  # empty side forces 1
+        assert length_filter(0, 0, 0.3) is True  # both empty kept
 
     def test_no_multisets_with_pruned_lengths_qualify(self, rng):
         # oracle check behind the 5-vs-9 example: distance is always > 0.1
@@ -49,13 +43,10 @@ class TestLengthFilter:
 
 class TestHistogramFilter:
     def test_frozen_examples(self):
-        ha = TokenLengthHistogram({4: 1, 5: 1})
-        hb = TokenLengthHistogram({5: 1, 4: 1})
-        assert histogram_filter((ha, hb), (9, 9), 0.3) is True  # identical length lists
-        hc = TokenLengthHistogram({4: 1})
+        assert histogram_filter((4, 5), (4, 5), 9, 9, 0.3) is True  # identical length lists
         # lower bound 5 gives 10/18 > 0.1: prune; 10/18 <= 0.6: keep
-        assert histogram_filter((ha, hc), (9, 4), 0.1) is False
-        assert histogram_filter((ha, hc), (9, 4), 0.6) is True
+        assert histogram_filter((4, 5), (4,), 9, 4, 0.1) is False
+        assert histogram_filter((4, 5), (4,), 9, 4, 0.6) is True
 
     def test_never_prunes_true_positive(self, rng):
         for threshold in (0.1, 0.3, 0.6):

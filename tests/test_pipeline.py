@@ -12,13 +12,6 @@ import numpy as np
 import pytest
 
 from tokenjoin import pipeline, residual
-from tokenjoin.candidates import (
-    CandidatePair,
-    build_token_space,
-    shared_token_candidates,
-    similar_token_candidates,
-    similar_token_pairs,
-)
 from tokenjoin.errors import ConfigError, DataError, StageError
 from tokenjoin.filters import length_prunes, residual_prunes
 from tokenjoin.pipeline import (
@@ -27,20 +20,14 @@ from tokenjoin.pipeline import (
     _check_side_size,
     _prepare_side,
     dedup_candidates,
-    fnv1a_64,
     join,
-    one_string_key_is_left,
 )
 from tokenjoin.setdist import LdCache, drop_shared, sld_capped
 from tokenjoin.strdist import ld_bounded_batch, threshold_ratio
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
 
-from conftest import make_ts, nsld_frac, rand_multiset, rand_token
-
-# published FNV-1a 64-bit test vectors
-FNV_A = 0xAF63DC4C8601EC8C
-FNV_B = 0xAF63DF4C8601F1A5
+from conftest import all_pairs_token_oracle, candidate_stream, make_ts, nsld_frac, rand_multiset, rand_token
 
 
 def corpus_from_lines(lines, scheme="whitespace-punct"):
@@ -92,71 +79,31 @@ class TestJoinConfig:
 
 
 class TestFnvDedup:
-    def test_fnv1a_vectors(self):
-        assert fnv1a_64(b"") == 0xCBF29CE484222325
-        assert fnv1a_64(b"a") == FNV_A
-        assert fnv1a_64(b"b") == FNV_B
-
-    def test_key_side_rule_hand_computed(self):
-        cond = 1 if FNV_A < FNV_B else 0
-        parity = (FNV_A + FNV_B) % 2
-        assert one_string_key_is_left(FNV_A, FNV_B) == (cond == parity)
-
-    def test_equal_hashes_choose_left(self):
-        # int(h < h) = 0 and (2h) % 2 = 0, so the left side is the key
-        assert one_string_key_is_left(12345, 12345) is True
-
     @pytest.mark.parametrize("strategy", ["one-string", "both-strings"])
     def test_duplicates_collapse(self, strategy):
-        pair = CandidatePair("1", "2", 4, 4, "shared-token")
-        out = list(dedup_candidates([pair, pair, pair], strategy))
-        assert out == [pair]
+        # "1" and "2" share three tokens, so generation emits their pair three times
+        corpus = [make_ts("1", ("ab", "cd", "ef")), make_ts("2", ("ab", "cd", "ef", "gh"))]
+        _, report = join(corpus, None, JoinConfig(threshold=0.5, dedup=strategy))
+        assert (report.stages["dedup"].items_in, report.stages["dedup"].items_out) == (3, 1)
+        packed = (1 << 32) | 2
+        assert dedup_candidates(np.array([packed] * 3, dtype=np.uint64)).tolist() == [packed]
 
     def test_strategies_agree_on_random_streams(self, rng):
-        ids = [str(i) for i in range(20)]
-        pairs = []
-        for _ in range(300):
-            a, b = rng.sample(ids, 2)
-            left, right = (a, b) if a < b else (b, a)
-            pairs.append(CandidatePair(left, right, 3, 3, "shared-token"))
-        one = {(p.left_id, p.right_id) for p in dedup_candidates(pairs, "one-string")}
-        both = {(p.left_id, p.right_id) for p in dedup_candidates(pairs, "both-strings")}
-        assert one == both == {(p.left_id, p.right_id) for p in pairs}
+        # both strategies keep the same pairs, so join() runs one dedup for either
+        counts = lambda report: {name: (c.items_in, c.items_out) for name, c in report.stages.items()}
+        for _ in range(5):
+            corpus = random_side(rng, "r", 30, [rand_token(rng, max_len=5, alphabet="abc") for _ in range(20)])
+            one, report_one = join(corpus, None, JoinConfig(threshold=0.3, dedup="one-string"))
+            both, report_both = join(corpus, None, JoinConfig(threshold=0.3, dedup="both-strings"))
+            assert one == both
+            assert counts(report_one) == counts(report_both)
+            raw = np.array([rng.randrange(1 << 40) for _ in range(200)], dtype=np.uint64)
+            raw = np.concatenate([raw, raw[:50]])
+            assert dedup_candidates(raw.copy()).tolist() == sorted(set(raw.tolist()))
 
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
-            list(dedup_candidates([], "sometimes"))
-
-    @pytest.mark.parametrize("self_join", [True, False])
-    def test_one_string_regrouping_keeps_the_packed_first_occurrences(self, rng, self_join):
-        # both sides use the ids "0".."n-1", as the CLI's line corpora do, so
-        # a two-set stream reuses every dense id on both sides; the join
-        # sorts its pairs before finalize, so dedup returns them ascending
-        n = 40
-        ids = [str(i) for i in range(n)]
-        hashes = [fnv1a_64(rid.encode("utf-8")) for rid in ids]
-        for _ in range(20):
-            pool = []
-            while len(pool) < 30:
-                left, right = rng.randrange(n), rng.randrange(n)
-                if self_join and left >= right:
-                    continue
-                pool.append((left << 32) | right)
-            raw = np.array([rng.choice(pool) for _ in range(200)], dtype=np.uint64)
-            seen, first = set(), []
-            for idx, packed in enumerate(raw.tolist()):
-                left, right = packed >> 32, packed & 0xFFFFFFFF
-                if one_string_key_is_left(hashes[left], hashes[right]):
-                    group = (0, left, right)
-                else:
-                    group = (1, right, left)
-                if group not in seen:
-                    seen.add(group)
-                    first.append(idx)
-            assert len(first) < raw.size
-            got = pipeline._dedup_packed(raw.copy())
-            assert np.all(got[1:] > got[:-1])
-            assert set(got.tolist()) == set(raw[first].tolist())
+            join(reference_corpus(), None, JoinConfig(dedup="sometimes"))
 
 
 class TestJoinBasics:
@@ -449,20 +396,50 @@ def random_side(rng, prefix, n, vocab):
     return out
 
 
+def stream_features(corpus_r, corpus_p, threshold, cap):
+    """Which of the generate stage's special cases the corpora reach, from plain sets."""
+    self_join = corpus_p is None
+    sides = [sorted(corpus, key=lambda rec: rec.id) for corpus in ([corpus_r] if self_join else [corpus_r, corpus_p])]
+    kept = []
+    for side in sides:
+        freq = Counter(tok for rec in side for tok in set(rec.tokens))
+        kept.append([{tok for tok in rec.tokens if freq[tok] <= cap} for rec in side])
+    features = set()
+    if any(rec.tokens.count(tok) > 1 for side, sets in zip(sides, kept) for rec, toks in zip(side, sets) for tok in toks):
+        features.add("repeat")
+    if any(len(set().union(*sets)) < len({tok for rec in side for tok in rec.tokens}) for side, sets in zip(sides, kept)):
+        features.add("capped")
+    if self_join:
+        sets = kept[0]
+        vocab = set().union(*sets)
+        for x, y in all_pairs_token_oracle(vocab, vocab, threshold):
+            if (len(x), x) > (len(y), y):
+                continue
+            holders_x = [i for i, toks in enumerate(sets) if x in toks]
+            holders_y = [i for i, toks in enumerate(sets) if y in toks]
+            # generate expands (x, y) as (holder of x, holder of y) and orders it
+            if any(a > b for a in holders_x for b in holders_y):
+                features.add("swap")
+            if set(holders_x) & set(holders_y):
+                features.add("both")
+    return features
+
+
 class TestCandidateStream:
     @pytest.mark.parametrize("cap", [1, 2, math.inf])
     @pytest.mark.parametrize("self_join", [True, False])
     def test_raw_stream_matches_library_twins(self, cap, self_join, rng, monkeypatch):
+        # join()'s raw stream, copies included, equals the brute-force stream
         streams = []
-        dedup = pipeline._dedup_packed
+        dedup = pipeline.dedup_candidates
 
         def spy(raw):
             streams.append(raw.copy())
             return dedup(raw)
 
-        monkeypatch.setattr(pipeline, "_dedup_packed", spy)
+        monkeypatch.setattr(pipeline, "dedup_candidates", spy)
         threshold = 0.3
-        routes = Counter()
+        reached = Counter()
         for trial in range(12):
             vocab = [rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)]
             # the sides share only part of the vocabulary
@@ -471,26 +448,18 @@ class TestCandidateStream:
             matching = "exact-token" if trial % 4 == 3 else "fuzzy"
             cfg = JoinConfig(threshold=threshold, max_token_freq=cap, matching=matching, self_join=self_join)
             join(corpus_r, corpus_p, cfg)
-            raw = streams.pop()
-
-            both = corpus_r + (corpus_p or [])
-            lengths = {rec.id: rec.agg_len for rec in both}
-            dense = {rec.id: i for i, rec in enumerate(sorted(corpus_r, key=lambda r: r.id))}
-            if corpus_p is not None:
-                dense.update({rec.id: i for i, rec in enumerate(sorted(corpus_p, key=lambda r: r.id))})
-            space_r = build_token_space(corpus_r, cap)
-            space_p = space_r if self_join else build_token_space(corpus_p, cap)
-            pairs = list(shared_token_candidates(space_r, space_p, self_join, lengths))
-            if matching == "fuzzy":
-                token_pairs = similar_token_pairs(space_r, space_p, threshold, self_join)
-                pairs += similar_token_candidates(token_pairs, space_r, space_p, self_join, lengths)
-            routes.update(pair.source for pair in pairs)
-            expected = Counter((dense[pair.left_id] << 32) | dense[pair.right_id] for pair in pairs)
-            assert Counter(raw.tolist()) == expected
-            routes["repeats"] += raw.size - len(expected)
-        assert routes["similar-token"]
+            expected = candidate_stream(corpus_r, corpus_p, threshold, cap, similar=matching == "fuzzy")
+            assert Counter(streams.pop().tolist()) == expected
+            reached.update(stream_features(corpus_r, corpus_p, threshold, cap))
+            reached["copies"] += sum(expected.values()) - len(expected)
+            reached["similar"] += expected != candidate_stream(corpus_r, corpus_p, threshold, cap, similar=False)
+        assert reached["similar"] and reached["repeat"]
         # under a cap of 1 every kept token sits in one record of its side
-        assert (routes["shared-token"] and routes["repeats"]) or cap == 1
+        assert reached["copies"] or cap == 1
+        assert reached["capped"] or cap == math.inf
+        if self_join:
+            # under a cap of 1 a record rarely keeps two similar tokens
+            assert reached["swap"] and (reached["both"] or cap == 1)
 
 
 class TestJoinAgainstOracle:
@@ -791,10 +760,12 @@ class TestSimilarTokenCounts:
                 vocab.append("".join(chars))
         corpus_r = similar_token_corpus(rng, "r", 60, vocab)
         corpus_p = None if self_join else similar_token_corpus(rng, "p", 60, vocab)
-        space_r = build_token_space(corpus_r)
-        space_p = space_r if self_join else build_token_space(corpus_p)
-        spec = similar_token_pairs(space_r, space_p, threshold, self_join)
-        assert any(len(x) == len(y) for x, y, _ in spec)
+        tokens_r = {tok for rec in corpus_r for tok in rec.tokens}
+        tokens_p = tokens_r if self_join else {tok for rec in corpus_p for tok in rec.tokens}
+        spec = all_pairs_token_oracle(tokens_r, tokens_p, threshold)
+        if self_join:
+            spec = {(x, y) for x, y in spec if (len(x), x) < (len(y), y)}
+        assert any(len(x) == len(y) for x, y in spec)
         counts = []
         for workers in (1, 2):
             cfg = JoinConfig(threshold=threshold, max_token_freq=math.inf, self_join=self_join, workers=workers)

@@ -6,14 +6,12 @@ import pytest
 from tokenjoin.setdist import (
     AlignmentCost,
     LdCache,
-    TokenLengthHistogram,
     hungarian,
     nsld,
     nsld_bounds_from_lengths,
     sld_capped,
     sld_exact,
     sld_greedy,
-    sld_lower_bound,
     sorted_lengths_lower_bound,
 )
 from tokenjoin.strdist import ld
@@ -209,13 +207,6 @@ class TestHistogramBound:
         assert sorted_lengths_lower_bound((4, 5), (4, 5)) == 0
         assert sorted_lengths_lower_bound((4, 5), (4,)) == 5  # sorted [4,5] vs [0,4]
         assert sorted_lengths_lower_bound((), (9,)) == 9
-
-    def test_histogram_type_roundtrip(self):
-        h = TokenLengthHistogram.of(CHAN_KALAN)
-        assert h.counts == {4: 1, 5: 1}
-        assert h.sorted_lengths() == (4, 5)
-        hz = TokenLengthHistogram.of(ALAN)
-        assert sld_lower_bound(h, hz) == 5  # equals the true setwise cost here
 
     def test_lower_bound_soundness_and_monotone_transfer(self, rng):
         for _ in range(500):

@@ -18,7 +18,6 @@ from tokenjoin.strdist import (
     min_partner_len,
     nld,
     nld_bounds_from_lengths,
-    normalized_within,
 )
 
 from conftest import naive_ld, nld_frac, strings_upto
@@ -299,14 +298,6 @@ class TestLengthBounds:
     def test_reference_pair_lies_inside(self):
         lo, hi = nld_bounds_from_lengths(7, 8)
         assert lo <= nld("Thomson", "Thompson") <= hi
-
-
-class TestNormalizedWithin:
-    @given(short_text, short_text, st.sampled_from([0.0, 0.025, 0.1, 0.2, 0.5, 0.9]))
-    def test_agrees_with_exact_rational(self, x, y, threshold):
-        d = naive_ld(x, y)
-        expected = nld_frac(x, y) <= Fraction(threshold)
-        assert normalized_within(d, len(x) + len(y), threshold) == expected
 
 
 class TestDistanceToSimilarity:
