@@ -9,7 +9,6 @@ filters, and minimum-weight-matching verification. A brute-force oracle ships
 alongside for differential testing.
 """
 
-from .candidates import partition_even
 from .errors import (
     ConfigError,
     DataError,
@@ -20,6 +19,7 @@ from .errors import (
 from .filters import FilterStats
 from .oracle import OracleResult, join_bruteforce, sld_bruteforce
 from .pipeline import JoinConfig, JoinResult, StageReport, join
+from .candidates import partition_even  # after pipeline, which orders the numpy import
 from .setdist import (
     AlignmentCost,
     nsld,

@@ -4,28 +4,47 @@ The join (:mod:`pipeline`) reaches candidate record pairs by two routes
 through each side's posting lists: record pairs sharing a kept token, and
 record pairs holding a pair of distinct similar kept tokens. Together (with
 no frequency cap) they reach every record pair within the join threshold.
-This module finds the similar token pairs: :class:`NldIndex` indexes each
-token's even partition segments and probes with position-restricted
-substrings of the other side's tokens, and :func:`similar_token_pairs` runs
-the probes the join runs. :func:`build_token_space` states the posting lists
-as plain values.
+This module finds the similar token pairs with PassJoin's segment join, run
+as numpy array code. :class:`NldIndex` keeps each indexed token's even
+partition segments as 64-bit keys in one sorted array: a polynomial hash of
+the segment's code points, tagged with the token's length and the segment's
+slot. :func:`similar_token_pairs` looks up the position-restricted
+substrings of all probes of one length at once, de-duplicates the hits as
+packed rows and checks every edit distance in one
+:func:`strdist.ld_bounded_batch` call. Equal segments always get equal
+keys, so no pair is lost; a hash collision only adds a candidate, which the
+exact check rejects unless it is a true pair that the segment join finds
+anyway. :func:`build_token_space` states the posting lists as plain values.
+:func:`ranges` (runs of positions) and :func:`sorted_distinct` are the array
+idioms this module shares with :mod:`pipeline`.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Sequence
+from itertools import compress
+from operator import ne
+from typing import Any, Hashable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DataError, NotPartitionable
 from .setdist import LdCache
-from .strdist import max_ld_given_nld, threshold_ratio
+from .strdist import ld_bounded_batch, max_ld_given_nld, min_partner_len, threshold_ratio
 from .textnorm import TokenizedString
 
 RecordId = Hashable
-# one lookup of a probe plan: (segment table, slice start, slice end, LD cap)
-PlanEntry = tuple[dict[str, list[str]], int, int, int]
+
+_PACK_MASK = 0xFFFFFFFF
+_U64 = (1 << 64) - 1
+# a segment's key is the polynomial hash of its code points in this odd base,
+# modulo 2**64, plus its (indexed length, slot) tag times an odd multiplier
+_HASH_BASE = 0x9E3779B97F4A7C15
+_TAG_MIX = 0xD6E8FEB86659FD93
 
 
 def build_token_space(
@@ -88,6 +107,138 @@ def partner_len_ceiling(x_len: int, threshold: float) -> int:
     return math.floor(Fraction(x_len) / (1 - t))
 
 
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + n)`` over the pairs ``(s, n)``.
+
+    Built as one running sum: steps of 1 within a range, and a jump from the
+    end of one range to the start of the next.
+    """
+    nonempty = lengths > 0
+    starts, lengths = starts[nonempty], lengths[nonempty]
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    if out.size:
+        out[0] = starts[0]
+        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, ascending; sorts ``values`` in place.
+
+    Keeps the first of each run of equal values (``np.unique`` would import
+    ``numpy.ma`` into every process that joins).
+    """
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+@dataclass(slots=True)
+class SimilarStats:
+    """Counters of one similar-token search.
+
+    ``probes`` tokens had a non-empty plan and looked up ``probe_keys``
+    segment keys in all. The hits held ``candidates`` distinct token pairs;
+    the ``ld_checks`` of them that pair distinct tokens went to
+    ``ld_bounded_batch``, and ``pairs`` were within the threshold.
+    ``index_ms`` is the time spent building the indexes.
+    """
+
+    probes: int = 0
+    probe_keys: int = 0
+    candidates: int = 0
+    ld_checks: int = 0
+    pairs: int = 0
+    index_ms: float = 0.0
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "index_ms": self.index_ms,
+            "probes": self.probes,
+            "probe_keys": self.probe_keys,
+            "candidates": self.candidates,
+            "ld_checks": self.ld_checks,
+            "pairs": self.pairs,
+        }
+
+
+class Plan(NamedTuple):
+    """Segment lookups: lookup i reads ``token[starts[i]:ends[i]]`` under the tag ``tags[i]``.
+
+    ``shifts[i]`` is the hash base to the power of the segment's length.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    shifts: np.ndarray
+    tags: np.ndarray
+
+
+def _plan(lookups: list[tuple[int, int, int, int]]) -> Plan:
+    """The :class:`Plan` of ``(indexed length, slot, start, end)`` lookups."""
+    length, slot, starts, ends = np.array(lookups, dtype=np.int64).reshape(-1, 4).T
+    seg_lens = ends - starts
+    powers = [1]
+    for _ in range(int(seg_lens.max(initial=0))):
+        powers.append(powers[-1] * _HASH_BASE & _U64)
+    tags = (length.astype(np.uint64) << np.uint64(32) | slot.astype(np.uint64)) * np.uint64(_TAG_MIX)
+    return Plan(starts, ends, np.array(powers, dtype=np.uint64)[seg_lens], tags)
+
+
+def _prefix_hashes(tokens: list[str], length: int) -> np.ndarray:
+    """Row j holds the hash of the first j code points of each token; all are ``length`` long."""
+    out = np.zeros((length + 1, len(tokens)), dtype=np.uint64)
+    if length:
+        codes = np.array(tokens, dtype=f"<U{length}").view("<u4").reshape(len(tokens), length)
+        codes = codes.T.astype(np.uint64, order="C")
+        base = np.uint64(_HASH_BASE)
+        for j in range(length):
+            np.multiply(out[j], base, out=out[j + 1])
+            out[j + 1] += codes[j]
+    return out
+
+
+def _segment_keys(prefix: np.ndarray, plan: Plan) -> np.ndarray:
+    """Row i: the key of lookup i's segment of each token whose prefix hashes are ``prefix``.
+
+    The hash of ``token[a:b]`` is ``prefix[b] - prefix[a]·base**(b - a)``
+    modulo 2**64.
+    """
+    keys = prefix[plan.starts] * plan.shifts[:, None]
+    np.subtract(prefix[plan.ends], keys, out=keys)
+    keys += plan.tags[:, None]
+    return keys
+
+
+def _pair_caps(totals: np.ndarray, threshold: float) -> np.ndarray:
+    """The largest LD within the threshold for each length sum |x| + |y|.
+
+    nld(x, y) <= T exactly when ld(x, y) <= num·(|x|+|y|) // (2·den − num),
+    in Python integers, once per distinct sum.
+    """
+    num, den = threshold_ratio(threshold)
+    distinct = sorted_distinct(totals.copy())
+    caps = np.array([num * t // (2 * den - num) for t in distinct.tolist()], dtype=np.int64)
+    return caps[np.searchsorted(distinct, totals)]
+
+
+@lru_cache(maxsize=None)
+def _shortest_searched(threshold: float) -> int | float:
+    """The shortest token length that is indexed or probed; inf at T = 0.
+
+    ``U`` first reaches 1 at ``L0 = ceil((2 − T) / 2T)``, and the shortest
+    partner of that length is ``ceil((1 − T)·L0)``, so no shorter token has
+    a distinct partner within the threshold.
+    """
+    t = Fraction(threshold)
+    if t == 0:
+        return math.inf
+    return min_partner_len(math.ceil((2 - t) / (2 * t)), threshold)
+
+
 class NldIndex:
     """Segment index over one side's tokens for the similar-token search.
 
@@ -96,84 +247,146 @@ class NldIndex:
     indexed, and a probe never returns its own token. Identical tokens are the
     shared-token route's job.
 
-    Each indexed length keeps one table per segment slot, keyed by the segment
-    string. A token too short for ``U+1`` non-empty segments sits whole under
-    the empty segment of slot 0, which every probe of an admissible length
-    reads. Probes of one length share a plan (:meth:`plan`) that is built once.
+    ``tokens`` holds the side's distinct tokens of at least
+    :func:`_shortest_searched` characters (the others have no distinct
+    partner) and ``lens`` their lengths; a token's row is its position
+    there. Each token of an indexed length has one key per segment slot in
+    ``keys``, sorted, with its row beside it in ``rows``. A token too short
+    for ``U+1`` non-empty segments has one key, for the empty segment of slot
+    0, which every probe of an admissible length reads. The prefix hashes of
+    one length's tokens (:meth:`prefix`) and the plan of one probe length
+    (:meth:`plan`) are built on first use and kept, so only the tokens that
+    are indexed or probed are hashed.
     """
 
-    __slots__ = ("threshold", "segments", "_plans")
+    __slots__ = ("threshold", "tokens", "lens", "keys", "rows", "_by_len", "_layouts", "_prefix", "_plans")
 
     def __init__(self, tokens: Iterable[str], threshold: float):
         self.threshold = threshold
-        # token length -> [(start, seg_len, {segment: tokens})], one per slot
-        self.segments: dict[int, list[tuple[int, int, dict[str, list[str]]]]] = {}
-        self._plans: dict[int, tuple[PlanEntry, ...]] = {}
-        for tok in tokens:
-            length = len(tok)
-            slots = self.segments.get(length)
-            if slots is None:
-                u = max_ld_given_nld(length, threshold, True)
-                if u == 0:
-                    layout = ()
-                elif length > u:
-                    layout = segment_layout(length, u)
-                else:
-                    layout = ((0, 0),)
-                slots = self.segments[length] = [(start, seg_len, {}) for start, seg_len in layout]
-            for start, seg_len, table in slots:
-                seg = tok[start : start + seg_len]
-                bucket = table.get(seg)
-                if bucket is None:
-                    table[seg] = [tok]
-                else:
-                    bucket.append(tok)
+        tokens = list(tokens)
+        lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+        searched = np.flatnonzero(lens >= _shortest_searched(threshold)).tolist()
+        self.tokens = list(dict.fromkeys([tokens[i] for i in searched]))
+        self.lens = np.fromiter(map(len, self.tokens), dtype=np.int64, count=len(self.tokens))
+        order = np.argsort(self.lens, kind="stable")
+        first = np.flatnonzero(np.diff(self.lens[order], prepend=-1))
+        # token length -> rows of that length, ascending
+        self._by_len = dict(zip(self.lens[order[first]].tolist(), np.split(order, first[1:])))
+        self._prefix: dict[int, np.ndarray] = {}
+        self._plans: dict[int, Plan] = {}
+        # indexed length -> (start, seg_len) of each slot
+        self._layouts: dict[int, tuple[tuple[int, int], ...]] = {}
+        keys = [np.empty(0, dtype=np.uint64)]
+        rows = [np.empty(0, dtype=np.int64)]
+        for length, members in self._by_len.items():
+            u = max_ld_given_nld(length, threshold, True)
+            if u == 0:
+                continue
+            layout = self._layouts[length] = segment_layout(length, u) if length > u else ((0, 0),)
+            segments = _plan([(length, slot, a, a + n) for slot, (a, n) in enumerate(layout)])
+            keys.append(_segment_keys(self.prefix(length), segments).ravel())
+            rows.append(np.tile(members, len(layout)))
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.rows = np.concatenate(rows)[order]
 
-    def plan(self, x_len: int) -> tuple[PlanEntry, ...]:
-        """The ``(table, a, b, pair_cap)`` lookups of a probe this long.
+    def prefix(self, length: int) -> np.ndarray:
+        """The prefix hashes of this side's tokens of this length, a column per row in ascending order."""
+        prefix = self._prefix.get(length)
+        if prefix is None:
+            members = self._by_len[length].tolist()
+            prefix = self._prefix[length] = _prefix_hashes([self.tokens[i] for i in members], length)
+        return prefix
 
-        A probe ``x`` reads ``table.get(x[a:b])`` and verifies each hit within
-        ``pair_cap``. Built on first use and kept; empty when no indexed token
-        can be a distinct partner of a token this long.
+    def plan(self, x_len: int) -> Plan:
+        """The segment lookups of a probe this long.
+
+        Built on first use and kept; empty when no indexed token can be a
+        distinct partner of a token this long.
         """
         plan = self._plans.get(x_len)
         if plan is None:
             plan = self._plans[x_len] = self._build_plan(x_len)
         return plan
 
-    def _build_plan(self, x_len: int) -> tuple[PlanEntry, ...]:
+    def _build_plan(self, x_len: int) -> Plan:
         t = self.threshold
-        num, den = threshold_ratio(t)
-        entries: list[PlanEntry] = []
+        lookups: list[tuple[int, int, int, int]] = []
         for y_len in range(x_len, partner_len_ceiling(x_len, t) + 1):
-            slots = self.segments.get(y_len)
-            if not slots:
+            layout = self._layouts.get(y_len)
+            if layout is None:
                 continue
             u = max_ld_given_nld(y_len, t, True)
             delta = x_len - y_len
-            # nld(x, y) <= T exactly when ld(x, y) <= num·(|x|+|y|) // (2·den − num)
-            pair_cap = num * (x_len + y_len) // (2 * den - num)
-            for slot, (start, seg_len, table) in enumerate(slots):
+            for slot, (start, seg_len) in enumerate(layout):
                 # multi-match-aware window (PassJoin): some matching segment
                 # has at most ``slot`` edits before it and ``u − slot`` after it
                 p_lo = max(start - slot, start + delta - (u - slot), 0)
                 p_hi = min(start + slot, start + delta + (u - slot), x_len - seg_len)
-                entries.extend((table, p, p + seg_len, pair_cap) for p in range(p_lo, p_hi + 1))
-        return tuple(entries)
+                lookups.extend((y_len, slot, p, p + seg_len) for p in range(p_lo, p_hi + 1))
+        return _plan(lookups)
+
+    def _hits(
+        self, keys: np.ndarray, probe_rows: np.ndarray, probe_lens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(probe row, indexed row) of every indexed key equal to a probe's key.
+
+        ``keys[i]`` is a segment key of the probe ``probe_rows[i]``, whose
+        length is ``probe_lens[probe_rows[i]]``. A hit on a token shorter
+        than its probe can only be a hash collision across tags, and is
+        dropped.
+        """
+        # sorted queries search several times faster than scattered ones
+        order = np.argsort(keys)
+        keys = keys[order]
+        lo = np.searchsorted(self.keys, keys, side="left")
+        counts = np.searchsorted(self.keys, keys, side="right") - lo
+        x = np.repeat(probe_rows[order], counts)
+        y = self.rows[ranges(lo, counts)]
+        longer = self.lens[y] >= probe_lens[x]
+        return x[longer], y[longer]
+
+    def probe_all(self, probes: NldIndex, stats: SimilarStats) -> tuple[np.ndarray, np.ndarray]:
+        """(row in ``probes``, row here) of every hit of a token of ``probes``.
+
+        The keys of all probes of one length come from one matrix of their
+        prefix hashes, and all keys are looked up at once. A length whose
+        plan is empty is neither hashed nor probed.
+        """
+        keys = [np.empty(0, dtype=np.uint64)]
+        rows = [np.empty(0, dtype=np.int64)]
+        for x_len, members in probes._by_len.items():
+            plan = self.plan(x_len)
+            if plan.starts.size:
+                keys.append(_segment_keys(probes.prefix(x_len), plan).ravel())
+                rows.append(np.tile(members, plan.starts.size))
+                stats.probes += members.size
+        keys = np.concatenate(keys)
+        stats.probe_keys += keys.size
+        return self._hits(keys, np.concatenate(rows), probes.lens)
 
     def probe(self, x: str, ld_cache: LdCache) -> list[tuple[str, str, int]]:
-        """All indexed tokens y != x with |y| >= |x| and nld(x, y) within threshold."""
-        seen = {x}
+        """All indexed tokens y != x with |y| >= |x| and nld(x, y) within threshold.
+
+        The one-token case of :meth:`probe_all`, with each distinct hit
+        checked through ``ld_cache``; hits come in row order.
+        """
+        x_len = len(x)
+        plan = self.plan(x_len)
+        if not plan.starts.size:
+            return []
+        keys = _segment_keys(_prefix_hashes([x], x_len), plan).ravel()
+        _, rows = self._hits(keys, np.zeros(keys.size, dtype=np.int64), np.array([x_len]))
+        rows = sorted_distinct(rows)
+        caps = _pair_caps(self.lens[rows] + x_len, self.threshold)
         found = []
-        for table, a, b, pair_cap in self.plan(len(x)):
-            hits = table.get(x[a:b])
-            if hits:
-                for y in hits:
-                    if y not in seen:
-                        seen.add(y)
-                        d = ld_cache.bounded(x, y, pair_cap)
-                        if d is not None:
-                            found.append((x, y, d))
+        for y, cap in zip(rows.tolist(), caps.tolist()):
+            tok = self.tokens[y]
+            if tok != x:
+                d = ld_cache.bounded(x, tok, cap)
+                if d is not None:
+                    found.append((x, tok, d))
         return found
 
 
@@ -182,31 +395,54 @@ def similar_token_pairs(
     tokens_p: Sequence[str] | None,
     threshold: float,
     ld_cache: LdCache,
-) -> tuple[int, list[tuple[str, str]]]:
-    """The number of probes and the distinct pairs of distinct similar tokens.
+) -> tuple[SimilarStats, list[tuple[str, str]]]:
+    """The search's counters and the distinct pairs of distinct similar tokens.
 
     ``tokens_p`` of None selects a self-join: one index over ``tokens_r``,
-    each pair keyed ``(len, str)``-ordered. A two-set join probes each side's
-    tokens against the other side's index and keys each pair (left token,
-    right token). Either way an equal-length pair is found twice and kept
-    once, in first-found order. A token is never paired with itself: identical
-    tokens are the shared-token route's job. A token whose plan is empty has
-    no distinct partner on that index and is not probed. Every edit distance
-    is looked up through ``ld_cache``.
+    probed with its own tokens, and each pair ``(len, str)``-ordered. A
+    two-set join probes each side's tokens against the other side's index
+    and orders each pair (left token, right token). A token is probed only
+    where its plan is non-empty.
+
+    The hits are de-duplicated as packed (left row, right row) pairs before
+    any edit distance is computed: an equal-length pair is found from both
+    of its tokens, so a self-join first orders each hit (min row, max row),
+    and a two-set join puts both directions into one set. Pairs of identical
+    tokens are dropped (they are the shared-token route's job). Every other
+    pair goes to one :func:`strdist.ld_bounded_batch` call at its cap, and
+    the exact distances of the pairs found go into ``ld_cache``, which
+    verify reuses. Pairs come in ascending (left row, right row) order.
     """
+    stats = SimilarStats()
+    t0 = time.perf_counter()
     index_r = NldIndex(tokens_r, threshold)
+    index_p = index_r if tokens_p is None else NldIndex(tokens_p, threshold)
+    stats.index_ms = (time.perf_counter() - t0) * 1000.0
     if tokens_p is None:
-        directions = [(index_r, tokens_r, lambda x, y: (x, y) if (len(x), x) <= (len(y), y) else (y, x))]
+        x, y = index_r.probe_all(index_r, stats)
+        left, right = np.minimum(x, y), np.maximum(x, y)
     else:
-        index_p = NldIndex(tokens_p, threshold)
         # a right token's hits on the left index are (right, left) pairs
-        directions = [(index_r, tokens_p, lambda x, y: (y, x)), (index_p, tokens_r, lambda x, y: (x, y))]
-    n_probes = 0
-    pairs: dict[tuple[str, str], None] = {}
-    for index, tokens, key in directions:
-        for x in tokens:
-            if index.plan(len(x)):
-                n_probes += 1
-                for _, y, _ in index.probe(x, ld_cache):
-                    pairs[key(x, y)] = None
-    return n_probes, list(pairs)
+        right_x, left_y = index_r.probe_all(index_p, stats)
+        left_x, right_y = index_p.probe_all(index_r, stats)
+        left, right = np.concatenate([left_y, left_x]), np.concatenate([right_x, right_y])
+    packed = sorted_distinct((left << 32) | right)
+    stats.candidates = int(packed.size)
+    left, right = packed >> 32, packed & _PACK_MASK
+    xs = [index_r.tokens[i] for i in left.tolist()]
+    ys = [index_p.tokens[i] for i in right.tolist()]
+    distinct = list(map(ne, xs, ys))
+    xs, ys = list(compress(xs, distinct)), list(compress(ys, distinct))
+    stats.ld_checks = len(xs)
+    keep = np.array(distinct, dtype=bool)
+    caps = _pair_caps(index_r.lens[left[keep]] + index_p.lens[right[keep]], threshold)
+    dists = ld_bounded_batch(xs, ys, caps)
+    within = (dists >= 0).tolist()
+    xs, ys = list(compress(xs, within)), list(compress(ys, within))
+    ld_cache.add_exact(xs, ys, dists[dists >= 0].tolist())
+    if tokens_p is None:
+        pairs = [(x, y) if (len(x), x) <= (len(y), y) else (y, x) for x, y in zip(xs, ys)]
+    else:
+        pairs = list(zip(xs, ys))
+    stats.pairs = len(pairs)
+    return stats, pairs

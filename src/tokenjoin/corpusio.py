@@ -13,7 +13,7 @@ across runs with equal inputs and configuration.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DataError
 from .textnorm import TokenizedString, tokenize

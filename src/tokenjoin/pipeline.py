@@ -23,11 +23,12 @@ from itertools import chain, compress, count, islice
 from operator import attrgetter, eq
 from typing import Any, NamedTuple, Sequence
 
-# the package's modules compile before numpy loads (see strdist)
-from .candidates import similar_token_pairs
+# numpy loads with residual, once the modules without it have compiled (see
+# strdist); candidates uses numpy too, so it comes after residual
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
 from .residual import Residuals, VerifyStats, block_rows, filter_pairs, verify_block
+from .candidates import SimilarStats, ranges, similar_token_pairs, sorted_distinct
 from .setdist import LdCache
 from .strdist import threshold_ratio
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
@@ -111,13 +112,14 @@ class StageCounts:
 
 @dataclass(slots=True)
 class StageReport:
-    """Per-stage item counts and wall times plus the filter and verify counters.
+    """Per-stage item counts and wall times plus the similar-token, filter and verify counters.
 
     The ``pool`` stage, present only when verify made a worker pool, times the
     pool's start-up and shutdown; its items are the pool's processes.
     """
 
     stages: dict[str, StageCounts] = field(default_factory=dict)
+    similar: SimilarStats = field(default_factory=SimilarStats)
     filters: FilterStats = field(default_factory=FilterStats)
     verify: VerifyStats = field(default_factory=VerifyStats)
 
@@ -130,6 +132,7 @@ class StageReport:
                 name: {"items_in": c.items_in, "items_out": c.items_out, "millis": c.millis}
                 for name, c in self.stages.items()
             },
+            "similar": self.similar.to_dict(),
             "filters": self.filters.to_dict(),
             "verify": self.verify.to_dict(),
         }
@@ -232,22 +235,6 @@ def _index(
     return vocab, posts[0], posts[-1]
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(s, s + n)`` over the pairs ``(s, n)``.
-
-    Built as one running sum: steps of 1 within a range, and a jump from the
-    end of one range to the start of the next.
-    """
-    nonempty = lengths > 0
-    starts, lengths = starts[nonempty], lengths[nonempty]
-    out = np.ones(int(lengths.sum()), dtype=np.int64)
-    if out.size:
-        out[0] = starts[0]
-        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-        np.cumsum(out, out=out)
-    return out
-
-
 def _cross(
     post_a: _Postings, ta: np.ndarray, post_b: _Postings, tb: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +243,9 @@ def _cross(
     Pairs come in k order, then a, then b.
     """
     na = post_a.counts[ta]
-    a = post_a.rows[_ranges(post_a.starts[ta], na)]
+    a = post_a.rows[ranges(post_a.starts[ta], na)]
     nb = np.repeat(post_b.counts[tb], na)
-    b = post_b.rows[_ranges(np.repeat(post_b.starts[tb], na), nb)]
+    b = post_b.rows[ranges(np.repeat(post_b.starts[tb], na), nb)]
     return np.repeat(a, nb), b
 
 
@@ -266,7 +253,7 @@ def _triangles(post: _Postings) -> tuple[np.ndarray, np.ndarray]:
     """Every (a, b), a < b, of two records holding the same kept token."""
     pos = np.flatnonzero(np.repeat(post.kept, post.counts))
     later = np.repeat(post.starts + post.counts, post.counts)[pos] - pos - 1
-    return np.repeat(post.rows[pos], later), post.rows[_ranges(pos + 1, later)]
+    return np.repeat(post.rows[pos], later), post.rows[ranges(pos + 1, later)]
 
 
 def _pack_into(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
@@ -384,14 +371,14 @@ def _join(
     residual_inputs_ms = _ms(t0)
 
     t0 = time.perf_counter()
-    n_probes, token_pairs = 0, []
+    token_pairs = []
     if cfg.matching in (FUZZY, GREEDY):
         kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
         kept_p = None if self_join else list(compress(vocab_tokens, post_p.kept.tolist()))
-        n_probes, token_pairs = similar_token_pairs(kept_r, kept_p, cfg.threshold, ld_cache)
+        report.similar, token_pairs = similar_token_pairs(kept_r, kept_p, cfg.threshold, ld_cache)
         del kept_r, kept_p
     del vocab_tokens
-    report.record("similar-tokens", n_probes, len(token_pairs), _ms(t0))
+    report.record("similar-tokens", report.similar.probes, len(token_pairs), _ms(t0))
 
     t0 = time.perf_counter()
     n_pairs = len(token_pairs)
@@ -459,11 +446,7 @@ def dedup_candidates(raw: np.ndarray) -> np.ndarray:
     pair itself, and ``one-string`` groups each pair under one of its two
     ids, which maps pairs one to one and so keeps the same pairs.
     """
-    raw.sort()
-    keep = np.empty(raw.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(raw[1:], raw[:-1], out=keep[1:])
-    return raw[keep]
+    return sorted_distinct(raw)
 
 
 def _verify(

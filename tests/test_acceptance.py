@@ -30,7 +30,6 @@ from tokenjoin.strdist import (
     max_ld_given_nld,
     min_ld_given_nld_exceeds,
     min_partner_len,
-    nld_bounds_from_lengths,
 )
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import TokenizedString, tokenize

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tokenjoin import pipeline, setdist
+from tokenjoin import candidates, pipeline, setdist
 from tokenjoin.candidates import (
     NldIndex,
     build_token_space,
@@ -154,39 +154,50 @@ class TestPartitionEven:
             assert any(seg in x for seg in partition_even(y, u))
 
 
+def check_two_set_oracle(rng, threshold, alphabet, trials=20):
+    for _ in range(trials):
+        tokens_r = sorted({rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(25)})
+        tokens_p = sorted({rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(25)})
+        _, got = similar_token_pairs(tokens_r, tokens_p, threshold, LdCache())
+        assert len(got) == len(set(got))
+        assert set(got) == all_pairs_token_oracle(tokens_r, tokens_p, threshold)
+
+
+def check_self_join_oracle(rng, threshold, alphabet, trials=20):
+    for _ in range(trials):
+        tokens = sorted({rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(30)})
+        _, got = similar_token_pairs(tokens, None, threshold, LdCache())
+        expected = set()
+        for i, x in enumerate(tokens):
+            for y in tokens[i + 1 :]:
+                if nld_frac(x, y) <= Fraction(threshold):
+                    key = (x, y) if (len(x), x) <= (len(y), y) else (y, x)
+                    expected.add(key)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+
+
 class TestSimilarTokenPairs:
     def test_frozen_example(self):
-        assert similar_token_pairs(["kalan"], ["alan"], 0.2, LdCache()) == (1, [("kalan", "alan")])
+        stats, pairs = similar_token_pairs(["kalan"], ["alan"], 0.2, LdCache())
+        assert pairs == [("kalan", "alan")]
+        assert (stats.probes, stats.candidates, stats.ld_checks, stats.pairs) == (1, 1, 1, 1)
 
     def test_dissimilar_tokens_empty(self):
         assert similar_token_pairs(["chan"], ["xyzw"], 0.2, LdCache())[1] == []
 
     def test_self_join_threshold_zero_is_equality(self):
         # at T=0 only identical tokens match, and those are never returned
-        assert similar_token_pairs(["alan", "chan"], None, 0.0, LdCache()) == (0, [])
+        stats, pairs = similar_token_pairs(["alan", "chan"], None, 0.0, LdCache())
+        assert (stats.probes, pairs) == (0, [])
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.2, 0.4, 0.6])
     def test_exactly_matches_all_pairs_oracle_two_set(self, threshold, rng):
-        for trial in range(20):
-            tokens_r = sorted({rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)})
-            tokens_p = sorted({rand_token(rng, max_len=7, alphabet="abc") for _ in range(25)})
-            _, got = similar_token_pairs(tokens_r, tokens_p, threshold, LdCache())
-            assert len(got) == len(set(got))
-            assert set(got) == all_pairs_token_oracle(tokens_r, tokens_p, threshold)
+        check_two_set_oracle(rng, threshold, "abc")
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.25, 0.5])
     def test_exactly_matches_all_pairs_oracle_self_join(self, threshold, rng):
-        for trial in range(20):
-            tokens = sorted({rand_token(rng, max_len=7, alphabet="abc") for _ in range(30)})
-            _, got = similar_token_pairs(tokens, None, threshold, LdCache())
-            expected = set()
-            for i, x in enumerate(tokens):
-                for y in tokens[i + 1 :]:
-                    if nld_frac(x, y) <= Fraction(threshold):
-                        key = (x, y) if (len(x), x) <= (len(y), y) else (y, x)
-                        expected.add(key)
-            assert len(got) == len(set(got))
-            assert set(got) == expected
+        check_self_join_oracle(rng, threshold, "abc")
 
     def test_reported_ld_values_are_exact(self, rng, monkeypatch):
         # verify reuses the probe's cache, so every pair found leaves its exact LD there
@@ -249,26 +260,112 @@ def edited_vocabulary(rng, alphabet, bases=6, max_len=22):
     return sorted(vocab)
 
 
+def check_probe_bruteforce(rng, threshold, trials=30):
+    t = Fraction(threshold)
+    for trial in range(trials):
+        vocab = edited_vocabulary(rng, "ab" if trial % 2 else "abcd")
+        index = NldIndex(vocab, threshold)
+        cache = LdCache()
+        for x in vocab:
+            got = index.probe(x, cache)
+            assert all(gx == x and y != x for gx, y, _ in got)
+            expected = {
+                (y, naive_ld(x, y))
+                for y in vocab
+                if y != x and len(y) >= len(x) and nld_frac(x, y) <= t
+            }
+            assert {(y, d) for _, y, d in got} == expected
+            assert len(got) == len(expected)
+
+
 class TestNldIndexProbe:
     @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.2, 0.3, 0.5, 0.8])
     def test_matches_bruteforce_on_long_tokens(self, threshold, rng):
         # tokens up to 22 characters reach U >= 2 at every threshold but 0.05,
         # so hits at the edges of the multi-match-aware windows decide the outcome
-        t = Fraction(threshold)
-        for trial in range(30):
-            vocab = edited_vocabulary(rng, "ab" if trial % 2 else "abcd")
-            index = NldIndex(vocab, threshold)
-            cache = LdCache()
-            for x in vocab:
-                got = index.probe(x, cache)
-                assert all(gx == x and y != x for gx, y, _ in got)
-                expected = {
-                    (y, naive_ld(x, y))
-                    for y in vocab
-                    if y != x and len(y) >= len(x) and nld_frac(x, y) <= t
-                }
-                assert {(y, d) for _, y, d in got} == expected
-                assert len(got) == len(expected)
+        check_probe_bruteforce(rng, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.2, 0.3, 0.5, 0.8])
+    def test_only_searchable_lengths_are_kept(self, threshold, monkeypatch):
+        # the bound below which a token is neither indexed nor probed is tight
+        bound = candidates._shortest_searched(threshold)
+        monkeypatch.setattr(candidates, "_shortest_searched", lambda t: 0)
+        index = NldIndex(["a" * n for n in range(1, 60)], threshold)
+        searched = [n for n in range(1, 60) if index.plan(n).starts.size or n in index._layouts]
+        assert searched[0] == bound
+        assert searched == list(range(bound, 60))
+        if threshold == 0.1:
+            assert bound == 9
+
+
+class TestHashedSegmentKeys:
+    @pytest.fixture(
+        params=[(0, None), (1, None), (0, 0)],
+        ids=["last-code-point", "code-point-sum", "one-key-per-code-point"],
+    )
+    def colliding(self, request, monkeypatch):
+        """Hash bases under which many distinct segments share a key.
+
+        Base 0 keys a segment by its last code point, base 1 by the sum of
+        its code points; a tag multiplier of 0 also gives every (length, slot)
+        the same tag, so tokens of other lengths collide too.
+        """
+        base, tag_mix = request.param
+        monkeypatch.setattr(candidates, "_HASH_BASE", base)
+        if tag_mix is not None:
+            monkeypatch.setattr(candidates, "_TAG_MIX", tag_mix)
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.2, 0.4])
+    def test_collisions_change_no_pair(self, colliding, threshold, rng):
+        check_two_set_oracle(rng, threshold, "abc", trials=5)
+        check_self_join_oracle(rng, threshold, "abc", trials=5)
+        check_probe_bruteforce(rng, threshold, trials=6)
+
+    def test_collisions_only_add_candidates(self, rng, monkeypatch):
+        tokens = edited_vocabulary(rng, "abcd", bases=8)
+        stats, pairs = similar_token_pairs(tokens, None, 0.3, LdCache())
+        monkeypatch.setattr(candidates, "_HASH_BASE", 0)
+        collided, same_pairs = similar_token_pairs(tokens, None, 0.3, LdCache())
+        assert same_pairs == pairs
+        assert (collided.probes, collided.probe_keys) == (stats.probes, stats.probe_keys)
+        assert collided.candidates > stats.candidates
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.5])
+    def test_non_ascii_tokens(self, threshold, rng):
+        # two-byte, three-byte and astral code points, as the keys and the
+        # kernel read them: one UTF-32 code point per character
+        alphabet = "a\u00e9\u00df\u20ac\U0001F600"
+        check_two_set_oracle(rng, threshold, alphabet)
+        check_self_join_oracle(rng, threshold, alphabet)
+        left = ["stra\u00dfe", "strasse", "stra\u00dfen", "caf\u00e9\U0001F600", "cafe\U0001F600", "caf\u00e9"]
+        right = left[::-1]
+        _, got = similar_token_pairs(left, right, threshold, LdCache())
+        assert set(got) == all_pairs_token_oracle(left, right, threshold)
+
+    def test_two_set_sides_sharing_tokens(self, monkeypatch):
+        # both sides hold "abcdefghij" and "abcdefghik": each shared token is
+        # hit from both directions and by itself, and each equal-length pair
+        # from both of its tokens
+        left = ["abcdefghij", "abcdefghik", "zbcdefghij", "qqqqqqqqqq"]
+        right = ["abcdefghik", "abcdefghij", "abcdefghil", "abcdefghijk"]
+        sent = []
+        kernel = candidates.ld_bounded_batch
+
+        def spy(xs, ys, caps):
+            sent.extend(zip(xs, ys))
+            return kernel(xs, ys, caps)
+
+        monkeypatch.setattr(candidates, "ld_bounded_batch", spy)
+        stats, pairs = similar_token_pairs(left, right, 0.2, LdCache())
+        assert set(pairs) == all_pairs_token_oracle(left, right, 0.2)
+        assert ("abcdefghij", "abcdefghik") in pairs and ("abcdefghik", "abcdefghij") in pairs
+        assert all(x != y for x, y in pairs)
+        assert all(x != y for x, y in sent)
+        assert len(sent) == len(set(sent)) == stats.ld_checks
+        assert set(pairs) <= set(sent)
+        # the identical-token hits were candidates, dropped before the kernel
+        assert stats.candidates >= stats.ld_checks + 2
+        assert stats.pairs == len(pairs)
 
 
 class TestSimilarTokenCandidates:

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 
 import pytest
@@ -73,8 +72,11 @@ class TestJoinCommand:
         assert code == 0
         assert out.read_bytes() == b"0\t1\t0.200000\n"
         payload = json.loads(report.read_text())
-        assert set(payload) == {"stages", "filters", "verify", "config"}
+        assert set(payload) == {"stages", "similar", "filters", "verify", "config"}
         assert payload["config"]["threshold"] == 0.2
+        # chan ~ chank and kalan ~ alan; the four tokens of four or five characters are probed
+        assert payload["similar"]["pairs"] == payload["stages"]["similar-tokens"]["items_out"] == 2
+        assert payload["similar"]["probes"] == payload["stages"]["similar-tokens"]["items_in"] == 4
         # the two records share no token: one pair with two residual tokens a side
         assert payload["verify"]["pairs_by_k"] == {"0": 0, "1": 0, "2": 1, "3": 0, "4": 0, "5+": 0}
         for counts in payload["stages"].values():

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 from tokenjoin.filters import (
@@ -10,7 +9,7 @@ from tokenjoin.filters import (
     residual_prunes,
 )
 
-from conftest import make_ts, nsld_frac, rand_multiset
+from conftest import nsld_frac, rand_multiset
 
 
 class TestLengthFilter:

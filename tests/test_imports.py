@@ -1,0 +1,61 @@
+"""No module of the package imports a name it never uses.
+
+No linter ships with the project, so an ``ast`` scan stands in for one. The
+package's ``__init__.py`` is skipped: its imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tokenjoin
+
+PACKAGE = Path(tokenjoin.__file__).resolve().parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by module-level imports that the module never reads.
+
+    ``from __future__`` imports are directives, not names. A name read only
+    inside a string annotation counts as read.
+    """
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            parsed = ast.parse(annotation.value, mode="eval")
+            read.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    unread = sorted((line, name) for name, line in bound.items() if name not in read)
+    return [f"line {line}: {name}" for line, name in unread]
+
+
+def test_the_scan_finds_an_unused_import():
+    source = """
+from __future__ import annotations
+import os
+import numpy as np
+from typing import Sequence, Iterable
+from .setdist import LdCache
+
+def f(xs: Iterable[int], cache: "LdCache | None") -> int:
+    return np.sum(xs)
+"""
+    assert unused_imports(source) == ["line 3: os", "line 5: Sequence"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,6 @@ from tokenjoin.errors import ConfigError, DataError, StageError
 from tokenjoin.filters import length_prunes, residual_prunes
 from tokenjoin.pipeline import (
     JoinConfig,
-    JoinResult,
     _check_side_size,
     _prepare_side,
     dedup_candidates,
@@ -27,7 +25,7 @@ from tokenjoin.strdist import ld_bounded_batch, threshold_ratio
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
 
-from conftest import all_pairs_token_oracle, candidate_stream, make_ts, nsld_frac, rand_multiset, rand_token
+from conftest import all_pairs_token_oracle, candidate_stream, make_ts, rand_multiset, rand_token
 
 
 def corpus_from_lines(lines, scheme="whitespace-punct"):
@@ -589,7 +587,15 @@ class TestJoinProperties:
         assert stages["verify"].items_in == stages["filter"].items_out
         assert stages["filter"].items_out == stats.surviving
         payload = report.to_dict()
-        assert set(payload) == {"stages", "filters", "verify"}
+        assert set(payload) == {"stages", "similar", "filters", "verify"}
+        similar = payload["similar"]
+        assert similar["probes"] == stages["similar-tokens"].items_in
+        assert similar["pairs"] == stages["similar-tokens"].items_out > 0
+        assert similar["probe_keys"] >= similar["probes"]
+        assert similar["candidates"] >= similar["ld_checks"] >= similar["pairs"]
+        assert 0 <= similar["index_ms"] <= stages["similar-tokens"].millis
+        _, report_exact = join(corpus, None, JoinConfig(threshold=0.15, matching="exact-token"))
+        assert set(report_exact.to_dict()["similar"].values()) == {0}
         verify = payload["verify"]
         assert list(verify["pairs_by_k"]) == ["0", "1", "2", "3", "4", "5+"]
         assert sum(verify["pairs_by_k"].values()) + verify["residual_rejects"] == stages["verify"].items_in

@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
+from tokenjoin import setdist
 from tokenjoin.setdist import (
-    AlignmentCost,
     LdCache,
     hungarian,
     nsld,
@@ -14,8 +13,6 @@ from tokenjoin.setdist import (
     sld_greedy,
     sorted_lengths_lower_bound,
 )
-from tokenjoin.strdist import ld
-
 from conftest import make_ts, naive_ld, nsld_frac, rand_multiset, rand_token, sld_perm
 
 CHAN_KALAN = make_ts("x", ("chan", "kalan"))
@@ -365,6 +362,18 @@ class TestLdCache:
         assert cache.bounded("abc", "xyz", 0) is None  # over-cap memo, no recompute
         assert cache.bounded("abc", "xyz", 5) == 3  # larger cap recomputes
         assert cache.bounded("same", "same", 0) == 0
+
+    def test_add_exact_is_served_in_either_order(self, monkeypatch):
+        cache = LdCache()
+        cache.add_exact(["kalan", "xyzw"], ["alan", "abcd"], [1, 4])
+
+        def uncached(*args):
+            raise AssertionError("not in the cache")
+
+        monkeypatch.setattr(setdist, "ld_bounded", uncached)
+        assert cache.bounded("alan", "kalan", 1) == 1
+        assert cache.bounded("kalan", "alan", 0) is None
+        assert cache.bounded("abcd", "xyzw", 4) == 4
 
     def test_differential(self, rng):
         cache = LdCache()
