@@ -4,9 +4,9 @@ A tokenized string is a multiset of tokens (e.g. the words of a full name).
 The package computes a normalized setwise edit distance between such records
 and finds all pairs within a threshold via a generate-filter-verify pipeline
 (:func:`join`): candidate generation through each side's token index and a
-segment index of similar tokens, provably lossless length and residual
-filters, and minimum-weight-matching verification. A brute-force oracle ships
-alongside for differential testing.
+segment index of similar tokens, a provably lossless length filter, and
+minimum-weight-matching verification behind a lossless residual bound. A
+brute-force oracle ships alongside for differential testing.
 """
 
 from .errors import (

@@ -5,7 +5,8 @@ exceeds the threshold, so the verified output is identical with filters on or
 off. The length filter reads two integers; the histogram filter lower-bounds
 the setwise cost from sorted token-length lists; the residual filter does the
 same after dropping the tokens the two records share, with at least one edit
-per remaining token pair. The join runs the length and residual prunes. All
+per remaining token pair. The join's filter stage runs the length prune, and
+verify applies the residual bound before it matches any tokens. All
 predicates are exact integer comparisons against the rational threshold.
 """
 
@@ -22,7 +23,9 @@ from .strdist import threshold_ratio
 class FilterStats:
     """Counters reconciling exactly: input = pruned_by_length + pruned_by_histogram + surviving.
 
-    The join's histogram prune is the residual prune (:func:`residual_prunes`).
+    The join's histogram prune is the residual prune (:func:`residual_prunes`),
+    which verify applies to the length survivors; ``surviving`` is what
+    verify goes on to match.
     """
 
     input_pairs: int = 0

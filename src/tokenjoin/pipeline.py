@@ -27,7 +27,7 @@ from typing import Any, NamedTuple, Sequence
 # strdist); candidates uses numpy too, so it comes after residual
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
-from .residual import Residuals, VerifyStats, block_rows, filter_pairs, verify_block
+from .residual import Residuals, VerifyStats, block_rows, length_survivors, verify_block
 from .candidates import SimilarStats, ranges, similar_token_pairs, sorted_distinct
 from .setdist import LdCache
 from .strdist import threshold_ratio
@@ -318,8 +318,9 @@ def join(
     cap returns exactly the true pair set; greedy and exact-token modes return
     subsets of it (never false positives). Results are sorted by
     (left_id, right_id) and byte-identical across runs and worker counts.
-    ``use_filters=False`` skips the pruning stage (the output must not change;
-    the differential tests rely on this knob).
+    ``use_filters=False`` skips the filter stage's length prune, and verify's
+    residual bound rejects are then counted as verify's, not as the filter's
+    (the output must not change; the differential tests rely on this knob).
 
     The cyclic garbage collector is paused for the call and left as the
     caller had it: the join makes no reference cycles, and a full collection
@@ -396,19 +397,21 @@ def _join(
     report.record("dedup", n_raw, int(unique.size), _ms(t0))
 
     t0 = time.perf_counter()
-    if use_filters:
-        survivors, report.filters = filter_pairs(unique, residuals)
-        report.record("filter", int(unique.size), int(survivors.size), residual_inputs_ms + _ms(t0))
-    else:
-        survivors = unique
-        report.filters = FilterStats(input_pairs=int(unique.size), surviving=int(unique.size))
-        report.record("filter", int(unique.size), int(unique.size), _ms(t0))
+    n_unique = int(unique.size)
+    survivors = length_survivors(unique, residuals) if use_filters else unique
     del unique
+    report.record("filter", n_unique, int(survivors.size), residual_inputs_ms + _ms(t0))
 
     t0 = time.perf_counter()
     accepted, report.verify, pool = _verify(survivors, residuals, cfg.workers)
-    verify_ms = _ms(t0) - (0.0 if pool is None else pool.millis) + (0.0 if use_filters else residual_inputs_ms)
-    report.record("verify", int(survivors.size), len(accepted), verify_ms)
+    verify_ms = _ms(t0) - (0.0 if pool is None else pool.millis)
+    # with the filter stage on, verify's residual bound is its second prune
+    pruned = report.verify.residual_rejects if use_filters else 0
+    report.verify.residual_rejects -= pruned
+    n_verified = int(survivors.size) - pruned
+    report.filters = FilterStats(n_unique, n_unique - int(survivors.size), pruned, n_verified)
+    report.stages["filter"].items_out = n_verified
+    report.record("verify", n_verified, len(accepted), verify_ms)
     if pool is not None:
         report.stages["pool"] = pool
 

@@ -1,15 +1,16 @@
-"""Residual token rows: the filter's residual prune and verify's array path.
+"""Residual token rows: the length prune and verify's array path.
 
 Once the tokens two records share drop out (:func:`setdist.drop_shared`),
 what is left decides the pair. :class:`Residuals` holds both sides as
 right-aligned rows of token keys ``(token id, occurrence rank)``: equal keys
 of two records match each shared copy of a token once, and the unmatched
 keys, as ``(length, token id)`` cells, sort into the residual lengths and
-tokens. :func:`filter_pairs` prunes with the residual-length bound of
-:func:`filters.residual_prunes`, and :func:`verify_block` matches the
-residual tokens of up to four a side in arrays, with every edit distance of
-a block in one :func:`strdist.ld_bounded_batch` call. The pairs the rows
-cannot express go to the scalar :func:`setdist.sld_capped`.
+tokens. :func:`length_survivors` is the filter stage's length prune.
+:func:`verify_block` first rejects with the residual-length bound of
+:func:`filters.residual_prunes`, then matches the residual tokens of up to
+four a side in arrays, with every edit distance of a block in one
+:func:`strdist.ld_bounded_batch` call. The pairs the rows cannot express go
+to the scalar :func:`setdist.sld_capped`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Any
 
 import numpy as np
 
-from .filters import FilterStats
 from .setdist import LdCache, drop_shared, sld_capped
 from .strdist import ld_bounded_batch
 
@@ -29,8 +29,9 @@ _PACK_MASK = 0xFFFFFFFF
 # least one column); a record with more tokens than that width skips the
 # residual prune and is verified by sld_capped
 CELLS_PER_TOKEN = 4
-# filter and verify blocks make at most this many key comparisons (rows x
-# width x width); on W1, blocks of 2**16 to 2**21 took the same time
+# verify blocks make at most this many key comparisons (rows x width x
+# width), and the length prune runs over blocks of as many rows; on W1,
+# blocks of 2**16 to 2**21 took the same time
 BLOCK_CELLS = 1 << 18
 # the largest residual token count verified in arrays; above it, sld_capped
 ARRAY_MAX_K = 4
@@ -45,9 +46,11 @@ class VerifyStats:
     ``pairs_by_k[k]`` counts the pairs with k residual tokens (the larger
     side's count after the shared tokens drop), the last entry k >= 5. On the
     array path a pair is counted once it passes the residual bound;
-    ``residual_rejects`` counts the pairs that do not, which happens only when
-    the filter stage did not run. Pairs with a wide record or an empty token
-    are counted by their k and matched by ``sld_capped``, bound included.
+    ``residual_rejects`` counts the pairs that do not. Where the filter
+    stage ran, :func:`pipeline.join` reports them as its
+    ``pruned_by_histogram`` instead, and this count as 0. Pairs with a wide
+    record or an empty token are counted by their k and matched by
+    ``sld_capped``, bound included.
     ``kernel_cells`` is the number of token-pair edit distances k = 1..4
     needed, ``kernel_token_pairs`` the distinct token pairs among them that
     went to ``ld_bounded_batch``, and ``scalar_fallbacks`` the
@@ -84,7 +87,8 @@ class Residuals:
     ``lens_left[i]`` is left record i's aggregate length and
     ``tokens_left[i]`` its tokens; ``keys_left`` and ``scalar_left`` are
     its key rows and the records they leave out (see :func:`_rows`), and
-    likewise on the right. ``vocab_lens[t]`` is the length of token t. ``maxdiff[l] = floor(num·l/den)``: a pair whose longer side has
+    likewise on the right. ``vocab_lens[t]`` is the length of token t.
+    ``maxdiff[l] = floor(num·l/den)``: a pair whose longer side has
     length l is pruned by length when the lengths differ by more.
     ``cost_cap[L] = floor(num·L/(2·den − num))``: the largest setwise cost
     within the threshold at combined length L (the verify cap). Both come
@@ -256,16 +260,12 @@ def _cells(keys: np.ndarray, gone: np.ndarray, vocab_lens: np.ndarray) -> np.nda
     return cells
 
 
-def filter_pairs(unique: np.ndarray, res: Residuals) -> tuple[np.ndarray, FilterStats]:
-    """Length then residual pruning over packed pairs, block by block, in order.
+def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
+    """The packed pairs whose aggregate lengths are within the threshold, in order.
 
-    A pair with a record the rows leave out gets the length prune only.
-    Residual prunes count as ``pruned_by_histogram``: the residual bound
-    replaces the histogram bound and is at least as strong.
+    Runs block by block, so no temporary is as long as ``unique``.
     """
     parts = [unique[:0]]
-    pruned_len = 0
-    pruned_res = 0
     step = block_rows(res.width)
     for start in range(0, unique.size, step):
         block = unique[start : start + step]
@@ -273,18 +273,8 @@ def filter_pairs(unique: np.ndarray, res: Residuals) -> tuple[np.ndarray, Filter
         la = res.lens_left[li]
         lb = res.lens_right[ri]
         mx = np.maximum(la, lb)
-        keep = mx - np.minimum(la, lb) <= res.maxdiff[mx]
-        pruned_len += block.size - int(np.count_nonzero(keep))
-        block, li, ri, total = block[keep], li[keep], ri[keep], la[keep] + lb[keep]
-        arr = np.flatnonzero(~(res.scalar_left[li] | res.scalar_right[ri]))
-        _, _, bound = _residual_cells(res, li[arr], ri[arr])
-        prune = np.zeros(block.size, dtype=bool)
-        prune[arr] = bound > res.cost_cap[total[arr]]
-        pruned_res += int(np.count_nonzero(prune))
-        parts.append(block[~prune])
-    survivors = np.concatenate(parts)
-    stats = FilterStats(int(unique.size), pruned_len, pruned_res, int(survivors.size))
-    return survivors, stats
+        parts.append(block[mx - np.minimum(la, lb) <= res.maxdiff[mx]])
+    return np.concatenate(parts)
 
 
 def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndarray, VerifyStats]:

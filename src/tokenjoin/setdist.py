@@ -9,12 +9,12 @@ string-level normalization.
 Exact matching uses an O(k^3) Hungarian solver on the padded square cost
 matrix; a greedy aligner provides the cheaper upper-bound approximation. The
 residual lower bound (:func:`residual_lower_bound`: drop the shared tokens,
-then at least one edit per remaining token pair) feeds the pre-verification
-filter, and :func:`sld_capped` is the scalar verifier. Its token edit
-distances go through an :class:`LdCache`: :meth:`LdCache.bounded` computes
-and remembers each one, and :meth:`LdCache.add_exact` takes in the exact
-distances the similar-token search computed in its batch, so verify does
-not compute them again.
+then at least one edit per remaining token pair) is the first check of
+verify's array path, and :func:`sld_capped` is the scalar verifier. Its
+token edit distances go through an :class:`LdCache`: :meth:`LdCache.bounded`
+computes and remembers each one, and :meth:`LdCache.add_exact` takes in the
+exact distances the similar-token search computed in its batch, so verify
+does not compute them again.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package and no test file imports a name it never uses.
 
 No linter ships with the project, so an ``ast`` scan stands in for one. The
 package's ``__init__.py`` is skipped: its imports are re-exports.
@@ -12,7 +12,9 @@ import pytest
 import tokenjoin
 
 PACKAGE = Path(tokenjoin.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,6 +58,8 @@ def f(xs: Iterable[int], cache: "LdCache | None") -> int:
     assert unused_imports(source) == ["line 3: os", "line 5: Sequence"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: path.name if path.parent == PACKAGE else f"tests/{path.name}"
+)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -294,18 +294,42 @@ def wide_records(rng):
 
 
 def specified_survivors(pairs, side_r, side_p, num, den):
-    """The scalar specification of the filter: survivors, length prunes, residual prunes."""
-    expected, by_len, by_res = [], 0, 0
+    """The scalar specification of the filter: the pairs it keeps, prunes by length and prunes by residual."""
+    expected, by_len, by_res = [], [], []
     for packed in pairs:
         left, right = packed >> 32, packed & 0xFFFFFFFF
         la, lb = side_r.lens[left], side_p.lens[right]
         if length_prunes(la, lb, num, den):
-            by_len += 1
+            by_len.append(packed)
         elif residual_prunes(side_r.tokens[left], side_p.tokens[right], la, lb, num, den):
-            by_res += 1
+            by_res.append(packed)
         else:
             expected.append(packed)
     return expected, by_len, by_res
+
+
+def bound_rejects(pairs, res):
+    """The pairs that verify's residual bound rejects, each verified as a block of its own."""
+    one = np.empty(1, dtype=np.uint64)
+    rejected = []
+    for packed in pairs.tolist():
+        one[0] = packed
+        if residual.verify_block(one, res)[2].residual_rejects:
+            rejected.append(packed)
+    return rejected
+
+
+def joinable_pairs(side_r, side_p, self_join):
+    """Every packed pair of the two sides that has a token (the join pairs token-less records apart)."""
+    return np.array(
+        [
+            (left << 32) | right
+            for left in range(len(side_r.ids))
+            for right in range(left + 1 if self_join else 0, len(side_p.ids))
+            if side_r.tokens[left] or side_p.tokens[right]
+        ],
+        dtype=np.uint64,
+    )
 
 
 class TestPackedFilter:
@@ -347,13 +371,19 @@ class TestPackedFilter:
         res_alone, _, _, _ = residual_rows(alone, alone, 0.2)
         assert res_alone.keys_left.shape == (3, 2000) and not res_alone.scalar_left.any()
 
-        pairs = [(left << 32) | right for left in range(n) for right in range(left + 1, n)]
-        survivors, stats = residual.filter_pairs(np.array(pairs, dtype=np.uint64), res)
-        expected, by_len, _ = specified_survivors(pairs, side, side, num, den)
-        assert set(expected) <= set(survivors.tolist())
-        assert stats.pruned_by_length == by_len
+        pairs = joinable_pairs(side, side, True)
+        survivors = residual.length_survivors(pairs, res)
+        expected, by_len, by_res = specified_survivors(pairs.tolist(), side, side, num, den)
+        assert sorted(set(pairs.tolist()) - set(survivors.tolist())) == by_len
         wide_pairs = [p for p in expected if {p >> 32, p & 0xFFFFFFFF} <= wide_ids]
         assert len(wide_pairs) == 3
+        # verify's residual bound rejects every specified prune but those of
+        # the wide records, and no pair of a wide record
+        narrow = [p for p in by_res if not {p >> 32, p & 0xFFFFFFFF} & wide_ids]
+        assert residual.verify_block(survivors, res)[2].residual_rejects == len(narrow)
+        wide_survivors = [p for p in survivors.tolist() if {p >> 32, p & 0xFFFFFFFF} & wide_ids]
+        assert set(wide_pairs) <= set(wide_survivors)
+        assert bound_rejects(np.array(wide_survivors, dtype=np.uint64), res) == []
 
     @pytest.mark.parametrize("threshold", [0.025, 0.1, 0.2])
     @pytest.mark.parametrize("self_join", [True, False])
@@ -366,21 +396,16 @@ class TestPackedFilter:
         res, _, num, den = residual_rows(side_r, side_p, threshold)
         # no record is wider than the matrices, so the counts are exact
         assert res.width == max(int(side_r.counts.max()), int(side_p.counts.max()))
-        pairs = [
-            (left << 32) | right
-            for left in range(len(side_r.ids))
-            for right in range(len(side_p.ids))
-            if not self_join or left < right
-        ]
-        survivors, stats = residual.filter_pairs(np.array(pairs, dtype=np.uint64), res)
+        pairs = joinable_pairs(side_r, side_p, self_join)
+        survivors = residual.length_survivors(pairs, res)
 
-        expected, by_len, by_res = specified_survivors(pairs, side_r, side_p, num, den)
-        assert survivors.tolist() == expected
-        assert (stats.pruned_by_length, stats.pruned_by_histogram) == (by_len, by_res)
-        assert stats.surviving == len(expected) and stats.input_pairs == len(pairs)
-        assert by_res > 0 and expected
-        blank = side_r.ids.index("blank") << 32
-        assert any(p >> 32 == blank >> 32 for p in expected)
+        expected, by_len, by_res = specified_survivors(pairs.tolist(), side_r, side_p, num, den)
+        assert survivors.tolist() == sorted(expected + by_res)
+        assert pairs.size - survivors.size == len(by_len)
+        assert bound_rejects(survivors, res) == by_res
+        assert by_res and expected
+        blank = side_r.ids.index("blank")
+        assert any(p >> 32 == blank for p in expected)
 
 
 def random_side(rng, prefix, n, vocab):
@@ -599,8 +624,8 @@ class TestJoinProperties:
         verify = payload["verify"]
         assert list(verify["pairs_by_k"]) == ["0", "1", "2", "3", "4", "5+"]
         assert sum(verify["pairs_by_k"].values()) + verify["residual_rejects"] == stages["verify"].items_in
-        # the filter ran the residual bound already
-        assert verify["residual_rejects"] == 0
+        # with the filter stage on, the bound's rejects are the filter's
+        assert verify["residual_rejects"] == 0 < stats.pruned_by_histogram
         assert verify["pairs_by_k"]["0"] and verify["pairs_by_k"]["1"] and verify["pairs_by_k"]["2"]
         assert 0 < verify["kernel_token_pairs"] < verify["kernel_cells"]
         _, report_off = join(corpus, None, cfg, use_filters=False)
@@ -631,9 +656,7 @@ class TestVerify:
         side = _prepare_side(verify_corpus(rng), "left")
         res, _, num, den = residual_rows(side, side, threshold, greedy)
         n = len(side.ids)
-        # two records without tokens never become a candidate pair
-        pairs = [(a << 32) | b for a in range(n) for b in range(a + 1, n) if side.tokens[a] or side.tokens[b]]
-        pairs = np.array(pairs, dtype=np.uint64)
+        pairs = joinable_pairs(side, side, True)
         packed, dists, stats = residual.verify_block(pairs, res)
         accepted = list(zip(packed.tolist(), dists.tolist()))
 
@@ -664,7 +687,8 @@ class TestVerify:
         corpus = multi_block_corpus()
         cfg = JoinConfig(threshold=0.2)
         one, report_one = join(corpus, None, cfg)
-        # records of two tokens or more: at most 250 pairs per filter and verify block
+        # records of two tokens or more: at most 250 pairs per verify block,
+        # each of which applies the residual bound
         monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
         assert report_one.stages["verify"].items_in > 3 * 250
         for workers in (1, 2):
@@ -675,6 +699,7 @@ class TestVerify:
             assert got.pop("kernel_token_pairs") > want.pop("kernel_token_pairs")
             assert got == want
             assert report.filters == report_one.filters
+            assert report.filters.pruned_by_histogram > 0
             assert ("pool" in report.stages) == (workers == 2)
 
 
