@@ -5,13 +5,15 @@ through each side's posting lists: record pairs sharing a kept token, and
 record pairs holding a pair of distinct similar kept tokens. Together (with
 no frequency cap) they reach every record pair within the join threshold.
 This module finds the similar token pairs with PassJoin's segment join, run
-as numpy array code. :class:`NldIndex` keeps each indexed token's even
-partition segments as 64-bit keys in one sorted array: a polynomial hash of
-the segment's code points, tagged with the token's length and the segment's
-slot. :func:`similar_token_pairs` looks up the position-restricted
-substrings of all probes of one length at once, de-duplicates the hits as
-packed rows and checks every edit distance in one
-:func:`strdist.ld_bounded_batch` call. Equal segments always get equal
+as numpy array code over the join's interned vocabulary. :class:`NldIndex`
+keeps each indexed token's even partition segments as 64-bit keys in one
+sorted array: a polynomial hash of the segment's code points, tagged with
+the token's length and the segment's slot. :func:`similar_token_pairs`
+builds one index over the tokens kept on either side, self-join or not,
+looks up the position-restricted substrings of all its tokens at once,
+de-duplicates the hits as packed token-id pairs and checks every edit
+distance in one :func:`strdist.ld_bounded_batch` call; it returns token
+ids, and hands no distance on to verify. Equal segments always get equal
 keys, so no pair is lost; a hash collision only adds a candidate, which the
 exact check rejects unless it is a true pair that the segment join finds
 anyway. :func:`build_token_space` states the posting lists as plain values.
@@ -26,8 +28,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from operator import ne
 from typing import Any, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,8 +53,9 @@ def build_token_space(
     """Each token held by at most ``max_freq`` records, mapped to their sorted ids.
 
     The specification of one side's posting lists: a token repeated in a
-    record counts once, and a capped token stays in its records (verification
-    sees the full multisets) but generates no candidates.
+    record counts once, a capped token stays in its records (verification
+    sees the full multisets) but generates no candidates, and a record of
+    aggregate length 0 holds no postings (the join pairs such records apart).
     """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
@@ -62,7 +63,7 @@ def build_token_space(
         raise DataError("duplicate record id")
     postings: dict[str, set[RecordId]] = {}
     for rec in corpus:
-        for tok in rec.tokens:
+        for tok in rec.tokens if rec.agg_len else ():
             postings.setdefault(tok, set()).add(rec.id)
     return {tok: tuple(sorted(ids)) for tok, ids in sorted(postings.items()) if len(ids) <= max_freq}
 
@@ -141,10 +142,14 @@ class SimilarStats:
     """Counters of one similar-token search.
 
     ``probes`` tokens had a non-empty plan and looked up ``probe_keys``
-    segment keys in all. The hits held ``candidates`` distinct token pairs;
-    the ``ld_checks`` of them that pair distinct tokens went to
-    ``ld_bounded_batch``, and ``pairs`` were within the threshold.
-    ``index_ms`` is the time spent building the indexes.
+    segment keys in all; in a two-set join they are tokens kept on either
+    side. The hits held ``candidates`` distinct unordered token pairs, a
+    token's hit on itself included, and in a two-set join also the pairs of
+    two tokens kept on one side only. The ``ld_checks`` of them that pair
+    distinct tokens (a left-kept one with a right-kept one, in a two-set
+    join) went to ``ld_bounded_batch``, and ``pairs`` (ordered, in a two-set
+    join) were within the threshold. ``index_ms`` is the time spent
+    building the index.
     """
 
     probes: int = 0
@@ -240,22 +245,22 @@ def _shortest_searched(threshold: float) -> int | float:
 
 
 class NldIndex:
-    """Segment index over one side's tokens for the similar-token search.
+    """Segment index over distinct tokens for the similar-token search.
 
     Finds only *distinct* similar tokens: a token whose length allows no edit
     within the threshold (``U = 0``) can match only itself, so it is not
-    indexed, and a probe never returns its own token. Identical tokens are the
-    shared-token route's job.
+    indexed, and :meth:`probe` never returns its own token. Identical tokens
+    are the shared-token route's job.
 
-    ``tokens`` holds the side's distinct tokens of at least
-    :func:`_shortest_searched` characters (the others have no distinct
-    partner) and ``lens`` their lengths; a token's row is its position
-    there. Each token of an indexed length has one key per segment slot in
-    ``keys``, sorted, with its row beside it in ``rows``. A token too short
-    for ``U+1`` non-empty segments has one key, for the empty segment of slot
+    ``tokens`` holds the given tokens of at least :func:`_shortest_searched`
+    characters (the others have no distinct partner), in their given order,
+    and ``lens`` their lengths; a token's row is its position there. Each
+    token of an indexed length has one key per segment slot in ``keys``,
+    sorted, with its row beside it in ``rows``. A token too short for
+    ``U+1`` non-empty segments has one key, for the empty segment of slot
     0, which every probe of an admissible length reads. The prefix hashes of
     one length's tokens (:meth:`prefix`) and the plan of one probe length
-    (:meth:`plan`) are built on first use and kept, so only the tokens that
+    (:meth:`plan`) are built on first use and kept, so only the lengths that
     are indexed or probed are hashed.
     """
 
@@ -266,8 +271,8 @@ class NldIndex:
         tokens = list(tokens)
         lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
         searched = np.flatnonzero(lens >= _shortest_searched(threshold)).tolist()
-        self.tokens = list(dict.fromkeys([tokens[i] for i in searched]))
-        self.lens = np.fromiter(map(len, self.tokens), dtype=np.int64, count=len(self.tokens))
+        self.tokens = [tokens[i] for i in searched]
+        self.lens = lens[searched]
         order = np.argsort(self.lens, kind="stable")
         first = np.flatnonzero(np.diff(self.lens[order], prepend=-1))
         # token length -> rows of that length, ascending
@@ -292,7 +297,7 @@ class NldIndex:
         self.rows = np.concatenate(rows)[order]
 
     def prefix(self, length: int) -> np.ndarray:
-        """The prefix hashes of this side's tokens of this length, a column per row in ascending order."""
+        """The prefix hashes of the indexed tokens of this length, a column per row in ascending order."""
         prefix = self._prefix.get(length)
         if prefix is None:
             members = self._by_len[length].tolist()
@@ -347,24 +352,25 @@ class NldIndex:
         longer = self.lens[y] >= probe_lens[x]
         return x[longer], y[longer]
 
-    def probe_all(self, probes: NldIndex, stats: SimilarStats) -> tuple[np.ndarray, np.ndarray]:
-        """(row in ``probes``, row here) of every hit of a token of ``probes``.
+    def probe_all(self, stats: SimilarStats) -> tuple[np.ndarray, np.ndarray]:
+        """(probe row, indexed row) of every hit of one of this index's own tokens.
 
-        The keys of all probes of one length come from one matrix of their
-        prefix hashes, and all keys are looked up at once. A length whose
-        plan is empty is neither hashed nor probed.
+        The keys of all probes of one length come from the prefix hashes the
+        index already holds, and all keys are looked up at once. A length
+        whose plan is empty is not probed. A token hits itself, and an
+        equal-length pair is hit from both of its tokens.
         """
         keys = [np.empty(0, dtype=np.uint64)]
         rows = [np.empty(0, dtype=np.int64)]
-        for x_len, members in probes._by_len.items():
+        for x_len, members in self._by_len.items():
             plan = self.plan(x_len)
             if plan.starts.size:
-                keys.append(_segment_keys(probes.prefix(x_len), plan).ravel())
+                keys.append(_segment_keys(self.prefix(x_len), plan).ravel())
                 rows.append(np.tile(members, plan.starts.size))
                 stats.probes += members.size
         keys = np.concatenate(keys)
         stats.probe_keys += keys.size
-        return self._hits(keys, np.concatenate(rows), probes.lens)
+        return self._hits(keys, np.concatenate(rows), self.lens)
 
     def probe(self, x: str, ld_cache: LdCache) -> list[tuple[str, str, int]]:
         """All indexed tokens y != x with |y| >= |x| and nld(x, y) within threshold.
@@ -391,58 +397,53 @@ class NldIndex:
 
 
 def similar_token_pairs(
-    tokens_r: Sequence[str],
-    tokens_p: Sequence[str] | None,
+    vocab: np.ndarray,
+    vocab_lens: np.ndarray,
+    kept_r: np.ndarray,
+    kept_p: np.ndarray | None,
     threshold: float,
-    ld_cache: LdCache,
-) -> tuple[SimilarStats, list[tuple[str, str]]]:
-    """The search's counters and the distinct pairs of distinct similar tokens.
+) -> tuple[SimilarStats, np.ndarray, np.ndarray]:
+    """The search's counters and the token ids ``(sim_r, sim_p)`` of the pairs of distinct similar tokens.
 
-    ``tokens_p`` of None selects a self-join: one index over ``tokens_r``,
-    probed with its own tokens, and each pair ``(len, str)``-ordered. A
-    two-set join probes each side's tokens against the other side's index
-    and orders each pair (left token, right token). A token is probed only
-    where its plan is non-empty.
+    ``vocab[t]`` is the token with id t and ``vocab_lens[t]`` its length;
+    ``kept_r`` marks the tokens kept on the left side and ``kept_p`` those
+    kept on the right, None for a self-join. One :class:`NldIndex` holds the
+    tokens kept on either side that are long enough to be searched, in id
+    order, and is probed with its own tokens.
 
-    The hits are de-duplicated as packed (left row, right row) pairs before
-    any edit distance is computed: an equal-length pair is found from both
-    of its tokens, so a self-join first orders each hit (min row, max row),
-    and a two-set join puts both directions into one set. Pairs of identical
-    tokens are dropped (they are the shared-token route's job). Every other
-    pair goes to one :func:`strdist.ld_bounded_batch` call at its cap, and
-    the exact distances of the pairs found go into ``ld_cache``, which
-    verify reuses. Pairs come in ascending (left row, right row) order.
+    The hits are de-duplicated as packed (min id, max id) pairs before any
+    edit distance is computed, and pairs of a token with itself are dropped
+    (they are the shared-token route's job). A two-set join also drops a
+    pair neither of whose orientations pairs a left-kept token with a
+    right-kept one. Every other pair goes to one
+    :func:`strdist.ld_bounded_batch` call at its cap. A self-join returns
+    each pair found once, as (min id, max id); a two-set join returns each
+    orientation that is (left-kept, right-kept).
     """
     stats = SimilarStats()
     t0 = time.perf_counter()
-    index_r = NldIndex(tokens_r, threshold)
-    index_p = index_r if tokens_p is None else NldIndex(tokens_p, threshold)
+    either = kept_r if kept_p is None else kept_r | kept_p
+    ids = np.flatnonzero(either & (vocab_lens >= _shortest_searched(threshold)))
+    index = NldIndex(vocab[ids].tolist(), threshold)
     stats.index_ms = (time.perf_counter() - t0) * 1000.0
-    if tokens_p is None:
-        x, y = index_r.probe_all(index_r, stats)
-        left, right = np.minimum(x, y), np.maximum(x, y)
-    else:
-        # a right token's hits on the left index are (right, left) pairs
-        right_x, left_y = index_r.probe_all(index_p, stats)
-        left_x, right_y = index_p.probe_all(index_r, stats)
-        left, right = np.concatenate([left_y, left_x]), np.concatenate([right_x, right_y])
-    packed = sorted_distinct((left << 32) | right)
+    x, y = index.probe_all(stats)
+    packed = sorted_distinct((np.minimum(x, y) << 32) | np.maximum(x, y))
     stats.candidates = int(packed.size)
-    left, right = packed >> 32, packed & _PACK_MASK
-    xs = [index_r.tokens[i] for i in left.tolist()]
-    ys = [index_p.tokens[i] for i in right.tolist()]
-    distinct = list(map(ne, xs, ys))
-    xs, ys = list(compress(xs, distinct)), list(compress(ys, distinct))
-    stats.ld_checks = len(xs)
-    keep = np.array(distinct, dtype=bool)
-    caps = _pair_caps(index_r.lens[left[keep]] + index_p.lens[right[keep]], threshold)
-    dists = ld_bounded_batch(xs, ys, caps)
-    within = (dists >= 0).tolist()
-    xs, ys = list(compress(xs, within)), list(compress(ys, within))
-    ld_cache.add_exact(xs, ys, dists[dists >= 0].tolist())
-    if tokens_p is None:
-        pairs = [(x, y) if (len(x), x) <= (len(y), y) else (y, x) for x, y in zip(xs, ys)]
+    # rows follow ids, so (min row, max row) maps to (min id, max id)
+    a, b = ids[packed >> 32], ids[packed & _PACK_MASK]
+    if kept_p is None:
+        forward, backward = a != b, np.zeros(a.size, dtype=bool)
     else:
-        pairs = list(zip(xs, ys))
-    stats.pairs = len(pairs)
-    return stats, pairs
+        distinct = a != b
+        forward = distinct & kept_r[a] & kept_p[b]
+        backward = distinct & kept_r[b] & kept_p[a]
+    check = np.flatnonzero(forward | backward)
+    stats.ld_checks = int(check.size)
+    a_check, b_check = a[check], b[check]
+    caps = _pair_caps(vocab_lens[a_check] + vocab_lens[b_check], threshold)
+    over = check[ld_bounded_batch(vocab[a_check], vocab[b_check], caps) < 0]
+    forward[over] = backward[over] = False
+    sim_r = np.concatenate([a[forward], b[backward]])
+    sim_p = np.concatenate([b[forward], a[backward]])
+    stats.pairs = int(sim_r.size)
+    return stats, sim_r, sim_p

@@ -8,7 +8,8 @@ cross-checked against a naive full-matrix DP in the test suite).
 
 Token-pair distances are memoized within a call; pass ``ld_cache`` to reuse
 the memo across calls on the same corpus (it only ever holds exact distances,
-so reuse cannot change any result).
+so reuse cannot change any result). :func:`join_bruteforce_thresholds`
+scores each record pair once for several thresholds.
 """
 
 from __future__ import annotations
@@ -98,10 +99,27 @@ def join_bruteforce(
     than eight tokens fall back to the exact matching solver; everything else
     goes through permutation enumeration.
     """
-    frac = Fraction(threshold)
-    if not 0 <= frac < 1:
-        raise OracleGuardError(f"threshold must be in [0, 1), got {threshold!r}")
-    num, den = frac.numerator, frac.denominator
+    return join_bruteforce_thresholds(corpus_r, corpus_p, (threshold,), ld_cache=ld_cache)[threshold]
+
+
+def join_bruteforce_thresholds(
+    corpus_r: Sequence[TokenizedString],
+    corpus_p: Sequence[TokenizedString] | None,
+    thresholds: Sequence[float],
+    *,
+    ld_cache: dict | None = None,
+) -> dict[float, OracleResult]:
+    """:func:`join_bruteforce` at each of ``thresholds``, scoring each record pair once.
+
+    A pair's setwise cost does not depend on the threshold, so one scan
+    answers them all.
+    """
+    fracs = []
+    for threshold in thresholds:
+        frac = Fraction(threshold)
+        if not 0 <= frac < 1:
+            raise OracleGuardError(f"threshold must be in [0, 1), got {threshold!r}")
+        fracs.append((frac.numerator, frac.denominator))
     self_join = corpus_p is None
     recs_r = sorted(corpus_r, key=lambda r: r.id)
     recs_p = recs_r if self_join else sorted(corpus_p, key=lambda r: r.id)
@@ -111,7 +129,7 @@ def join_bruteforce(
             f"{n_evals} pair evaluations exceed the oracle guard of {MAX_PAIR_EVALS}"
         )
     memo = ld_cache if ld_cache is not None else {}
-    out: list[tuple[str, str, float]] = []
+    outs: list[list[tuple[str, str, float]]] = [[] for _ in fracs]
 
     def evaluate(ra: TokenizedString, rb: TokenizedString) -> None:
         if max(ra.token_count, rb.token_count) <= MAX_TOKENS_BRUTEFORCE:
@@ -119,8 +137,9 @@ def join_bruteforce(
         else:
             s = sld_exact(ra, rb).sld
         total_len = ra.agg_len + rb.agg_len
-        if 2 * s * den <= num * (total_len + s):
-            out.append((ra.id, rb.id, 0.0 if s == 0 else (2.0 * s) / (total_len + s)))
+        for (num, den), out in zip(fracs, outs):
+            if 2 * s * den <= num * (total_len + s):
+                out.append((ra.id, rb.id, 0.0 if s == 0 else (2.0 * s) / (total_len + s)))
 
     if self_join:
         for i in range(len(recs_r) - 1):
@@ -131,5 +150,6 @@ def join_bruteforce(
         for ra in recs_r:
             for rb in recs_p:
                 evaluate(ra, rb)
-    out.sort()
-    return OracleResult(tuple(out))
+    for out in outs:
+        out.sort()
+    return {threshold: OracleResult(tuple(out)) for threshold, out in zip(thresholds, outs)}

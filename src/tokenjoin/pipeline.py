@@ -19,7 +19,7 @@ import gc
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice
+from itertools import chain, count, islice
 from operator import attrgetter, eq
 from typing import Any, NamedTuple, Sequence
 
@@ -29,7 +29,6 @@ from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
 from .residual import Residuals, VerifyStats, block_rows, length_survivors, verify_block
 from .candidates import SimilarStats, ranges, similar_token_pairs, sorted_distinct
-from .setdist import LdCache
 from .strdist import threshold_ratio
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
 
@@ -142,15 +141,19 @@ class StageReport:
 class _Side:
     """One corpus in dense-id order (record ids sorted), in columnar form.
 
-    ``counts[i]`` is record i's token count and ``token_lens`` holds the
-    lengths of all tokens, record after record, in each record's token order.
-    ``token_ids`` holds their interned ids in the same order, from
-    :func:`_index` until :class:`residual.Residuals` has read them.
+    ``counts[i]`` is record i's token count, ``lens[i]`` its aggregate
+    length, and ``token_lens`` holds the lengths of all tokens, record after
+    record, in each record's token order. ``token_ids`` holds their interned
+    ids in the same order, from :func:`_index` until
+    :class:`residual.Residuals` has read them. ``empties`` lists the records
+    of aggregate length 0: each is at distance 0 from every other one and
+    beyond every threshold below 1 from a longer record, so finalize pairs
+    them and they hold no postings.
     """
 
     ids: list[str]
     tokens: list[tuple[str, ...]]
-    lens: list[int]
+    lens: np.ndarray
     counts: np.ndarray
     token_lens: np.ndarray
     empties: list[int]
@@ -177,13 +180,14 @@ def _prepare_side(corpus: Sequence[TokenizedString], label: str) -> _Side:
     token_lens = np.fromiter(
         map(len, chain.from_iterable(tokens)), dtype=np.int64, count=int(counts.sum())
     )
+    lens = np.fromiter(map(attrgetter("agg_len"), recs), dtype=np.int64, count=len(recs))
     return _Side(
         ids,
         tokens,
-        [rec.agg_len for rec in recs],
+        lens,
         counts,
         token_lens,
-        np.flatnonzero(counts == 0).tolist(),
+        np.flatnonzero(lens == 0).tolist(),
     )
 
 
@@ -192,8 +196,10 @@ class _Postings:
     """One side's posting lists over the interned token ids, in CSR form.
 
     The records holding token ``t`` are ``rows[starts[t] : starts[t] +
-    counts[t]]``, distinct dense ids in ascending order. ``kept`` marks the
-    tokens that occur on this side in at most ``max_token_freq`` records.
+    counts[t]]``, distinct dense ids in ascending order; records of
+    aggregate length 0 hold no postings. ``kept`` marks the tokens that
+    occur on this side in at most ``max_token_freq`` records that hold
+    postings.
     """
 
     rows: np.ndarray
@@ -206,7 +212,7 @@ def _postings(side: _Side, token_ids: np.ndarray, n_tokens: int, max_freq: int |
     rows = np.repeat(np.arange(side.counts.size, dtype=np.int64), side.counts)
     # one (token, record) key per occurrence; sorting and keeping the first
     # of each run of equal keys counts a token repeated in a record once
-    keys = np.sort((token_ids << 32) | rows)
+    keys = np.sort(((token_ids << 32) | rows)[np.repeat(side.lens > 0, side.counts)])
     keys = keys[np.diff(keys, prepend=-1) != 0]
     counts = np.bincount(keys >> 32, minlength=n_tokens)
     return _Postings(
@@ -219,12 +225,13 @@ def _postings(side: _Side, token_ids: np.ndarray, n_tokens: int, max_freq: int |
 
 def _index(
     side_r: _Side, side_p: _Side, max_freq: int | float
-) -> tuple[dict[str, int], _Postings, _Postings]:
+) -> tuple[list[str], _Postings, _Postings]:
     """Intern the tokens of both sides to dense ids and build each side's postings.
 
-    Ids follow the first occurrence of each token, left side first, and
-    each side's ``token_ids`` are set. A self-join passes the same side twice
-    and gets the same postings twice.
+    Returns the vocabulary, token id i at position i. Ids follow the first
+    occurrence of each token, left side first, and each side's
+    ``token_ids`` are set. A self-join passes the same side twice and gets
+    the same postings twice.
     """
     sides = (side_r,) if side_p is side_r else (side_r, side_p)
     flats = [list(chain.from_iterable(side.tokens)) for side in sides]
@@ -232,7 +239,7 @@ def _index(
     for side, flat in zip(sides, flats):
         side.token_ids = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
     posts = [_postings(side, side.token_ids, len(vocab), max_freq) for side in sides]
-    return vocab, posts[0], posts[-1]
+    return list(vocab), posts[0], posts[-1]
 
 
 def _cross(
@@ -362,30 +369,26 @@ def _join(
     kept_tokens = int(post_r.kept.sum()) + (0 if self_join else int(post_p.kept.sum()))
     report.record("index", n_records, kept_tokens, _ms(t0))
 
-    ld_cache = LdCache()
-    vocab_tokens = list(vocab)
     t0 = time.perf_counter()
-    residuals = Residuals(
-        side_r, side_p, vocab_tokens, num, den, greedy=cfg.matching == GREEDY, ld_cache=ld_cache
-    )
+    residuals = Residuals(side_r, side_p, vocab, num, den, greedy=cfg.matching == GREEDY)
     side_r.token_ids = side_p.token_ids = None  # the key rows hold what later stages read
+    del vocab
     residual_inputs_ms = _ms(t0)
 
     t0 = time.perf_counter()
-    token_pairs = []
+    sim_r = sim_p = np.empty(0, dtype=np.int64)
     if cfg.matching in (FUZZY, GREEDY):
-        kept_r = list(compress(vocab_tokens, post_r.kept.tolist()))
-        kept_p = None if self_join else list(compress(vocab_tokens, post_p.kept.tolist()))
-        report.similar, token_pairs = similar_token_pairs(kept_r, kept_p, cfg.threshold, ld_cache)
-        del kept_r, kept_p
-    del vocab_tokens
-    report.record("similar-tokens", report.similar.probes, len(token_pairs), _ms(t0))
+        report.similar, sim_r, sim_p = similar_token_pairs(
+            residuals.vocab,
+            residuals.vocab_lens,
+            post_r.kept,
+            None if self_join else post_p.kept,
+            cfg.threshold,
+        )
+    n_pairs = int(sim_r.size)
+    report.record("similar-tokens", report.similar.probes, n_pairs, _ms(t0))
 
     t0 = time.perf_counter()
-    n_pairs = len(token_pairs)
-    sim_r = np.fromiter((vocab[tok] for tok, _ in token_pairs), dtype=np.int64, count=n_pairs)
-    sim_p = np.fromiter((vocab[tok] for _, tok in token_pairs), dtype=np.int64, count=n_pairs)
-    del vocab, token_pairs
     raw = _generate(post_r, post_p, sim_r, sim_p, self_join)
     del post_r, post_p, sim_r, sim_p
     report.record("generate", kept_tokens + n_pairs, int(raw.size), _ms(t0))

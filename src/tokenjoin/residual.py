@@ -10,7 +10,9 @@ tokens. :func:`length_survivors` is the filter stage's length prune.
 :func:`filters.residual_prunes`, then matches the residual tokens of up to
 four a side in arrays, with every edit distance of a block in one
 :func:`strdist.ld_bounded_batch` call. The pairs the rows cannot express go
-to the scalar :func:`setdist.sld_capped`.
+to the scalar :func:`setdist.sld_capped`, through one
+:class:`setdist.LdCache` per block. Verify computes every edit distance it
+needs itself; the similar-token search hands none on.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ class VerifyStats:
 
 
 class Residuals:
-    """What filter and verify read about both sides (verify's pool workers inherit it by fork).
+    """What the similar-token search, filter and verify read about both sides.
+
+    Verify's pool workers inherit it by fork.
 
     ``lens_left[i]`` is left record i's aggregate length and
     ``tokens_left[i]`` its tokens; ``keys_left`` and ``scalar_left`` are
@@ -113,10 +117,9 @@ class Residuals:
         "maxdiff",
         "cost_cap",
         "greedy",
-        "ld_cache",
     )
 
-    def __init__(self, side_r, side_p, vocab: list[str], num: int, den: int, *, greedy: bool, ld_cache: LdCache):
+    def __init__(self, side_r, side_p, vocab: list[str], num: int, den: int, *, greedy: bool):
         """Rows of the two prepared sides (the same side twice for a self-join).
 
         A side has ``counts`` (tokens per record), ``token_ids`` and
@@ -146,8 +149,8 @@ class Residuals:
         self.keys_left, self.scalar_left = left
         self.keys_right, self.scalar_right = right
         self.vocab_lens = vocab_lens
-        self.lens_left = np.array(side_r.lens, dtype=np.int64)
-        self.lens_right = self.lens_left if self_join else np.array(side_p.lens, dtype=np.int64)
+        self.lens_left = side_r.lens
+        self.lens_right = side_p.lens
         self.tokens_left = side_r.tokens
         self.tokens_right = side_p.tokens
         self.vocab = np.array(vocab, dtype=object)
@@ -158,7 +161,6 @@ class Residuals:
             [num * total // cap_den for total in range(2 * max_len + 1)], dtype=np.int64
         )
         self.greedy = greedy
-        self.ld_cache = ld_cache
 
 
 def _rows(
@@ -312,13 +314,16 @@ def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndar
     stats.scalar_fallbacks = len(fallback)
     scalar_idx: list[int] = []
     scalar_cost: list[int] = []
+    # survivors come sorted by left id, so a wide record's pairs share a
+    # block and reuse each other's edge distances
+    ld_cache = LdCache() if fallback else None
     for i in fallback:
         s = sld_capped(
             res.tokens_left[li[i]],
             res.tokens_right[ri[i]],
             int(cap[i]),
             greedy=res.greedy,
-            ld_cache=res.ld_cache,
+            ld_cache=ld_cache,
         )
         if s is not None:
             scalar_idx.append(i)

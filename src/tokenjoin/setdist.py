@@ -11,10 +11,9 @@ matrix; a greedy aligner provides the cheaper upper-bound approximation. The
 residual lower bound (:func:`residual_lower_bound`: drop the shared tokens,
 then at least one edit per remaining token pair) is the first check of
 verify's array path, and :func:`sld_capped` is the scalar verifier. Its
-token edit distances go through an :class:`LdCache`: :meth:`LdCache.bounded`
-computes and remembers each one, and :meth:`LdCache.add_exact` takes in the
-exact distances the similar-token search computed in its batch, so verify
-does not compute them again.
+token edit distances can go through an :class:`LdCache`, whose
+:meth:`LdCache.bounded` computes and remembers each one; verify makes one
+per block that has scalar pairs.
 """
 
 from __future__ import annotations
@@ -351,8 +350,7 @@ class LdCache:
 
     Exact values are cached forever; over-cap outcomes remember the highest
     cap they were proven to exceed, so later queries with a smaller cap skip
-    the kernel entirely. :meth:`add_exact` stores exact values computed
-    outside the cache, such as the similar-token search's batch.
+    the kernel entirely.
     """
 
     __slots__ = ("_exact", "_over")
@@ -376,9 +374,3 @@ class LdCache:
         else:
             self._exact[key] = d
         return d
-
-    def add_exact(self, xs: Sequence[str], ys: Sequence[str], dists: Sequence[int]) -> None:
-        """Remember ``dists[i]`` as the exact distance of ``(xs[i], ys[i])``, computed elsewhere."""
-        exact = self._exact
-        for x, y, d in zip(xs, ys, dists):
-            exact[(x, y) if x <= y else (y, x)] = d

@@ -78,15 +78,16 @@ def candidate_stream(corpus_r, corpus_p, threshold, max_freq, similar=True) -> C
 
     Records are numbered in sorted-id order on each side, a pair packs as
     ``left << 32 | right``, and ``corpus_p`` of None is a self-join, whose
-    pairs have left < right. A token is kept on a side when at most
-    ``max_freq`` of that side's records hold it. A pair is emitted once per
-    kept token both records hold and, when ``similar``, once per (x, y) of
-    distinct kept tokens, x in the left record and y in the right one, with
-    nld(x, y) <= threshold.
+    pairs have left < right. A record of aggregate length 0 holds no token
+    here (the join pairs such records apart). A token is kept on a side when
+    at most ``max_freq`` of that side's records hold it. A pair is emitted
+    once per kept token both records hold and, when ``similar``, once per
+    (x, y) of distinct kept tokens, x in the left record and y in the right
+    one, with nld(x, y) <= threshold.
     """
 
     def kept_sets(corpus):
-        sets = [set(rec.tokens) for rec in sorted(corpus, key=lambda rec: rec.id)]
+        sets = [set(rec.tokens) if rec.agg_len else set() for rec in sorted(corpus, key=lambda rec: rec.id)]
         freq = Counter(tok for toks in sets for tok in toks)
         return [{tok for tok in toks if freq[tok] <= max_freq} for toks in sets]
 

@@ -22,7 +22,7 @@ import pytest
 from tokenjoin.candidates import partition_even
 from tokenjoin.corpusio import format_results
 from tokenjoin.filters import FilterStats
-from tokenjoin.oracle import join_bruteforce
+from tokenjoin.oracle import join_bruteforce_thresholds
 from tokenjoin.pipeline import JoinConfig, join
 from tokenjoin.setdist import nsld_bounds_from_lengths, sld_exact
 from tokenjoin.strdist import (
@@ -347,12 +347,11 @@ def suite() -> Suite:
         )
         records = [tokenize(line, record_id=str(j)) for j, line in enumerate(lines)]
         entry = SuiteEntry(records)
-        ld_cache: dict = {}
+        t0 = time.perf_counter()
+        oracles = join_bruteforce_thresholds(records, None, THRESHOLDS)
+        oracle_seconds += time.perf_counter() - t0
         for threshold in THRESHOLDS:
-            t0 = time.perf_counter()
-            oracle = join_bruteforce(records, None, threshold, ld_cache=ld_cache)
-            oracle_seconds += time.perf_counter() - t0
-            entry.oracle_bytes[threshold] = format_results(oracle.pairs).encode()
+            entry.oracle_bytes[threshold] = format_results(oracles[threshold].pairs).encode()
 
             cfg = JoinConfig(threshold=threshold, max_token_freq=math.inf)
             t0 = time.perf_counter()

@@ -2,9 +2,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from tokenjoin import candidates, pipeline, setdist
+from tokenjoin import candidates, pipeline
 from tokenjoin.candidates import (
     NldIndex,
     build_token_space,
@@ -66,6 +67,10 @@ class TestBuildTokenSpace:
 
     def test_empty_corpus(self):
         assert build_token_space([], 10) == {}
+
+    def test_records_of_length_zero_hold_no_postings(self):
+        corpus = [make_ts("1", ("",)), make_ts("2", ("", "")), make_ts("3", ("", "ab")), make_ts("4", ())]
+        assert build_token_space(corpus, 1) == {"": ("3",), "ab": ("3",)}
 
     def test_duplicate_record_id_rejected(self):
         with pytest.raises(DataError):
@@ -154,41 +159,76 @@ class TestPartitionEven:
             assert any(seg in x for seg in partition_even(y, u))
 
 
+def similar(tokens_r, tokens_p, threshold, capped_r=(), capped_p=()):
+    """:func:`similar_token_pairs` over the vocabulary of both sides, its pairs as tokens.
+
+    The tokens of ``tokens_r`` are kept on the left side and those of
+    ``capped_r`` held there but capped, and likewise on the right;
+    ``tokens_p`` of None is a self-join. Token ids follow the first
+    occurrence in ``tokens_r``, ``capped_r``, ``tokens_p``, ``capped_p``.
+    """
+    vocab = list(dict.fromkeys([*tokens_r, *capped_r, *(tokens_p or ()), *capped_p]))
+    ids = {tok: i for i, tok in enumerate(vocab)}
+
+    def kept(tokens):
+        mask = np.zeros(len(vocab), dtype=bool)
+        mask[[ids[tok] for tok in tokens]] = True
+        return mask
+
+    stats, sim_r, sim_p = similar_token_pairs(
+        np.array(vocab, dtype=object),
+        np.array([len(tok) for tok in vocab], dtype=np.int64),
+        kept(tokens_r),
+        None if tokens_p is None else kept(tokens_p),
+        threshold,
+    )
+    return stats, [(vocab[a], vocab[b]) for a, b in zip(sim_r.tolist(), sim_p.tolist())]
+
+
 def check_two_set_oracle(rng, threshold, alphabet, trials=20):
+    # the sides share tokens, and some shared tokens are capped on one side
+    # only: a pair counts only as (left-kept token, right-kept token)
     for _ in range(trials):
-        tokens_r = sorted({rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(25)})
-        tokens_p = sorted({rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(25)})
-        _, got = similar_token_pairs(tokens_r, tokens_p, threshold, LdCache())
+        shared = sorted({rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(10)})
+        tokens_r = sorted(set(shared) | {rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(20)})
+        tokens_p = sorted(set(shared) | {rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(20)})
+        capped_r = set(rng.sample(shared, len(shared) // 3)) | set(rng.sample(tokens_r, 2))
+        capped_p = set(rng.sample(shared, len(shared) // 3)) | set(rng.sample(tokens_p, 2))
+        kept_r = [tok for tok in tokens_r if tok not in capped_r]
+        kept_p = [tok for tok in tokens_p if tok not in capped_p]
+        _, got = similar(kept_r, kept_p, threshold, capped_r, capped_p)
         assert len(got) == len(set(got))
-        assert set(got) == all_pairs_token_oracle(tokens_r, tokens_p, threshold)
+        assert set(got) == all_pairs_token_oracle(kept_r, kept_p, threshold)
 
 
 def check_self_join_oracle(rng, threshold, alphabet, trials=20):
     for _ in range(trials):
         tokens = sorted({rand_token(rng, max_len=7, alphabet=alphabet) for _ in range(30)})
-        _, got = similar_token_pairs(tokens, None, threshold, LdCache())
+        _, got = similar(tokens, None, threshold)
         expected = set()
         for i, x in enumerate(tokens):
             for y in tokens[i + 1 :]:
                 if nld_frac(x, y) <= Fraction(threshold):
-                    key = (x, y) if (len(x), x) <= (len(y), y) else (y, x)
-                    expected.add(key)
+                    expected.add((x, y))
+        # each pair once, as (min id, max id); the ids follow ``tokens``
         assert len(got) == len(set(got))
         assert set(got) == expected
 
 
 class TestSimilarTokenPairs:
     def test_frozen_example(self):
-        stats, pairs = similar_token_pairs(["kalan"], ["alan"], 0.2, LdCache())
+        # both tokens are probed; "kalan" also hits itself, a candidate that
+        # is dropped before the edit distance
+        stats, pairs = similar(["kalan"], ["alan"], 0.2)
         assert pairs == [("kalan", "alan")]
-        assert (stats.probes, stats.candidates, stats.ld_checks, stats.pairs) == (1, 1, 1, 1)
+        assert (stats.probes, stats.candidates, stats.ld_checks, stats.pairs) == (2, 2, 1, 1)
 
     def test_dissimilar_tokens_empty(self):
-        assert similar_token_pairs(["chan"], ["xyzw"], 0.2, LdCache())[1] == []
+        assert similar(["chan"], ["xyzw"], 0.2)[1] == []
 
     def test_self_join_threshold_zero_is_equality(self):
         # at T=0 only identical tokens match, and those are never returned
-        stats, pairs = similar_token_pairs(["alan", "chan"], None, 0.0, LdCache())
+        stats, pairs = similar(["alan", "chan"], None, 0.0)
         assert (stats.probes, pairs) == (0, [])
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.2, 0.4, 0.6])
@@ -199,24 +239,10 @@ class TestSimilarTokenPairs:
     def test_exactly_matches_all_pairs_oracle_self_join(self, threshold, rng):
         check_self_join_oracle(rng, threshold, "abc")
 
-    def test_reported_ld_values_are_exact(self, rng, monkeypatch):
-        # verify reuses the probe's cache, so every pair found leaves its exact LD there
-        tokens = sorted({rand_token(rng, max_len=6, alphabet="ab") for _ in range(20)})
-        cache = LdCache()
-        _, pairs = similar_token_pairs(tokens, None, 0.5, cache)
-        assert pairs
-
-        def uncached(*args):
-            raise AssertionError("not in the cache")
-
-        monkeypatch.setattr(setdist, "ld_bounded", uncached)
-        for a, b in pairs:
-            assert cache.bounded(a, b, len(a) + len(b)) == naive_ld(a, b)
-
     def test_length_condition_never_violated(self, rng):
         for threshold in (0.1, 0.3):
             tokens = sorted({rand_token(rng, max_len=9) for _ in range(40)})
-            for a, b in similar_token_pairs(tokens, None, threshold, LdCache())[1]:
+            for a, b in similar(tokens, None, threshold)[1]:
                 shorter, longer = sorted((a, b), key=len)
                 assert min_partner_len(len(longer), threshold) <= len(shorter) <= len(longer)
 
@@ -235,7 +261,7 @@ class TestNldIndexShortTokens:
         assert ("c", "ab", 2) in hits
 
     def test_short_tokens_covered_in_full_pair_search(self):
-        assert ("c", "ab") in similar_token_pairs(["ab", "c"], None, 0.8, LdCache())[1]
+        assert similar(["ab", "c"], None, 0.8)[1] == [("ab", "c")]
 
 
 def edited_vocabulary(rng, alphabet, bases=6, max_len=22):
@@ -323,9 +349,9 @@ class TestHashedSegmentKeys:
 
     def test_collisions_only_add_candidates(self, rng, monkeypatch):
         tokens = edited_vocabulary(rng, "abcd", bases=8)
-        stats, pairs = similar_token_pairs(tokens, None, 0.3, LdCache())
+        stats, pairs = similar(tokens, None, 0.3)
         monkeypatch.setattr(candidates, "_HASH_BASE", 0)
-        collided, same_pairs = similar_token_pairs(tokens, None, 0.3, LdCache())
+        collided, same_pairs = similar(tokens, None, 0.3)
         assert same_pairs == pairs
         assert (collided.probes, collided.probe_keys) == (stats.probes, stats.probe_keys)
         assert collided.candidates > stats.candidates
@@ -339,13 +365,13 @@ class TestHashedSegmentKeys:
         check_self_join_oracle(rng, threshold, alphabet)
         left = ["stra\u00dfe", "strasse", "stra\u00dfen", "caf\u00e9\U0001F600", "cafe\U0001F600", "caf\u00e9"]
         right = left[::-1]
-        _, got = similar_token_pairs(left, right, threshold, LdCache())
+        _, got = similar(left, right, threshold)
         assert set(got) == all_pairs_token_oracle(left, right, threshold)
 
     def test_two_set_sides_sharing_tokens(self, monkeypatch):
-        # both sides hold "abcdefghij" and "abcdefghik": each shared token is
-        # hit from both directions and by itself, and each equal-length pair
-        # from both of its tokens
+        # both sides hold "abcdefghij" and "abcdefghik": one index holds each
+        # token once, each token hits itself, and each equal-length pair is
+        # hit from both of its tokens but checked once
         left = ["abcdefghij", "abcdefghik", "zbcdefghij", "qqqqqqqqqq"]
         right = ["abcdefghik", "abcdefghij", "abcdefghil", "abcdefghijk"]
         sent = []
@@ -356,13 +382,14 @@ class TestHashedSegmentKeys:
             return kernel(xs, ys, caps)
 
         monkeypatch.setattr(candidates, "ld_bounded_batch", spy)
-        stats, pairs = similar_token_pairs(left, right, 0.2, LdCache())
+        stats, pairs = similar(left, right, 0.2)
         assert set(pairs) == all_pairs_token_oracle(left, right, 0.2)
         assert ("abcdefghij", "abcdefghik") in pairs and ("abcdefghik", "abcdefghij") in pairs
         assert all(x != y for x, y in pairs)
         assert all(x != y for x, y in sent)
-        assert len(sent) == len(set(sent)) == stats.ld_checks
-        assert set(pairs) <= set(sent)
+        unordered = {frozenset(pair) for pair in sent}
+        assert len(sent) == len(unordered) == stats.ld_checks
+        assert {frozenset(pair) for pair in pairs} <= unordered
         # the identical-token hits were candidates, dropped before the kernel
         assert stats.candidates >= stats.ld_checks + 2
         assert stats.pairs == len(pairs)

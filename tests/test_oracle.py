@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
+from tokenjoin import oracle
 from tokenjoin.errors import OracleGuardError
-from tokenjoin.oracle import join_bruteforce, sld_bruteforce
+from tokenjoin.oracle import join_bruteforce, join_bruteforce_thresholds, sld_bruteforce
 from tokenjoin.setdist import sld_exact
 from tokenjoin.strdist import ld
 
-from conftest import make_ts, naive_ld, rand_multiset
+from conftest import make_ts, naive_ld, nsld_frac, rand_multiset
 
 
 class TestLdPrimitiveIndependence:
@@ -78,3 +81,30 @@ class TestJoinBruteforce:
 
     def test_empty_corpus(self):
         assert join_bruteforce([], None, 0.2).pairs == ()
+
+    def test_several_thresholds_score_each_pair_once(self, rng, monkeypatch):
+        corpus_r = [make_ts(f"r{i}", rand_multiset(rng, max_tokens=3, max_len=4, alphabet="ab")) for i in range(20)]
+        corpus_p = [make_ts(f"p{i}", rand_multiset(rng, max_tokens=3, max_len=4, alphabet="ab")) for i in range(15)]
+        calls = []
+        cost = oracle._min_pairing_cost
+
+        def counting(tokens_a, tokens_b, memo):
+            calls.append(1)
+            return cost(tokens_a, tokens_b, memo)
+
+        monkeypatch.setattr(oracle, "_min_pairing_cost", counting)
+        thresholds = (0.1, 0.3, 0.5)
+        got = join_bruteforce_thresholds(corpus_r, corpus_p, thresholds)
+        assert len(calls) == len(corpus_r) * len(corpus_p)
+        assert list(got) == list(thresholds)
+        for threshold in thresholds:
+            expected = sorted(
+                (a.id, b.id)
+                for a in corpus_r
+                for b in corpus_p
+                if nsld_frac(a.tokens, b.tokens) <= Fraction(threshold)
+            )
+            assert [(left, right) for left, right, _ in got[threshold].pairs] == expected
+        assert 0 < len(got[0.1].pairs) < len(got[0.5].pairs)
+        with pytest.raises(OracleGuardError):
+            join_bruteforce_thresholds([], None, (0.1, 1.0))

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -267,11 +268,11 @@ def long_records(rng, prefix, n):
 
 
 def residual_rows(side_r, side_p, threshold, greedy=False):
-    """The residual rows of the two prepared sides, and the interned vocabulary."""
-    vocab, _, _ = pipeline._index(side_r, side_p, math.inf)
+    """The residual rows of the two prepared sides, and the interned vocabulary as token -> id."""
+    tokens, _, _ = pipeline._index(side_r, side_p, math.inf)
     num, den = threshold_ratio(threshold)
-    res = residual.Residuals(side_r, side_p, list(vocab), num, den, greedy=greedy, ld_cache=LdCache())
-    return res, vocab, num, den
+    res = residual.Residuals(side_r, side_p, tokens, num, den, greedy=greedy)
+    return res, {tok: i for i, tok in enumerate(tokens)}, num, den
 
 
 def expected_residual_rows(side, vocab, width):
@@ -298,7 +299,7 @@ def specified_survivors(pairs, side_r, side_p, num, den):
     expected, by_len, by_res = [], [], []
     for packed in pairs:
         left, right = packed >> 32, packed & 0xFFFFFFFF
-        la, lb = side_r.lens[left], side_p.lens[right]
+        la, lb = int(side_r.lens[left]), int(side_p.lens[right])
         if length_prunes(la, lb, num, den):
             by_len.append(packed)
         elif residual_prunes(side_r.tokens[left], side_p.tokens[right], la, lb, num, den):
@@ -509,6 +510,37 @@ class TestJoinAgainstOracle:
         oracle = join_bruteforce(corpus_r, corpus_p, 0.15)
         assert as_tuples(engine) == list(oracle.pairs)
 
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_records_of_length_zero(self, self_join, rng):
+        # TokenizedString.from_tokens allows empty tokens: a record of them
+        # all has aggregate length 0 like a token-less one, and a pair of two
+        # such records must not reach verify's 2·cost / (total + cost)
+        from tokenjoin.oracle import join_bruteforce
+
+        def side(prefix):
+            shapes = [(), ("",), ("", ""), ("", "a"), ("a",), ("ab", ""), ("ab", "b")]
+            records = [make_ts(f"{prefix}{i}", shape) for i, shape in enumerate(shapes)]
+            for i in range(len(shapes), 40):
+                tokens = [rng.choice(["", "", "a", "ab", "abc", "abd", "bcd"]) for _ in range(rng.randint(0, 3))]
+                records.append(make_ts(f"{prefix}{i}", tokens))
+            return records
+
+        corpus_r = side("r")
+        corpus_p = None if self_join else side("p")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if self_join:
+                frozen = [make_ts(str(i), tokens) for i, tokens in enumerate([("",), ("",), ("", ""), ()])]
+                res, _ = join(frozen, None, JoinConfig(threshold=0.1))
+                assert as_tuples(res) == [(str(i), str(j), 0.0) for i in range(4) for j in range(i + 1, 4)]
+            for threshold in (0.0, 0.1, 0.4):
+                oracle = list(join_bruteforce(corpus_r, corpus_p, threshold).pairs)
+                assert oracle
+                for use_filters in (True, False):
+                    cfg = JoinConfig(threshold=threshold, max_token_freq=math.inf, self_join=self_join)
+                    engine, _ = join(corpus_r, corpus_p, cfg, use_filters=use_filters)
+                    assert as_tuples(engine) == oracle
+
 
 class TestSimilarTokensSkipped:
     def test_short_tokens_at_point_one_probe_nothing(self, tmp_path):
@@ -664,7 +696,7 @@ class TestVerify:
         by_k = [0] * 6
         for packed in pairs.tolist():
             a, b = packed >> 32, packed & 0xFFFFFFFF
-            total = side.lens[a] + side.lens[b]
+            total = int(side.lens[a] + side.lens[b])
             cap = num * total // (2 * den - num)
             rest_a, rest_b = drop_shared(side.tokens[a], side.tokens[b])
             by_k[min(max(len(rest_a), len(rest_b)), 5)] += 1

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from tokenjoin import setdist
 from tokenjoin.setdist import (
     LdCache,
     hungarian,
@@ -362,18 +361,6 @@ class TestLdCache:
         assert cache.bounded("abc", "xyz", 0) is None  # over-cap memo, no recompute
         assert cache.bounded("abc", "xyz", 5) == 3  # larger cap recomputes
         assert cache.bounded("same", "same", 0) == 0
-
-    def test_add_exact_is_served_in_either_order(self, monkeypatch):
-        cache = LdCache()
-        cache.add_exact(["kalan", "xyzw"], ["alan", "abcd"], [1, 4])
-
-        def uncached(*args):
-            raise AssertionError("not in the cache")
-
-        monkeypatch.setattr(setdist, "ld_bounded", uncached)
-        assert cache.bounded("alan", "kalan", 1) == 1
-        assert cache.bounded("kalan", "alan", 0) is None
-        assert cache.bounded("abcd", "xyzw", 4) == 4
 
     def test_differential(self, rng):
         cache = LdCache()
