@@ -5,20 +5,22 @@ through each side's posting lists: record pairs sharing a kept token, and
 record pairs holding a pair of distinct similar kept tokens. Together (with
 no frequency cap) they reach every record pair within the join threshold.
 This module finds the similar token pairs with PassJoin's segment join, run
-as numpy array code over the join's interned vocabulary. :class:`NldIndex`
+as numpy array code over the join's interned vocabulary, whose code points
+the join lays out once in a :class:`strdist.TokenTable`. :class:`NldIndex`
 keeps each indexed token's even partition segments as 64-bit keys in one
-sorted array: a polynomial hash of the segment's code points, tagged with
-the token's length and the segment's slot. :func:`similar_token_pairs`
-builds one index over the tokens kept on either side, self-join or not,
-looks up the position-restricted substrings of all its tokens at once,
-de-duplicates the hits as packed token-id pairs and checks every edit
-distance in one :func:`strdist.ld_bounded_batch` call; it returns token
-ids, and hands no distance on to verify. Equal segments always get equal
-keys, so no pair is lost; a hash collision only adds a candidate, which the
-exact check rejects unless it is a true pair that the segment join finds
-anyway. :func:`build_token_space` states the posting lists as plain values.
-:func:`ranges` (runs of positions) and :func:`sorted_distinct` are the array
-idioms this module shares with :mod:`pipeline`.
+sorted array: a polynomial hash of the segment's code points, read from
+the table's rows, tagged with the token's length and the segment's slot.
+:func:`similar_token_pairs` builds one index over the tokens kept on either
+side, self-join or not, looks up the position-restricted substrings of all
+its tokens at once, de-duplicates the hits as packed token-id pairs and
+checks every edit distance in one :func:`strdist.ld_bounded_ids` call on
+the same table; it returns token ids, and hands no distance on to verify.
+Equal segments always get equal keys, so no pair is lost; a hash collision
+only adds a candidate, which the exact check rejects unless it is a true
+pair that the segment join finds anyway. :func:`build_token_space` states
+the posting lists as plain values. :func:`ranges` (runs of positions) and
+:func:`sorted_distinct` are the array idioms this module shares with
+:mod:`pipeline`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ import numpy as np
 
 from .errors import DataError, NotPartitionable
 from .setdist import LdCache
-from .strdist import ld_bounded_batch, max_ld_given_nld, min_partner_len, threshold_ratio
+from .strdist import (
+    TokenTable,
+    ld_bounded_ids,
+    max_ld_given_nld,
+    min_partner_len,
+    threshold_ratio,
+    token_table,
+)
 from .textnorm import TokenizedString
 
 RecordId = Hashable
@@ -147,7 +156,7 @@ class SimilarStats:
     token's hit on itself included, and in a two-set join also the pairs of
     two tokens kept on one side only. The ``ld_checks`` of them that pair
     distinct tokens (a left-kept one with a right-kept one, in a two-set
-    join) went to ``ld_bounded_batch``, and ``pairs`` (ordered, in a two-set
+    join) went to ``ld_bounded_ids``, and ``pairs`` (ordered, in a two-set
     join) were within the threshold. ``index_ms`` is the time spent
     building the index.
     """
@@ -193,16 +202,15 @@ def _plan(lookups: list[tuple[int, int, int, int]]) -> Plan:
     return Plan(starts, ends, np.array(powers, dtype=np.uint64)[seg_lens], tags)
 
 
-def _prefix_hashes(tokens: list[str], length: int) -> np.ndarray:
-    """Row j holds the hash of the first j code points of each token; all are ``length`` long."""
-    out = np.zeros((length + 1, len(tokens)), dtype=np.uint64)
-    if length:
-        codes = np.array(tokens, dtype=f"<U{length}").view("<u4").reshape(len(tokens), length)
-        codes = codes.T.astype(np.uint64, order="C")
-        base = np.uint64(_HASH_BASE)
-        for j in range(length):
-            np.multiply(out[j], base, out=out[j + 1])
-            out[j + 1] += codes[j]
+def _prefix_hashes(codes: np.ndarray) -> np.ndarray:
+    """Column i, row j: the hash of the first j code points of row i of ``codes``."""
+    n_tokens, length = codes.shape
+    out = np.zeros((length + 1, n_tokens), dtype=np.uint64)
+    codes = codes.T.astype(np.uint64, order="C")
+    base = np.uint64(_HASH_BASE)
+    for j in range(length):
+        np.multiply(out[j], base, out=out[j + 1])
+        out[j + 1] += codes[j]
     return out
 
 
@@ -252,9 +260,10 @@ class NldIndex:
     indexed, and :meth:`probe` never returns its own token. Identical tokens
     are the shared-token route's job.
 
-    ``tokens`` holds the given tokens of at least :func:`_shortest_searched`
-    characters (the others have no distinct partner), in their given order,
-    and ``lens`` their lengths; a token's row is its position there. Each
+    ``ids`` holds the ids of the given tokens of at least
+    :func:`_shortest_searched` characters (the others have no distinct
+    partner), in their given order, and ``lens`` their lengths; a token's
+    row is its position there, and ``table`` holds its code points. Each
     token of an indexed length has one key per segment slot in ``keys``,
     sorted, with its row beside it in ``rows``. A token too short for
     ``U+1`` non-empty segments has one key, for the empty segment of slot
@@ -264,15 +273,21 @@ class NldIndex:
     are indexed or probed are hashed.
     """
 
-    __slots__ = ("threshold", "tokens", "lens", "keys", "rows", "_by_len", "_layouts", "_prefix", "_plans")
+    __slots__ = ("threshold", "table", "ids", "lens", "keys", "rows", "_by_len", "_layouts", "_prefix", "_plans")
 
-    def __init__(self, tokens: Iterable[str], threshold: float):
+    def __init__(self, tokens: TokenTable | Iterable[str], threshold: float, ids: np.ndarray | None = None):
+        """Index the tokens ``ids`` of the table ``tokens``, or all of its tokens.
+
+        Given strings instead, the index lays them out in a table of its own,
+        in their order, and indexes them all.
+        """
         self.threshold = threshold
-        tokens = list(tokens)
-        lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-        searched = np.flatnonzero(lens >= _shortest_searched(threshold)).tolist()
-        self.tokens = [tokens[i] for i in searched]
-        self.lens = lens[searched]
+        table = tokens if isinstance(tokens, TokenTable) else token_table(list(tokens))
+        if ids is None:
+            ids = np.arange(table.lens.size)
+        self.table = table
+        self.ids = ids[table.lens[ids] >= _shortest_searched(threshold)]
+        self.lens = table.lens[self.ids]
         order = np.argsort(self.lens, kind="stable")
         first = np.flatnonzero(np.diff(self.lens[order], prepend=-1))
         # token length -> rows of that length, ascending
@@ -300,8 +315,8 @@ class NldIndex:
         """The prefix hashes of the indexed tokens of this length, a column per row in ascending order."""
         prefix = self._prefix.get(length)
         if prefix is None:
-            members = self._by_len[length].tolist()
-            prefix = self._prefix[length] = _prefix_hashes([self.tokens[i] for i in members], length)
+            codes = self.table.rows(self.ids[self._by_len[length]], length)
+            prefix = self._prefix[length] = _prefix_hashes(codes)
         return prefix
 
     def plan(self, x_len: int) -> Plan:
@@ -382,13 +397,14 @@ class NldIndex:
         plan = self.plan(x_len)
         if not plan.starts.size:
             return []
-        keys = _segment_keys(_prefix_hashes([x], x_len), plan).ravel()
+        codes = np.fromiter(map(ord, x), dtype=np.uint32, count=x_len)
+        keys = _segment_keys(_prefix_hashes(codes[None, :]), plan).ravel()
         _, rows = self._hits(keys, np.zeros(keys.size, dtype=np.int64), np.array([x_len]))
         rows = sorted_distinct(rows)
         caps = _pair_caps(self.lens[rows] + x_len, self.threshold)
         found = []
         for y, cap in zip(rows.tolist(), caps.tolist()):
-            tok = self.tokens[y]
+            tok = self.table.token(self.ids[y])
             if tok != x:
                 d = ld_cache.bounded(x, tok, cap)
                 if d is not None:
@@ -397,40 +413,39 @@ class NldIndex:
 
 
 def similar_token_pairs(
-    vocab: np.ndarray,
-    vocab_lens: np.ndarray,
+    table: TokenTable,
     kept_r: np.ndarray,
     kept_p: np.ndarray | None,
     threshold: float,
 ) -> tuple[SimilarStats, np.ndarray, np.ndarray]:
     """The search's counters and the token ids ``(sim_r, sim_p)`` of the pairs of distinct similar tokens.
 
-    ``vocab[t]`` is the token with id t and ``vocab_lens[t]`` its length;
-    ``kept_r`` marks the tokens kept on the left side and ``kept_p`` those
-    kept on the right, None for a self-join. One :class:`NldIndex` holds the
-    tokens kept on either side that are long enough to be searched, in id
-    order, and is probed with its own tokens.
+    ``table`` holds the code points of the interned vocabulary, token id t
+    at position t; ``kept_r`` marks the tokens kept on the left side and
+    ``kept_p`` those kept on the right, None for a self-join. One
+    :class:`NldIndex` over the table holds the tokens kept on either side
+    that are long enough to be searched, in id order, and is probed with its
+    own tokens.
 
     The hits are de-duplicated as packed (min id, max id) pairs before any
     edit distance is computed, and pairs of a token with itself are dropped
     (they are the shared-token route's job). A two-set join also drops a
     pair neither of whose orientations pairs a left-kept token with a
     right-kept one. Every other pair goes to one
-    :func:`strdist.ld_bounded_batch` call at its cap. A self-join returns
+    :func:`strdist.ld_bounded_ids` call at its cap. A self-join returns
     each pair found once, as (min id, max id); a two-set join returns each
     orientation that is (left-kept, right-kept).
     """
     stats = SimilarStats()
     t0 = time.perf_counter()
     either = kept_r if kept_p is None else kept_r | kept_p
-    ids = np.flatnonzero(either & (vocab_lens >= _shortest_searched(threshold)))
-    index = NldIndex(vocab[ids].tolist(), threshold)
+    index = NldIndex(table, threshold, np.flatnonzero(either))
     stats.index_ms = (time.perf_counter() - t0) * 1000.0
     x, y = index.probe_all(stats)
     packed = sorted_distinct((np.minimum(x, y) << 32) | np.maximum(x, y))
     stats.candidates = int(packed.size)
     # rows follow ids, so (min row, max row) maps to (min id, max id)
-    a, b = ids[packed >> 32], ids[packed & _PACK_MASK]
+    a, b = index.ids[packed >> 32], index.ids[packed & _PACK_MASK]
     if kept_p is None:
         forward, backward = a != b, np.zeros(a.size, dtype=bool)
     else:
@@ -440,8 +455,8 @@ def similar_token_pairs(
     check = np.flatnonzero(forward | backward)
     stats.ld_checks = int(check.size)
     a_check, b_check = a[check], b[check]
-    caps = _pair_caps(vocab_lens[a_check] + vocab_lens[b_check], threshold)
-    over = check[ld_bounded_batch(vocab[a_check], vocab[b_check], caps) < 0]
+    caps = _pair_caps(table.lens[a_check] + table.lens[b_check], threshold)
+    over = check[ld_bounded_ids(table, a_check, b_check, caps) < 0]
     forward[over] = backward[over] = False
     sim_r = np.concatenate([a[forward], b[backward]])
     sim_p = np.concatenate([b[forward], a[backward]])

@@ -29,7 +29,7 @@ from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
 from .residual import Residuals, VerifyStats, block_rows, length_survivors, verify_block
 from .candidates import SimilarStats, ranges, similar_token_pairs, sorted_distinct
-from .strdist import threshold_ratio
+from .strdist import TokenTable, threshold_ratio, token_table
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
 
 import numpy as np
@@ -104,14 +104,22 @@ class JoinResult(NamedTuple):
 
 @dataclass(slots=True)
 class StageCounts:
+    """A stage's items in and out, and its wall and CPU milliseconds.
+
+    ``cpu_ms`` is the CPU time of the joining process over the same span as
+    ``millis`` (``time.process_time``). Verify blocks that run in a pool's
+    child processes are not included: their CPU time is the children's.
+    """
+
     items_in: int = 0
     items_out: int = 0
     millis: float = 0.0
+    cpu_ms: float = 0.0
 
 
 @dataclass(slots=True)
 class StageReport:
-    """Per-stage item counts and wall times plus the similar-token, filter and verify counters.
+    """Per-stage item counts, wall and CPU times, and the similar-token, filter and verify counters.
 
     The ``pool`` stage, present only when verify made a worker pool, times the
     pool's start-up and shutdown; its items are the pool's processes.
@@ -122,13 +130,13 @@ class StageReport:
     filters: FilterStats = field(default_factory=FilterStats)
     verify: VerifyStats = field(default_factory=VerifyStats)
 
-    def record(self, name: str, items_in: int, items_out: int, millis: float) -> None:
-        self.stages[name] = StageCounts(items_in, items_out, millis)
+    def record(self, name: str, items_in: int, items_out: int, millis: float, cpu_ms: float) -> None:
+        self.stages[name] = StageCounts(items_in, items_out, millis, cpu_ms)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "stages": {
-                name: {"items_in": c.items_in, "items_out": c.items_out, "millis": c.millis}
+                name: {"items_in": c.items_in, "items_out": c.items_out, "millis": c.millis, "cpu_ms": c.cpu_ms}
                 for name, c in self.stages.items()
             },
             "similar": self.similar.to_dict(),
@@ -225,21 +233,24 @@ def _postings(side: _Side, token_ids: np.ndarray, n_tokens: int, max_freq: int |
 
 def _index(
     side_r: _Side, side_p: _Side, max_freq: int | float
-) -> tuple[list[str], _Postings, _Postings]:
+) -> tuple[TokenTable, _Postings, _Postings]:
     """Intern the tokens of both sides to dense ids and build each side's postings.
 
-    Returns the vocabulary, token id i at position i. Ids follow the first
-    occurrence of each token, left side first, and each side's
+    Returns the code-point table of the vocabulary, token id i at position
+    i, which the similar-token search and verify's kernel read. Ids follow
+    the first occurrence of each token, left side first, and each side's
     ``token_ids`` are set. A self-join passes the same side twice and gets
     the same postings twice.
     """
     sides = (side_r,) if side_p is side_r else (side_r, side_p)
     flats = [list(chain.from_iterable(side.tokens)) for side in sides]
     vocab = dict(zip(dict.fromkeys(chain.from_iterable(flats)), count()))
+    lens = np.zeros(len(vocab), dtype=np.int64)
     for side, flat in zip(sides, flats):
         side.token_ids = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
+        lens[side.token_ids] = side.token_lens
     posts = [_postings(side, side.token_ids, len(vocab), max_freq) for side in sides]
-    return list(vocab), posts[0], posts[-1]
+    return token_table(vocab, lens), posts[0], posts[-1]
 
 
 def _cross(
@@ -358,67 +369,72 @@ def _join(
     report = StageReport()
     num, den = threshold_ratio(cfg.threshold)
 
-    t0 = time.perf_counter()
+    t0 = _start()
     side_r = _prepare_side(corpus_r, "left")
     side_p = side_r if self_join else _prepare_side(corpus_p, "right")
     n_records = len(side_r.ids) + (0 if self_join else len(side_p.ids))
-    report.record("prepare", n_records, n_records, _ms(t0))
+    report.record("prepare", n_records, n_records, *_elapsed(t0))
 
-    t0 = time.perf_counter()
-    vocab, post_r, post_p = _index(side_r, side_p, cfg.max_token_freq)
+    t0 = _start()
+    table, post_r, post_p = _index(side_r, side_p, cfg.max_token_freq)
     kept_tokens = int(post_r.kept.sum()) + (0 if self_join else int(post_p.kept.sum()))
-    report.record("index", n_records, kept_tokens, _ms(t0))
+    report.record("index", n_records, kept_tokens, *_elapsed(t0))
 
-    t0 = time.perf_counter()
-    residuals = Residuals(side_r, side_p, vocab, num, den, greedy=cfg.matching == GREEDY)
+    t0 = _start()
+    residuals = Residuals(side_r, side_p, table, num, den, greedy=cfg.matching == GREEDY)
     side_r.token_ids = side_p.token_ids = None  # the key rows hold what later stages read
-    del vocab
-    residual_inputs_ms = _ms(t0)
+    del table
+    residual_inputs = _elapsed(t0)
 
-    t0 = time.perf_counter()
+    t0 = _start()
     sim_r = sim_p = np.empty(0, dtype=np.int64)
     if cfg.matching in (FUZZY, GREEDY):
         report.similar, sim_r, sim_p = similar_token_pairs(
-            residuals.vocab,
-            residuals.vocab_lens,
+            residuals.table,
             post_r.kept,
             None if self_join else post_p.kept,
             cfg.threshold,
         )
     n_pairs = int(sim_r.size)
-    report.record("similar-tokens", report.similar.probes, n_pairs, _ms(t0))
+    report.record("similar-tokens", report.similar.probes, n_pairs, *_elapsed(t0))
 
-    t0 = time.perf_counter()
+    t0 = _start()
     raw = _generate(post_r, post_p, sim_r, sim_p, self_join)
     del post_r, post_p, sim_r, sim_p
-    report.record("generate", kept_tokens + n_pairs, int(raw.size), _ms(t0))
+    report.record("generate", kept_tokens + n_pairs, int(raw.size), *_elapsed(t0))
 
-    t0 = time.perf_counter()
+    t0 = _start()
     n_raw = int(raw.size)
     unique = dedup_candidates(raw)
     del raw
-    report.record("dedup", n_raw, int(unique.size), _ms(t0))
+    report.record("dedup", n_raw, int(unique.size), *_elapsed(t0))
 
-    t0 = time.perf_counter()
+    t0 = _start()
     n_unique = int(unique.size)
     survivors = length_survivors(unique, residuals) if use_filters else unique
     del unique
-    report.record("filter", n_unique, int(survivors.size), residual_inputs_ms + _ms(t0))
+    millis, cpu_ms = _elapsed(t0)
+    millis += residual_inputs[0]
+    cpu_ms += residual_inputs[1]
+    report.record("filter", n_unique, int(survivors.size), millis, cpu_ms)
 
-    t0 = time.perf_counter()
+    t0 = _start()
     accepted, report.verify, pool = _verify(survivors, residuals, cfg.workers)
-    verify_ms = _ms(t0) - (0.0 if pool is None else pool.millis)
+    millis, cpu_ms = _elapsed(t0)
+    if pool is not None:
+        millis -= pool.millis
+        cpu_ms -= pool.cpu_ms
     # with the filter stage on, verify's residual bound is its second prune
     pruned = report.verify.residual_rejects if use_filters else 0
     report.verify.residual_rejects -= pruned
     n_verified = int(survivors.size) - pruned
     report.filters = FilterStats(n_unique, n_unique - int(survivors.size), pruned, n_verified)
     report.stages["filter"].items_out = n_verified
-    report.record("verify", n_verified, len(accepted), verify_ms)
+    report.record("verify", n_verified, len(accepted), millis, cpu_ms)
     if pool is not None:
         report.stages["pool"] = pool
 
-    t0 = time.perf_counter()
+    t0 = _start()
     if self_join:
         emp = side_r.empties
         for i in range(len(emp) - 1):
@@ -436,12 +452,19 @@ def _join(
         JoinResult(ids_l[packed >> 32], ids_r[packed & _PACK_MASK], dist)
         for packed, dist in accepted
     ]
-    report.record("finalize", len(accepted), len(results), _ms(t0))
+    report.record("finalize", len(accepted), len(results), *_elapsed(t0))
     return results, report
 
 
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
+def _start() -> tuple[float, float]:
+    """The wall and CPU time of this process, in seconds."""
+    return time.perf_counter(), time.process_time()
+
+
+def _elapsed(t0: tuple[float, float]) -> tuple[float, float]:
+    """Milliseconds of wall and CPU time since ``t0``, a :func:`_start`."""
+    wall, cpu = t0
+    return (time.perf_counter() - wall) * 1000.0, (time.process_time() - cpu) * 1000.0
 
 
 def dedup_candidates(raw: np.ndarray) -> np.ndarray:
@@ -472,7 +495,7 @@ def _verify(
     step = block_rows(residuals.width)
     blocks = [survivors[start : start + step] for start in range(0, survivors.size, step)]
     n_workers = min(workers, len(blocks))
-    t0 = time.perf_counter()
+    t0 = _start()
     executor = _fork_executor(n_workers, residuals) if n_workers > 1 else None
     pool = None
     accepted: list[tuple[int, float]] = []
@@ -483,7 +506,7 @@ def _verify(
             parts = (verify_block(block, residuals) for block in blocks)
         else:
             parts = executor.map(_verify_task, blocks)
-            pool = StageCounts(n_workers, n_workers, _ms(t0))
+            pool = StageCounts(n_workers, n_workers, *_elapsed(t0))
         for packed, dists, block_stats in parts:
             accepted.extend(zip(packed.tolist(), dists.tolist()))
             stats.add(block_stats)
@@ -492,10 +515,12 @@ def _verify(
         raise StageError("verify", done, f"{type(exc).__name__}: {exc}") from exc
     finally:
         if executor is not None:
-            t0 = time.perf_counter()
+            t0 = _start()
             executor.shutdown(cancel_futures=True)
             if pool is not None:
-                pool.millis += _ms(t0)
+                millis, cpu_ms = _elapsed(t0)
+                pool.millis += millis
+                pool.cpu_ms += cpu_ms
     return accepted, stats, pool
 
 

@@ -9,10 +9,11 @@ tokens. :func:`length_survivors` is the filter stage's length prune.
 :func:`verify_block` first rejects with the residual-length bound of
 :func:`filters.residual_prunes`, then matches the residual tokens of up to
 four a side in arrays, with every edit distance of a block in one
-:func:`strdist.ld_bounded_batch` call. The pairs the rows cannot express go
-to the scalar :func:`setdist.sld_capped`, through one
-:class:`setdist.LdCache` per block. Verify computes every edit distance it
-needs itself; the similar-token search hands none on.
+:func:`strdist.ld_bounded_ids` call: the token ids go in, and the kernel
+reads their code points from the join's :class:`strdist.TokenTable`. The
+pairs the rows cannot express go to the scalar :func:`setdist.sld_capped`,
+through one :class:`setdist.LdCache` per block. Verify computes every edit
+distance it needs itself; the similar-token search hands none on.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .setdist import LdCache, drop_shared, sld_capped
-from .strdist import ld_bounded_batch
+from .strdist import TokenTable, ld_bounded_ids
 
 _PACK_MASK = 0xFFFFFFFF
 # the rows hold at most this many cells per token of the joined sides (at
@@ -55,7 +56,7 @@ class VerifyStats:
     ``sld_capped``, bound included.
     ``kernel_cells`` is the number of token-pair edit distances k = 1..4
     needed, ``kernel_token_pairs`` the distinct token pairs among them that
-    went to ``ld_bounded_batch``, and ``scalar_fallbacks`` the
+    went to ``ld_bounded_ids``, and ``scalar_fallbacks`` the
     ``sld_capped`` calls.
     """
 
@@ -91,14 +92,13 @@ class Residuals:
     ``lens_left[i]`` is left record i's aggregate length and
     ``tokens_left[i]`` its tokens; ``keys_left`` and ``scalar_left`` are
     its key rows and the records they leave out (see :func:`_rows`), and
-    likewise on the right. ``vocab_lens[t]`` is the length of token t.
+    likewise on the right. ``table`` holds the code points of the interned
+    vocabulary, and ``table.lens[t]`` is the length of token t.
     ``maxdiff[l] = floor(num·l/den)``: a pair whose longer side has
     length l is pruned by length when the lengths differ by more.
     ``cost_cap[L] = floor(num·L/(2·den − num))``: the largest setwise cost
     within the threshold at combined length L (the verify cap). Both come
     from Python ints, so no threshold or length can overflow them.
-    ``vocab[t]`` is the token with interned id t (an object array, so that
-    a gather by id makes no Python ints).
     """
 
     __slots__ = (
@@ -112,14 +112,13 @@ class Residuals:
         "scalar_left",
         "scalar_right",
         "width",
-        "vocab",
-        "vocab_lens",
+        "table",
         "maxdiff",
         "cost_cap",
         "greedy",
     )
 
-    def __init__(self, side_r, side_p, vocab: list[str], num: int, den: int, *, greedy: bool):
+    def __init__(self, side_r, side_p, table: TokenTable, num: int, den: int, *, greedy: bool):
         """Rows of the two prepared sides (the same side twice for a self-join).
 
         A side has ``counts`` (tokens per record), ``token_ids`` and
@@ -138,22 +137,19 @@ class Residuals:
             CELLS_PER_TOKEN * n_tokens // max(n_rows, 1),
         ))
         # each token's position in (length, id) order
-        vocab_lens = np.zeros(len(vocab), dtype=np.int64)
-        for side in sides:
-            vocab_lens[side.token_ids] = side.token_lens
-        by_length = np.sort((vocab_lens << 32) | np.arange(len(vocab))) & _PACK_MASK
+        vocab_lens = table.lens
+        by_length = np.sort((vocab_lens << 32) | np.arange(vocab_lens.size)) & _PACK_MASK
         position = np.empty_like(by_length)
         position[by_length] = np.arange(by_length.size)
         left = _rows(side_r, self.width, by_length, position, vocab_lens)
         right = left if self_join else _rows(side_p, self.width, by_length, position, vocab_lens)
         self.keys_left, self.scalar_left = left
         self.keys_right, self.scalar_right = right
-        self.vocab_lens = vocab_lens
+        self.table = table
         self.lens_left = side_r.lens
         self.lens_right = side_p.lens
         self.tokens_left = side_r.tokens
         self.tokens_right = side_p.tokens
-        self.vocab = np.array(vocab, dtype=object)
         max_len = int(max(self.lens_left.max(initial=0), self.lens_right.max(initial=0)))
         self.maxdiff = np.array([num * l // den for l in range(max_len + 1)], dtype=np.int64)
         cap_den = 2 * den - num
@@ -234,9 +230,9 @@ def _residual_cells(
     for col in range(res.width):
         gone_l |= keys_l == keys_r[:, col, None]
         gone_r |= keys_r == keys_l[:, col, None]
-    cells_l = _cells(keys_l, gone_l, res.vocab_lens)
+    cells_l = _cells(keys_l, gone_l, res.table.lens)
     del keys_l, gone_l
-    cells_r = _cells(keys_r, gone_r, res.vocab_lens)
+    cells_r = _cells(keys_r, gone_r, res.table.lens)
     del keys_r, gone_r
     cells_l.sort(axis=1)
     cells_r.sort(axis=1)
@@ -302,7 +298,7 @@ def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndar
     max_k = 1 if res.greedy else ARRAY_MAX_K
     # a rejected pair gets a k the array path skips
     k[~within] = max_k + 1
-    cost = _matching_costs(k, cells_l, cells_r, cap[arr], max_k, res.vocab, stats)
+    cost = _matching_costs(k, cells_l, cells_r, cap[arr], max_k, res.table, stats)
     ok = (k <= max_k) & (cost <= cap[arr])
     idx, cost = [arr[ok]], [cost[ok]]
 
@@ -343,7 +339,7 @@ def _matching_costs(
     cells_r: np.ndarray,
     caps: np.ndarray,
     max_k: int,
-    vocab: np.ndarray,
+    table: TokenTable,
     stats: VerifyStats,
 ) -> np.ndarray:
     """The cost of each pair's best residual matching, exact wherever it is within the cap.
@@ -375,7 +371,7 @@ def _matching_costs(
         np.concatenate([a[real] & _PACK_MASK for _, a, _, real in groups]),
         np.concatenate([b[real] & _PACK_MASK for _, _, b, real in groups]),
         edge_cap,
-        vocab,
+        table,
         stats,
     )
     over = dist < 0
@@ -396,13 +392,13 @@ def _matching_costs(
 
 
 def _edge_distances(
-    ta: np.ndarray, tb: np.ndarray, caps: np.ndarray, vocab: np.ndarray, stats: VerifyStats
+    ta: np.ndarray, tb: np.ndarray, caps: np.ndarray, table: TokenTable, stats: VerifyStats
 ) -> np.ndarray:
-    """``ld_bounded_batch`` over token-id pairs, each distinct pair once at its largest cap.
+    """:func:`strdist.ld_bounded_ids` over token-id pairs, each distinct pair once at its largest cap.
 
     Returns, per pair, the distance if it is at most that pair's largest
     cap, else -1. Sorting the (min id, max id) keys groups equal pairs; the
-    first of each run goes to the kernel.
+    first of each run goes to the kernel, as ids into ``table``.
     """
     keys = np.minimum(ta, tb)
     keys <<= 32
@@ -424,4 +420,4 @@ def _edge_distances(
     del order, run, first
     stats.kernel_cells += int(group.size)
     stats.kernel_token_pairs += int(distinct.size)
-    return ld_bounded_batch(vocab[distinct >> 32], vocab[distinct & _PACK_MASK], group_cap)[group]
+    return ld_bounded_ids(table, distinct >> 32, distinct & _PACK_MASK, group_cap)[group]

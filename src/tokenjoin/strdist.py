@@ -1,7 +1,10 @@
 """Character-level string distances and the length-based bounds used for pruning.
 
 Distances: plain and length-normalized Levenshtein. The normalized form is
-2*LD/(|x|+|y|+LD), a metric on [0, 1].
+2*LD/(|x|+|y|+LD), a metric on [0, 1]. The join computes its edit distances
+in batches of token ids: :func:`token_table` lays out the code points of the
+interned vocabulary once, and :func:`ld_bounded_ids` gathers each pair's
+rows from it for a bit-parallel kernel on numpy words.
 
 The bound helpers (largest/smallest edit distance consistent with a normalized
 threshold, admissible partner lengths) are computed with exact rational
@@ -10,19 +13,20 @@ these formulas can be off by one at representable boundaries, which would break
 candidate-generation completeness, so every integer bound goes through
 fractions.Fraction.
 
-The batch kernel imports numpy where it runs, not at module import. The
-package imports this module first; when the sources are compiled at every
-import (no cached bytecode), numpy loaded that early sits above the memory
-that compiling the larger modules frees, so the memory is not given back,
-and a join's peak RSS rose by about a megabyte.
+The table and the batch kernel import numpy where they run, not at module
+import. The package imports this module first; when the sources are
+compiled at every import (no cached bytecode), numpy loaded that early sits
+above the memory that compiling the larger modules frees, so the memory is
+not given back, and a join's peak RSS rose by about a megabyte.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 ONE_MINUS = "one-minus"
 RECIPROCAL = "reciprocal"
@@ -142,42 +146,82 @@ _GATHER_BYTE_FLAGS = 0x0102040810204080  # sum of 2**(56 - 7k), k = 0..7
 _BATCH_CODE_POINTS = 1 << 17
 
 
-def ld_bounded_batch(xs: Sequence[str], ys: Sequence[str], caps: Sequence[int]) -> np.ndarray:
-    """Per pair ``(xs[i], ys[i])``, the distance if it is at most ``caps[i]``, else -1.
+class TokenTable(NamedTuple):
+    """The UTF-32 code points of a vocabulary, token after token, in one array.
 
-    Cap 0, empty strings and length differences over the cap are decided
-    without the kernel. The other pairs run :func:`ld_bounded`'s
-    bit-parallel column update on numpy words, all pairs at once: the shorter
-    string is the pattern (one uint64 per pair, so at most 63 characters;
-    longer patterns fall back to :func:`ld_bounded`) and the longer one the
-    text, both as UTF-32 code points. Sorted by text length, the pairs still
-    reading text at step j are a prefix of the batch, so each step works on
-    a contiguous slice and no pair is masked. The sorted pairs run in passes
-    of at most ``_BATCH_CODE_POINTS`` code points, so a few very long texts
-    cannot blow up the matrices.
+    Token t is ``codes[starts[t] : starts[t] + lens[t]]``; ``codes`` is
+    uint32, ``starts`` and ``lens`` are int64. Built by :func:`token_table`.
+    """
+
+    codes: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+
+    def rows(self, ids: np.ndarray, width: int) -> np.ndarray:
+        """One row of ``width`` code points per token of ``ids``, read from the token's start.
+
+        Past a token's length a row holds whatever follows it in the table
+        (the table's last code point, at its end).
+        """
+        import numpy as np
+
+        return np.take(self.codes, self.starts[ids][:, None] + np.arange(width), mode="clip")
+
+    def token(self, t: int) -> str:
+        """The token with id ``t``."""
+        start = int(self.starts[t])
+        return "".join(map(chr, self.codes[start : start + int(self.lens[t])].tolist()))
+
+
+def token_table(tokens: Collection[str], lens: np.ndarray | None = None) -> TokenTable:
+    """The :class:`TokenTable` of ``tokens``, token id i at position i.
+
+    ``lens`` holds their lengths, if the caller has them. The code points are
+    read through numpy's ``str_`` layout, which is UTF-32, so no codec
+    module is imported.
     """
     import numpy as np
 
-    n_pairs = len(xs)
-    xs = np.asarray(xs, dtype=object)
-    ys = np.asarray(ys, dtype=object)
-    caps = np.asarray(caps, dtype=np.int64)
-    out = np.full(n_pairs, -1, dtype=np.int64)
-    if n_pairs == 0:
-        return out
-    len_x = np.fromiter(map(len, xs), dtype=np.int64, count=n_pairs)
-    len_y = np.fromiter(map(len, ys), dtype=np.int64, count=n_pairs)
-    short = np.minimum(len_x, len_y)
-    long = np.maximum(len_x, len_y)
-    for i in np.flatnonzero((caps == 0) & (short == long)).tolist():
-        if xs[i] == ys[i]:
-            out[i] = 0
-    open_ = (caps > 0) & (long - short <= caps)
+    if lens is None:
+        lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    joined = "".join(tokens)
+    size = len(joined)
+    codes = np.array([joined], dtype=f"<U{max(size, 1)}").view("<u4")[:size]
+    return TokenTable(codes, np.cumsum(lens) - lens, lens)
+
+
+def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Per pair of token ids ``(a[i], b[i])``, the distance if it is at most ``caps[i]``, else -1.
+
+    The ids index ``table``, whose tokens must be distinct, so equal ids are
+    the identical tokens (distance 0) and distinct ids differ by at least one
+    edit. Equal ids, cap 0, empty tokens and length differences over the cap
+    are decided without the kernel. The other pairs run :func:`ld_bounded`'s
+    bit-parallel column update on numpy words, all pairs at once: the shorter
+    token is the pattern (one uint64 per pair, so at most 63 characters;
+    longer patterns are decoded and fall back to :func:`ld_bounded`) and the
+    longer one the text, their code points gathered as rows of the table.
+    Sorted by text length, the pairs still reading text at step j are a
+    prefix of the batch, so each step works on a contiguous slice and no
+    pair is masked. The sorted pairs run in passes of at most
+    ``_BATCH_CODE_POINTS`` code points, so a few very long texts cannot blow
+    up the matrices.
+    """
+    import numpy as np
+
+    len_a = table.lens[a]
+    len_b = table.lens[b]
+    short = np.minimum(len_a, len_b)
+    long = np.maximum(len_a, len_b)
+    out = np.full(a.size, -1, dtype=np.int64)
+    same = a == b
+    out[same] = 0
+    open_ = ~same & (caps > 0) & (long - short <= caps)
     empty = open_ & (short == 0)
     out[empty] = long[empty]  # the length difference is within the cap
     open_ &= short > 0
     for i in np.flatnonzero(open_ & (short > _BATCH_PATTERN_MAX)).tolist():
-        d = ld_bounded(xs[i], ys[i], int(caps[i]))
+        d = ld_bounded(table.token(a[i]), table.token(b[i]), int(caps[i]))
         out[i] = -1 if d is None else d
     run = np.flatnonzero(open_ & (short <= _BATCH_PATTERN_MAX))
     # longest text first: the pairs still reading text form a prefix
@@ -186,30 +230,38 @@ def ld_bounded_batch(xs: Sequence[str], ys: Sequence[str], caps: Sequence[int]) 
     while start < run.size:
         part = run[start : start + max(1, _BATCH_CODE_POINTS // (64 + int(long[run[start]])))]
         start += part.size
-        x_first = len_x[part] <= len_y[part]
-        pats = np.where(x_first, xs[part], ys[part])
-        texts = np.where(x_first, ys[part], xs[part])
+        a_first = len_a[part] <= len_b[part]
+        pats = np.where(a_first, a[part], b[part])
+        texts = np.where(a_first, b[part], a[part])
         m, n = short[part], long[part]
         width = -(-int(m.max()) // 8) * 8  # whole bytes of pattern bits
-        dist = _myers_batch(_code_points(pats, width), _code_points(texts, int(n[0])), m, n)
+        dist = _myers_batch(table.rows(pats, width), table.rows(texts, int(n[0])), m, n)
         out[part] = np.where(dist <= caps[part], dist, -1)
     return out
 
 
-def _code_points(strings: np.ndarray, width: int) -> np.ndarray:
-    """One row of ``width`` UTF-32 code points per string (numpy's ``str_`` layout), zero-padded."""
+def ld_bounded_batch(xs: Sequence[str], ys: Sequence[str], caps: Sequence[int]) -> np.ndarray:
+    """Per pair ``(xs[i], ys[i])``, the distance if it is at most ``caps[i]``, else -1.
+
+    Interns the strings into one :class:`TokenTable` and runs
+    :func:`ld_bounded_ids`, the kernel the join runs.
+    """
     import numpy as np
 
-    return np.array(strings, dtype=f"<U{width}").view("<u4").reshape(len(strings), width)
+    vocab = {tok: i for i, tok in enumerate(dict.fromkeys([*xs, *ys]))}
+    a = np.array([vocab[x] for x in xs], dtype=np.int64)
+    b = np.array([vocab[y] for y in ys], dtype=np.int64)
+    return ld_bounded_ids(token_table(vocab), a, b, np.asarray(caps, dtype=np.int64))
 
 
 def _myers_batch(pats: np.ndarray, texts: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Levenshtein distances of pattern/text rows; ``n`` must be non-increasing.
 
-    Pattern row i holds ``m[i]`` characters and text row i ``n[i]``; the
-    padding after them is never read as text, and pattern bits at or above
-    ``m[i]`` never reach the lower bits (shifts and carries only move up),
-    so what the padding matches does not matter. The pattern matrix is at
+    Pattern row i holds ``m[i]`` characters and text row i ``n[i]``, each
+    followed by any values: the columns after a text are never read, and
+    pattern bits at or above ``m[i]`` never reach the lower bits (shifts and
+    carries only move up), so what the pattern's padding matches does not
+    matter. The pattern matrix is at
     most 64 columns wide, a multiple of 8.
     """
     import numpy as np

@@ -16,7 +16,7 @@ from tokenjoin.candidates import (
 from tokenjoin.errors import DataError, NotPartitionable
 from tokenjoin.pipeline import JoinConfig, join
 from tokenjoin.setdist import LdCache
-from tokenjoin.strdist import max_ld_given_nld, min_partner_len
+from tokenjoin.strdist import max_ld_given_nld, min_partner_len, token_table
 
 from conftest import all_pairs_token_oracle, make_ts, naive_ld, nld_frac, rand_token
 
@@ -176,8 +176,7 @@ def similar(tokens_r, tokens_p, threshold, capped_r=(), capped_p=()):
         return mask
 
     stats, sim_r, sim_p = similar_token_pairs(
-        np.array(vocab, dtype=object),
-        np.array([len(tok) for tok in vocab], dtype=np.int64),
+        token_table(vocab),
         kept(tokens_r),
         None if tokens_p is None else kept(tokens_p),
         threshold,
@@ -375,13 +374,13 @@ class TestHashedSegmentKeys:
         left = ["abcdefghij", "abcdefghik", "zbcdefghij", "qqqqqqqqqq"]
         right = ["abcdefghik", "abcdefghij", "abcdefghil", "abcdefghijk"]
         sent = []
-        kernel = candidates.ld_bounded_batch
+        kernel = candidates.ld_bounded_ids
 
-        def spy(xs, ys, caps):
-            sent.extend(zip(xs, ys))
-            return kernel(xs, ys, caps)
+        def spy(table, a, b, caps):
+            sent.extend((table.token(x), table.token(y)) for x, y in zip(a.tolist(), b.tolist()))
+            return kernel(table, a, b, caps)
 
-        monkeypatch.setattr(candidates, "ld_bounded_batch", spy)
+        monkeypatch.setattr(candidates, "ld_bounded_ids", spy)
         stats, pairs = similar(left, right, 0.2)
         assert set(pairs) == all_pairs_token_oracle(left, right, 0.2)
         assert ("abcdefghij", "abcdefghik") in pairs and ("abcdefghik", "abcdefghij") in pairs

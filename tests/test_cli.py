@@ -80,7 +80,7 @@ class TestJoinCommand:
         # the two records share no token: one pair with two residual tokens a side
         assert payload["verify"]["pairs_by_k"] == {"0": 0, "1": 0, "2": 1, "3": 0, "4": 0, "5+": 0}
         for counts in payload["stages"].values():
-            assert set(counts) == {"items_in", "items_out", "millis"}
+            assert set(counts) == {"items_in", "items_out", "millis", "cpu_ms"}
 
     def test_default_threshold_finds_nothing_here(self, reference_file, tmp_path):
         out = tmp_path / "out.tsv"

@@ -22,7 +22,7 @@ from tokenjoin.pipeline import (
     join,
 )
 from tokenjoin.setdist import LdCache, drop_shared, sld_capped
-from tokenjoin.strdist import ld_bounded_batch, threshold_ratio
+from tokenjoin.strdist import ld_bounded_ids, threshold_ratio
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
 
@@ -225,9 +225,9 @@ print(sorted(set(sys.modules) - before))
 
         def spy(*args, **kwargs):
             states.append(gc.isenabled())
-            return ld_bounded_batch(*args, **kwargs)
+            return ld_bounded_ids(*args, **kwargs)
 
-        monkeypatch.setattr(residual, "ld_bounded_batch", spy)
+        monkeypatch.setattr(residual, "ld_bounded_ids", spy)
         was = gc.isenabled()
         try:
             gc.enable()
@@ -269,10 +269,10 @@ def long_records(rng, prefix, n):
 
 def residual_rows(side_r, side_p, threshold, greedy=False):
     """The residual rows of the two prepared sides, and the interned vocabulary as token -> id."""
-    tokens, _, _ = pipeline._index(side_r, side_p, math.inf)
+    table, _, _ = pipeline._index(side_r, side_p, math.inf)
     num, den = threshold_ratio(threshold)
-    res = residual.Residuals(side_r, side_p, tokens, num, den, greedy=greedy)
-    return res, {tok: i for i, tok in enumerate(tokens)}, num, den
+    res = residual.Residuals(side_r, side_p, table, num, den, greedy=greedy)
+    return res, {table.token(t): t for t in range(table.lens.size)}, num, den
 
 
 def expected_residual_rows(side, vocab, width):
@@ -343,7 +343,7 @@ class TestPackedFilter:
         keys, left_out = expected_residual_rows(side, vocab, res.width)
         assert np.array_equal(res.keys_left, keys)
         assert np.array_equal(res.scalar_left, left_out)
-        assert res.vocab_lens.tolist() == [len(tok) for tok in vocab]
+        assert res.table.lens.tolist() == [len(tok) for tok in vocab]
         assert res.keys_right is res.keys_left
         # the 2,000-token record and the record with an empty token only
         assert sorted(np.array(side.ids)[left_out]) == ["blank", "wide"]
@@ -510,6 +510,27 @@ class TestJoinAgainstOracle:
         oracle = join_bruteforce(corpus_r, corpus_p, 0.15)
         assert as_tuples(engine) == list(oracle.pairs)
 
+    @pytest.mark.parametrize("matching", ["fuzzy", "greedy"])
+    def test_join_runs_the_id_kernel_only(self, matching, monkeypatch):
+        # the string wrapper of the kernel is for tests: with it refusing
+        # every call, both kernel callers still run and the output is exact
+        # (greedy matching finds every true pair of this corpus)
+        from tokenjoin import candidates, setdist, strdist
+        from tokenjoin.oracle import join_bruteforce
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("join() called strdist.ld_bounded_batch")
+
+        for module in (strdist, candidates, residual, pipeline, setdist):
+            monkeypatch.setattr(module, "ld_bounded_batch", refuse, raising=False)
+        lines = generate_corpus(250, seed=97, base_tokens=90, perturb_rate=0.45, max_edits=2)
+        corpus = corpus_from_lines(lines)
+        for corpus_r, corpus_p in ((corpus, None), (corpus[:120], corpus[120:])):
+            cfg = JoinConfig(threshold=0.2, max_token_freq=math.inf, matching=matching, self_join=corpus_p is None)
+            engine, report = join(corpus_r, corpus_p, cfg)
+            assert report.similar.ld_checks and report.verify.kernel_token_pairs
+            assert as_tuples(engine) == list(join_bruteforce(corpus_r, corpus_p, 0.2).pairs)
+
     @pytest.mark.parametrize("self_join", [True, False])
     def test_records_of_length_zero(self, self_join, rng):
         # TokenizedString.from_tokens allows empty tokens: a record of them
@@ -651,6 +672,7 @@ class TestJoinProperties:
         assert similar["probe_keys"] >= similar["probes"]
         assert similar["candidates"] >= similar["ld_checks"] >= similar["pairs"]
         assert 0 <= similar["index_ms"] <= stages["similar-tokens"].millis
+        assert all(payload["stages"][name]["cpu_ms"] >= 0 for name in stages)
         _, report_exact = join(corpus, None, JoinConfig(threshold=0.15, matching="exact-token"))
         assert set(report_exact.to_dict()["similar"].values()) == {0}
         verify = payload["verify"]

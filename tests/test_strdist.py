@@ -13,11 +13,13 @@ from tokenjoin.strdist import (
     ld,
     ld_bounded,
     ld_bounded_batch,
+    ld_bounded_ids,
     max_ld_given_nld,
     min_ld_given_nld_exceeds,
     min_partner_len,
     nld,
     nld_bounds_from_lengths,
+    token_table,
 )
 
 from conftest import naive_ld, nld_frac, strings_upto
@@ -120,10 +122,12 @@ def edited(rng, x, alphabet, max_edits):
 
 
 class TestLdBoundedBatch:
-    @pytest.mark.parametrize("alphabet", ["abc", "aé漢字\x00"])
+    @pytest.mark.parametrize("alphabet", ["abc", "aé漢字\x00", "ab\U0001F600\x00"])
     def test_equals_ld_bounded(self, alphabet):
-        # lengths 0-70 cross the kernel's 63-character pattern limit; near
-        # copies put many distances at or next to their cap
+        # the id kernel over an interned vocabulary, against ld: lengths
+        # 0-70 cross the kernel's 63-character pattern limit, near copies
+        # put many distances at or next to their cap, and unedited copies
+        # pair a token with itself (equal ids)
         rng = random.Random(41)
         xs, ys, caps = [], [], []
         for _ in range(3000):
@@ -135,12 +139,27 @@ class TestLdBoundedBatch:
             xs.append(x)
             ys.append(y)
             caps.append(rng.randint(0, 6))
-        got = ld_bounded_batch(xs, ys, caps)
+        # tokens that end in "\x00" last, so that the table ends in one
+        tokens = sorted(set(xs + ys), key=lambda tok: tok.endswith("\x00"))
+        ids = {tok: i for i, tok in enumerate(tokens)}
+        table = token_table(tokens)
+        a = np.array([ids[x] for x in xs])
+        b = np.array([ids[y] for y in ys])
+        got = ld_bounded_ids(table, a, b, np.array(caps))
         assert got.dtype == np.int64 and got.shape == (len(xs),)
-        want = [ld_bounded(x, y, cap) for x, y, cap in zip(xs, ys, caps)]
-        assert got.tolist() == [-1 if d is None else d for d in want]
+        dists = [ld(x, y) for x, y in zip(xs, ys)]
+        want = [d if d <= cap else -1 for d, cap in zip(dists, caps)]
+        assert got.tolist() == want
+        assert ld_bounded_batch(xs, ys, caps).tolist() == want
+        assert [table.token(t) for t in range(len(tokens))] == tokens
         lens = [min(len(x), len(y)) for x, y in zip(xs, ys)]
         assert max(lens) > 63 and sum(0 < n <= 63 for n in lens) > 1000
+        assert "" in ids
+        # a "\x00" inside a fallback pattern and at the end of the table's tokens
+        long_nul = any("\x00" in tok for tok in tokens if len(tok) > 63)
+        assert "\x00" not in alphabet or (long_nul and tokens[-1].endswith("\x00"))
+        assert sum(cap == 0 for cap in caps) > 300
+        assert sum(x == y for x, y in zip(xs, ys)) > 100
 
     def test_equal_strings_and_edges(self):
         xs = ["abc", "", "abc", "", "ab", "a" * 64, "é漢", "ab"]
