@@ -12,9 +12,11 @@ sorted array: a polynomial hash of the segment's code points, read from
 the table's rows, tagged with the token's length and the segment's slot.
 :func:`similar_token_pairs` builds one index over the tokens kept on either
 side, self-join or not, looks up the position-restricted substrings of all
-its tokens at once, de-duplicates the hits as packed token-id pairs and
-checks every edit distance in one :func:`strdist.ld_bounded_ids` call on
-the same table; it returns token ids, and hands no distance on to verify.
+its tokens at once, keeps each pair's hits from one of its tokens,
+de-duplicates them as packed token-id pairs and checks every edit distance
+in one :func:`strdist.ld_bounded_ids` call on the same table; it returns
+token ids, and hands no distance on to verify. Every length bound and edit
+cap it reads comes from the join's :class:`strdist.Bounds`.
 Equal segments always get equal keys, so no pair is lost; a hash collision
 only adds a candidate, which the exact check rejects unless it is a true
 pair that the segment join finds anyway. :func:`build_token_space` states
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Hashable, Iterable, NamedTuple, Sequence
 
@@ -36,14 +37,7 @@ import numpy as np
 
 from .errors import DataError, NotPartitionable
 from .setdist import LdCache
-from .strdist import (
-    TokenTable,
-    ld_bounded_ids,
-    max_ld_given_nld,
-    min_partner_len,
-    threshold_ratio,
-    token_table,
-)
+from .strdist import Bounds, TokenTable, ld_bounded_ids, threshold_bounds, token_table
 from .textnorm import TokenizedString
 
 RecordId = Hashable
@@ -104,19 +98,6 @@ def partition_even(token: str, u: int) -> list[str]:
     return [token[start : start + seg_len] for start, seg_len in segment_layout(len(token), u)]
 
 
-@lru_cache(maxsize=None)
-def partner_len_ceiling(x_len: int, threshold: float) -> int:
-    """Largest partner length |y| >= |x| allowed by the length-condition.
-
-    ceil((1-T)*|y|) <= |x| holds exactly for |y| <= floor(|x|/(1-T)); exact
-    rational arithmetic as everywhere else.
-    """
-    t = Fraction(threshold)
-    if not 0 <= t < 1:
-        raise ValueError(f"threshold must be in [0, 1), got {threshold!r}")
-    return math.floor(Fraction(x_len) / (1 - t))
-
-
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(s, s + n)`` over the pairs ``(s, n)``.
 
@@ -152,13 +133,14 @@ class SimilarStats:
 
     ``probes`` tokens had a non-empty plan and looked up ``probe_keys``
     segment keys in all; in a two-set join they are tokens kept on either
-    side. The hits held ``candidates`` distinct unordered token pairs, a
-    token's hit on itself included, and in a two-set join also the pairs of
-    two tokens kept on one side only. The ``ld_checks`` of them that pair
-    distinct tokens (a left-kept one with a right-kept one, in a two-set
-    join) went to ``ld_bounded_ids``, and ``pairs`` (ordered, in a two-set
-    join) were within the threshold. ``index_ms`` is the time spent
-    building the index.
+    side. The hits held ``candidates`` distinct unordered pairs of distinct
+    tokens, each hit from one of its tokens (:meth:`NldIndex.probe_all`),
+    in a two-set join also the pairs of two tokens kept on one side only.
+    The ``ld_checks`` of them that a self-join keeps, or that pair a
+    left-kept token with a right-kept one in a two-set join, went to
+    ``ld_bounded_ids``, and ``pairs`` (ordered, in a two-set join) were
+    within the threshold. ``index_ms`` is the time spent building the
+    index.
     """
 
     probes: int = 0
@@ -226,30 +208,15 @@ def _segment_keys(prefix: np.ndarray, plan: Plan) -> np.ndarray:
     return keys
 
 
-def _pair_caps(totals: np.ndarray, threshold: float) -> np.ndarray:
-    """The largest LD within the threshold for each length sum |x| + |y|.
+def _searched(lens: np.ndarray, bounds: Bounds) -> np.ndarray:
+    """Which of the token lengths ``lens`` are indexed or probed.
 
-    nld(x, y) <= T exactly when ld(x, y) <= num·(|x|+|y|) // (2·den − num),
-    in Python integers, once per distinct sum.
+    A token of length l has partners up to length ``ceiling[l]``, and ``U``
+    grows with the length, so it has a distinct partner within the
+    threshold only if ``U(ceiling[l]) = cost_cap[2·ceiling[l]]`` is at least
+    1. At T = 0.1 that takes nine characters.
     """
-    num, den = threshold_ratio(threshold)
-    distinct = sorted_distinct(totals.copy())
-    caps = np.array([num * t // (2 * den - num) for t in distinct.tolist()], dtype=np.int64)
-    return caps[np.searchsorted(distinct, totals)]
-
-
-@lru_cache(maxsize=None)
-def _shortest_searched(threshold: float) -> int | float:
-    """The shortest token length that is indexed or probed; inf at T = 0.
-
-    ``U`` first reaches 1 at ``L0 = ceil((2 − T) / 2T)``, and the shortest
-    partner of that length is ``ceil((1 − T)·L0)``, so no shorter token has
-    a distinct partner within the threshold.
-    """
-    t = Fraction(threshold)
-    if t == 0:
-        return math.inf
-    return min_partner_len(math.ceil((2 - t) / (2 * t)), threshold)
+    return bounds.cost_cap[2 * bounds.ceiling[lens]] > 0
 
 
 class NldIndex:
@@ -260,12 +227,13 @@ class NldIndex:
     indexed, and :meth:`probe` never returns its own token. Identical tokens
     are the shared-token route's job.
 
-    ``ids`` holds the ids of the given tokens of at least
-    :func:`_shortest_searched` characters (the others have no distinct
-    partner), in their given order, and ``lens`` their lengths; a token's
-    row is its position there, and ``table`` holds its code points. Each
-    token of an indexed length has one key per segment slot in ``keys``,
-    sorted, with its row beside it in ``rows``. A token too short for
+    ``ids`` holds the ids of the given tokens of a length that
+    :func:`_searched` keeps (the others have no distinct partner), in their
+    given order, and ``lens`` their lengths; a token's row is its position
+    there, and ``table`` holds its code points. ``bounds`` are the
+    threshold's integer bounds, over lengths up to at least the longest
+    token. Each token of an indexed length has one key per segment slot in
+    ``keys``, sorted, with its row beside it in ``rows``. A token too short for
     ``U+1`` non-empty segments has one key, for the empty segment of slot
     0, which every probe of an admissible length reads. The prefix hashes of
     one length's tokens (:meth:`prefix`) and the plan of one probe length
@@ -273,20 +241,23 @@ class NldIndex:
     are indexed or probed are hashed.
     """
 
-    __slots__ = ("threshold", "table", "ids", "lens", "keys", "rows", "_by_len", "_layouts", "_prefix", "_plans")
+    __slots__ = ("bounds", "table", "ids", "lens", "keys", "rows", "_by_len", "_layouts", "_prefix", "_plans")
 
-    def __init__(self, tokens: TokenTable | Iterable[str], threshold: float, ids: np.ndarray | None = None):
+    def __init__(self, tokens: TokenTable | Iterable[str], bounds: Bounds | float, ids: np.ndarray | None = None):
         """Index the tokens ``ids`` of the table ``tokens``, or all of its tokens.
 
         Given strings instead, the index lays them out in a table of its own,
-        in their order, and indexes them all.
+        in their order, and indexes them all. Given a threshold instead of
+        its :class:`strdist.Bounds`, it builds them over its longest token.
         """
-        self.threshold = threshold
         table = tokens if isinstance(tokens, TokenTable) else token_table(list(tokens))
         if ids is None:
             ids = np.arange(table.lens.size)
+        if not isinstance(bounds, Bounds):
+            bounds = threshold_bounds(bounds, int(table.lens.max(initial=0)))
+        self.bounds = bounds
         self.table = table
-        self.ids = ids[table.lens[ids] >= _shortest_searched(threshold)]
+        self.ids = ids[_searched(table.lens[ids], bounds)]
         self.lens = table.lens[self.ids]
         order = np.argsort(self.lens, kind="stable")
         first = np.flatnonzero(np.diff(self.lens[order], prepend=-1))
@@ -299,7 +270,7 @@ class NldIndex:
         keys = [np.empty(0, dtype=np.uint64)]
         rows = [np.empty(0, dtype=np.int64)]
         for length, members in self._by_len.items():
-            u = max_ld_given_nld(length, threshold, True)
+            u = int(bounds.cost_cap[2 * length])
             if u == 0:
                 continue
             layout = self._layouts[length] = segment_layout(length, u) if length > u else ((0, 0),)
@@ -331,13 +302,12 @@ class NldIndex:
         return plan
 
     def _build_plan(self, x_len: int) -> Plan:
-        t = self.threshold
         lookups: list[tuple[int, int, int, int]] = []
-        for y_len in range(x_len, partner_len_ceiling(x_len, t) + 1):
+        for y_len in range(x_len, int(self.bounds.ceiling[x_len]) + 1):
             layout = self._layouts.get(y_len)
             if layout is None:
                 continue
-            u = max_ld_given_nld(y_len, t, True)
+            u = int(self.bounds.cost_cap[2 * y_len])
             delta = x_len - y_len
             for slot, (start, seg_len) in enumerate(layout):
                 # multi-match-aware window (PassJoin): some matching segment
@@ -347,33 +317,29 @@ class NldIndex:
                 lookups.extend((y_len, slot, p, p + seg_len) for p in range(p_lo, p_hi + 1))
         return _plan(lookups)
 
-    def _hits(
-        self, keys: np.ndarray, probe_rows: np.ndarray, probe_lens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _hits(self, keys: np.ndarray, probe_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(probe row, indexed row) of every indexed key equal to a probe's key.
 
-        ``keys[i]`` is a segment key of the probe ``probe_rows[i]``, whose
-        length is ``probe_lens[probe_rows[i]]``. A hit on a token shorter
-        than its probe can only be a hash collision across tags, and is
-        dropped.
+        ``keys[i]`` is a segment key of the probe ``probe_rows[i]``. A hit on
+        a token shorter than its probe can only be a hash collision across
+        tags; the callers drop it.
         """
         # sorted queries search several times faster than scattered ones
         order = np.argsort(keys)
         keys = keys[order]
         lo = np.searchsorted(self.keys, keys, side="left")
         counts = np.searchsorted(self.keys, keys, side="right") - lo
-        x = np.repeat(probe_rows[order], counts)
-        y = self.rows[ranges(lo, counts)]
-        longer = self.lens[y] >= probe_lens[x]
-        return x[longer], y[longer]
+        return np.repeat(probe_rows[order], counts), self.rows[ranges(lo, counts)]
 
     def probe_all(self, stats: SimilarStats) -> tuple[np.ndarray, np.ndarray]:
         """(probe row, indexed row) of every hit of one of this index's own tokens.
 
         The keys of all probes of one length come from the prefix hashes the
         index already holds, and all keys are looked up at once. A length
-        whose plan is empty is not probed. A token hits itself, and an
-        equal-length pair is hit from both of its tokens.
+        whose plan is empty is not probed. Each pair is kept from one of its
+        tokens only, in (length, row) order the lower one: its shorter token,
+        or the lower row of an equal-length pair, which PassJoin hits from
+        either token. A token's hit on itself is dropped.
         """
         keys = [np.empty(0, dtype=np.uint64)]
         rows = [np.empty(0, dtype=np.int64)]
@@ -385,7 +351,10 @@ class NldIndex:
                 stats.probes += members.size
         keys = np.concatenate(keys)
         stats.probe_keys += keys.size
-        return self._hits(keys, np.concatenate(rows), self.lens)
+        x, y = self._hits(keys, np.concatenate(rows))
+        rank = (self.lens << 32) | np.arange(self.lens.size)
+        first = rank[x] < rank[y]
+        return x[first], y[first]
 
     def probe(self, x: str, ld_cache: LdCache) -> list[tuple[str, str, int]]:
         """All indexed tokens y != x with |y| >= |x| and nld(x, y) within threshold.
@@ -394,14 +363,16 @@ class NldIndex:
         checked through ``ld_cache``; hits come in row order.
         """
         x_len = len(x)
+        if x_len >= self.bounds.ceiling.size:
+            return []  # longer than every indexed token
         plan = self.plan(x_len)
         if not plan.starts.size:
             return []
         codes = np.fromiter(map(ord, x), dtype=np.uint32, count=x_len)
         keys = _segment_keys(_prefix_hashes(codes[None, :]), plan).ravel()
-        _, rows = self._hits(keys, np.zeros(keys.size, dtype=np.int64), np.array([x_len]))
-        rows = sorted_distinct(rows)
-        caps = _pair_caps(self.lens[rows] + x_len, self.threshold)
+        _, rows = self._hits(keys, np.zeros(keys.size, dtype=np.int64))
+        rows = sorted_distinct(rows[self.lens[rows] >= x_len])
+        caps = self.bounds.cost_cap[self.lens[rows] + x_len]
         found = []
         for y, cap in zip(rows.tolist(), caps.tolist()):
             tok = self.table.token(self.ids[y])
@@ -416,30 +387,32 @@ def similar_token_pairs(
     table: TokenTable,
     kept_r: np.ndarray,
     kept_p: np.ndarray | None,
-    threshold: float,
+    bounds: Bounds,
 ) -> tuple[SimilarStats, np.ndarray, np.ndarray]:
     """The search's counters and the token ids ``(sim_r, sim_p)`` of the pairs of distinct similar tokens.
 
     ``table`` holds the code points of the interned vocabulary, token id t
     at position t; ``kept_r`` marks the tokens kept on the left side and
-    ``kept_p`` those kept on the right, None for a self-join. One
-    :class:`NldIndex` over the table holds the tokens kept on either side
-    that are long enough to be searched, in id order, and is probed with its
-    own tokens.
+    ``kept_p`` those kept on the right, None for a self-join; ``bounds``
+    are the threshold's integer bounds, over lengths up to at least the
+    longest token. One :class:`NldIndex` over the table holds the tokens
+    kept on either side that are long enough to be searched, in id order,
+    and is probed with its own tokens.
 
-    The hits are de-duplicated as packed (min id, max id) pairs before any
-    edit distance is computed, and pairs of a token with itself are dropped
-    (they are the shared-token route's job). A two-set join also drops a
-    pair neither of whose orientations pairs a left-kept token with a
-    right-kept one. Every other pair goes to one
-    :func:`strdist.ld_bounded_ids` call at its cap. A self-join returns
+    The hits, each pair's from one of its tokens and none of a token on
+    itself (identical tokens are the shared-token route's job), are
+    de-duplicated as packed (min id, max id) pairs before any edit distance
+    is computed. A two-set join also drops a pair neither of whose
+    orientations pairs a left-kept token with a right-kept one. Every other
+    pair goes to one :func:`strdist.ld_bounded_ids` call at its cap,
+    ``cost_cap[|x| + |y|]``. A self-join returns
     each pair found once, as (min id, max id); a two-set join returns each
     orientation that is (left-kept, right-kept).
     """
     stats = SimilarStats()
     t0 = time.perf_counter()
     either = kept_r if kept_p is None else kept_r | kept_p
-    index = NldIndex(table, threshold, np.flatnonzero(either))
+    index = NldIndex(table, bounds, np.flatnonzero(either))
     stats.index_ms = (time.perf_counter() - t0) * 1000.0
     x, y = index.probe_all(stats)
     packed = sorted_distinct((np.minimum(x, y) << 32) | np.maximum(x, y))
@@ -447,15 +420,14 @@ def similar_token_pairs(
     # rows follow ids, so (min row, max row) maps to (min id, max id)
     a, b = index.ids[packed >> 32], index.ids[packed & _PACK_MASK]
     if kept_p is None:
-        forward, backward = a != b, np.zeros(a.size, dtype=bool)
+        forward, backward = np.ones(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
     else:
-        distinct = a != b
-        forward = distinct & kept_r[a] & kept_p[b]
-        backward = distinct & kept_r[b] & kept_p[a]
+        forward = kept_r[a] & kept_p[b]
+        backward = kept_r[b] & kept_p[a]
     check = np.flatnonzero(forward | backward)
     stats.ld_checks = int(check.size)
     a_check, b_check = a[check], b[check]
-    caps = _pair_caps(table.lens[a_check] + table.lens[b_check], threshold)
+    caps = bounds.cost_cap[table.lens[a_check] + table.lens[b_check]]
     over = check[ld_bounded_ids(table, a_check, b_check, caps) < 0]
     forward[over] = backward[over] = False
     sim_r = np.concatenate([a[forward], b[backward]])

@@ -29,7 +29,7 @@ from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
 from .residual import Residuals, VerifyStats, block_rows, length_survivors, verify_block
 from .candidates import SimilarStats, ranges, similar_token_pairs, sorted_distinct
-from .strdist import TokenTable, threshold_ratio, token_table
+from .strdist import TokenTable, threshold_bounds, token_table
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
 
 import numpy as np
@@ -149,23 +149,17 @@ class StageReport:
 class _Side:
     """One corpus in dense-id order (record ids sorted), in columnar form.
 
-    ``counts[i]`` is record i's token count, ``lens[i]`` its aggregate
-    length, and ``token_lens`` holds the lengths of all tokens, record after
-    record, in each record's token order. ``token_ids`` holds their interned
-    ids in the same order, from :func:`_index` until
-    :class:`residual.Residuals` has read them. ``empties`` lists the records
-    of aggregate length 0: each is at distance 0 from every other one and
-    beyond every threshold below 1 from a longer record, so finalize pairs
-    them and they hold no postings.
+    ``counts[i]`` is record i's token count and ``lens[i]`` its aggregate
+    length. ``empties`` lists the records of aggregate length 0: each is at
+    distance 0 from every other one and beyond every threshold below 1 from
+    a longer record, so finalize pairs them and they hold no postings.
     """
 
     ids: list[str]
     tokens: list[tuple[str, ...]]
     lens: np.ndarray
     counts: np.ndarray
-    token_lens: np.ndarray
     empties: list[int]
-    token_ids: np.ndarray | None = None
 
 
 def _check_side_size(n_records: int, label: str) -> None:
@@ -185,18 +179,8 @@ def _prepare_side(corpus: Sequence[TokenizedString], label: str) -> _Side:
         raise DataError(f"duplicate record id {dup!r} in {label} corpus")
     tokens = [rec.tokens for rec in recs]
     counts = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    token_lens = np.fromiter(
-        map(len, chain.from_iterable(tokens)), dtype=np.int64, count=int(counts.sum())
-    )
     lens = np.fromiter(map(attrgetter("agg_len"), recs), dtype=np.int64, count=len(recs))
-    return _Side(
-        ids,
-        tokens,
-        lens,
-        counts,
-        token_lens,
-        np.flatnonzero(lens == 0).tolist(),
-    )
+    return _Side(ids, tokens, lens, counts, np.flatnonzero(lens == 0).tolist())
 
 
 @dataclass(slots=True)
@@ -233,24 +217,22 @@ def _postings(side: _Side, token_ids: np.ndarray, n_tokens: int, max_freq: int |
 
 def _index(
     side_r: _Side, side_p: _Side, max_freq: int | float
-) -> tuple[TokenTable, _Postings, _Postings]:
+) -> tuple[TokenTable, np.ndarray, np.ndarray, _Postings, _Postings]:
     """Intern the tokens of both sides to dense ids and build each side's postings.
 
     Returns the code-point table of the vocabulary, token id i at position
-    i, which the similar-token search and verify's kernel read. Ids follow
-    the first occurrence of each token, left side first, and each side's
-    ``token_ids`` are set. A self-join passes the same side twice and gets
-    the same postings twice.
+    i, which the similar-token search and verify's kernel read; each side's
+    token ids, record after record, which the filter stage builds the
+    residual rows from; and each side's postings. Ids follow the first
+    occurrence of each token, left side first. A self-join passes the same
+    side twice and gets the same ids and postings twice.
     """
     sides = (side_r,) if side_p is side_r else (side_r, side_p)
     flats = [list(chain.from_iterable(side.tokens)) for side in sides]
     vocab = dict(zip(dict.fromkeys(chain.from_iterable(flats)), count()))
-    lens = np.zeros(len(vocab), dtype=np.int64)
-    for side, flat in zip(sides, flats):
-        side.token_ids = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
-        lens[side.token_ids] = side.token_lens
-    posts = [_postings(side, side.token_ids, len(vocab), max_freq) for side in sides]
-    return token_table(vocab, lens), posts[0], posts[-1]
+    ids = [np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat)) for flat in flats]
+    posts = [_postings(side, side_ids, len(vocab), max_freq) for side, side_ids in zip(sides, ids)]
+    return token_table(vocab), ids[0], ids[-1], posts[0], posts[-1]
 
 
 def _cross(
@@ -367,33 +349,28 @@ def _join(
             f"self_join={cfg.self_join} but corpus_p is {'absent' if corpus_p is None else 'present'}"
         )
     report = StageReport()
-    num, den = threshold_ratio(cfg.threshold)
 
     t0 = _start()
     side_r = _prepare_side(corpus_r, "left")
     side_p = side_r if self_join else _prepare_side(corpus_p, "right")
     n_records = len(side_r.ids) + (0 if self_join else len(side_p.ids))
+    max_len = int(max(side_r.lens.max(initial=0), side_p.lens.max(initial=0)))
+    bounds = threshold_bounds(cfg.threshold, max_len)
     report.record("prepare", n_records, n_records, *_elapsed(t0))
 
     t0 = _start()
-    table, post_r, post_p = _index(side_r, side_p, cfg.max_token_freq)
+    table, ids_r, ids_p, post_r, post_p = _index(side_r, side_p, cfg.max_token_freq)
     kept_tokens = int(post_r.kept.sum()) + (0 if self_join else int(post_p.kept.sum()))
     report.record("index", n_records, kept_tokens, *_elapsed(t0))
-
-    t0 = _start()
-    residuals = Residuals(side_r, side_p, table, num, den, greedy=cfg.matching == GREEDY)
-    side_r.token_ids = side_p.token_ids = None  # the key rows hold what later stages read
-    del table
-    residual_inputs = _elapsed(t0)
 
     t0 = _start()
     sim_r = sim_p = np.empty(0, dtype=np.int64)
     if cfg.matching in (FUZZY, GREEDY):
         report.similar, sim_r, sim_p = similar_token_pairs(
-            residuals.table,
+            table,
             post_r.kept,
             None if self_join else post_p.kept,
-            cfg.threshold,
+            bounds,
         )
     n_pairs = int(sim_r.size)
     report.record("similar-tokens", report.similar.probes, n_pairs, *_elapsed(t0))
@@ -411,12 +388,11 @@ def _join(
 
     t0 = _start()
     n_unique = int(unique.size)
+    residuals = Residuals(side_r, side_p, ids_r, ids_p, table, bounds, greedy=cfg.matching == GREEDY)
+    del ids_r, ids_p, table
     survivors = length_survivors(unique, residuals) if use_filters else unique
     del unique
-    millis, cpu_ms = _elapsed(t0)
-    millis += residual_inputs[0]
-    cpu_ms += residual_inputs[1]
-    report.record("filter", n_unique, int(survivors.size), millis, cpu_ms)
+    report.record("filter", n_unique, int(survivors.size), *_elapsed(t0))
 
     t0 = _start()
     accepted, report.verify, pool = _verify(survivors, residuals, cfg.workers)

@@ -11,9 +11,11 @@ tokens. :func:`length_survivors` is the filter stage's length prune.
 four a side in arrays, with every edit distance of a block in one
 :func:`strdist.ld_bounded_ids` call: the token ids go in, and the kernel
 reads their code points from the join's :class:`strdist.TokenTable`. The
-pairs the rows cannot express go to the scalar :func:`setdist.sld_capped`,
-through one :class:`setdist.LdCache` per block. Verify computes every edit
-distance it needs itself; the similar-token search hands none on.
+pairs the rows cannot express go to the scalar :func:`setdist.sld_capped`
+one by one, with no cache. Verify computes every edit distance it needs
+itself; the similar-token search hands none on. The filter stage builds the
+rows from the token ids the index stage interned, and the length prune and
+the verify cap read the join's :class:`strdist.Bounds`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Any
 
 import numpy as np
 
-from .setdist import LdCache, drop_shared, sld_capped
-from .strdist import TokenTable, ld_bounded_ids
+from .setdist import drop_shared, sld_capped
+from .strdist import Bounds, TokenTable, ld_bounded_ids
 
 _PACK_MASK = 0xFFFFFFFF
 # the rows hold at most this many cells per token of the joined sides (at
@@ -85,7 +87,7 @@ class VerifyStats:
 
 
 class Residuals:
-    """What the similar-token search, filter and verify read about both sides.
+    """What the filter and verify read about both sides; the filter stage builds it.
 
     Verify's pool workers inherit it by fork.
 
@@ -94,11 +96,10 @@ class Residuals:
     its key rows and the records they leave out (see :func:`_rows`), and
     likewise on the right. ``table`` holds the code points of the interned
     vocabulary, and ``table.lens[t]`` is the length of token t.
-    ``maxdiff[l] = floor(num·l/den)``: a pair whose longer side has
-    length l is pruned by length when the lengths differ by more.
-    ``cost_cap[L] = floor(num·L/(2·den − num))``: the largest setwise cost
-    within the threshold at combined length L (the verify cap). Both come
-    from Python ints, so no threshold or length can overflow them.
+    ``bounds`` are the threshold's, over the longest record: a pair whose
+    longer side has length l is pruned by length when the lengths differ by
+    more than ``maxdiff[l]``, and ``cost_cap[L]`` is the largest setwise
+    cost within the threshold at combined length L (the verify cap).
     """
 
     __slots__ = (
@@ -113,25 +114,24 @@ class Residuals:
         "scalar_right",
         "width",
         "table",
-        "maxdiff",
-        "cost_cap",
+        "bounds",
         "greedy",
     )
 
-    def __init__(self, side_r, side_p, table: TokenTable, num: int, den: int, *, greedy: bool):
+    def __init__(self, side_r, side_p, ids_r, ids_p, table: TokenTable, bounds: Bounds, *, greedy: bool):
         """Rows of the two prepared sides (the same side twice for a self-join).
 
-        A side has ``counts`` (tokens per record), ``token_ids`` and
-        ``token_lens`` (every token, record after record), ``lens`` (the
-        records' aggregate lengths) and ``tokens``. The rows are as wide as
-        the widest record, but at most ``CELLS_PER_TOKEN`` times the mean
-        token count of the joined sides, so they never hold more than that
-        many cells per token.
+        A side has ``counts`` (tokens per record), ``lens`` (the records'
+        aggregate lengths) and ``tokens``; ``ids_r`` and ``ids_p`` hold the
+        ids of each side's tokens in ``table``, record after record. The
+        rows are as wide as the widest record, but at most
+        ``CELLS_PER_TOKEN`` times the mean token count of the joined sides,
+        so they never hold more than that many cells per token.
         """
         self_join = side_p is side_r
         sides = (side_r,) if self_join else (side_r, side_p)
         n_rows = sum(side.counts.size for side in sides)
-        n_tokens = sum(side.token_lens.size for side in sides)
+        n_tokens = ids_r.size + (0 if self_join else ids_p.size)
         self.width = max(1, min(
             max(int(side.counts.max(initial=0)) for side in sides),
             CELLS_PER_TOKEN * n_tokens // max(n_rows, 1),
@@ -141,8 +141,8 @@ class Residuals:
         by_length = np.sort((vocab_lens << 32) | np.arange(vocab_lens.size)) & _PACK_MASK
         position = np.empty_like(by_length)
         position[by_length] = np.arange(by_length.size)
-        left = _rows(side_r, self.width, by_length, position, vocab_lens)
-        right = left if self_join else _rows(side_p, self.width, by_length, position, vocab_lens)
+        left = _rows(side_r, ids_r, self.width, by_length, position, vocab_lens)
+        right = left if self_join else _rows(side_p, ids_p, self.width, by_length, position, vocab_lens)
         self.keys_left, self.scalar_left = left
         self.keys_right, self.scalar_right = right
         self.table = table
@@ -150,26 +150,22 @@ class Residuals:
         self.lens_right = side_p.lens
         self.tokens_left = side_r.tokens
         self.tokens_right = side_p.tokens
-        max_len = int(max(self.lens_left.max(initial=0), self.lens_right.max(initial=0)))
-        self.maxdiff = np.array([num * l // den for l in range(max_len + 1)], dtype=np.int64)
-        cap_den = 2 * den - num
-        self.cost_cap = np.array(
-            [num * total // cap_den for total in range(2 * max_len + 1)], dtype=np.int64
-        )
+        self.bounds = bounds
         self.greedy = greedy
 
 
 def _rows(
-    side, width: int, by_length: np.ndarray, position: np.ndarray, vocab_lens: np.ndarray
+    side, ids: np.ndarray, width: int, by_length: np.ndarray, position: np.ndarray, vocab_lens: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Key rows of one side's records, and the records they leave out.
 
-    Row i holds record i's tokens in ascending (length, id) order,
-    right-aligned. A key is ``(token id << 32) | occurrence rank``, the rank
-    counting earlier copies of the token in the record, so equal keys across
-    two records match each shared copy once, as :func:`drop_shared` does;
-    padding keys are -1. ``by_length`` lists the token ids in (length, id)
-    order and ``position`` is its inverse.
+    ``ids`` holds the side's token ids, record after record. Row i holds
+    record i's tokens in ascending (length, id) order, right-aligned. A key
+    is ``(token id << 32) | occurrence rank``, the rank counting earlier
+    copies of the token in the record, so equal keys across two records
+    match each shared copy once, as :func:`drop_shared` does; padding keys
+    are -1. ``by_length`` lists the token ids in (length, id) order and
+    ``position`` is its inverse.
 
     A record with more than ``width`` tokens or with an empty token (whose
     length 0 would read as padding in :func:`_residual_cells`) is left out,
@@ -179,7 +175,7 @@ def _rows(
     rows = np.repeat(np.arange(n), side.counts)
     # sorting (row, position in length order) keys orders each row's tokens
     # and puts copies of a token next to each other
-    order = np.sort((rows << 32) | position[side.token_ids])
+    order = np.sort((rows << 32) | position[ids])
     tids = by_length[order & _PACK_MASK]
     flat = np.arange(order.size)
     # a copy's occurrence rank is its distance from the token's first copy
@@ -271,7 +267,7 @@ def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
         la = res.lens_left[li]
         lb = res.lens_right[ri]
         mx = np.maximum(la, lb)
-        parts.append(block[mx - np.minimum(la, lb) <= res.maxdiff[mx]])
+        parts.append(block[mx - np.minimum(la, lb) <= res.bounds.maxdiff[mx]])
     return np.concatenate(parts)
 
 
@@ -287,7 +283,7 @@ def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndar
     stats = VerifyStats()
     li, ri = _unpack(block)
     total = res.lens_left[li] + res.lens_right[ri]
-    cap = res.cost_cap[total]
+    cap = res.bounds.cost_cap[total]
     scalar = res.scalar_left[li] | res.scalar_right[ri]
     arr = np.flatnonzero(~scalar)
     cells_l, cells_r, bound = _residual_cells(res, li[arr], ri[arr])
@@ -310,17 +306,8 @@ def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndar
     stats.scalar_fallbacks = len(fallback)
     scalar_idx: list[int] = []
     scalar_cost: list[int] = []
-    # survivors come sorted by left id, so a wide record's pairs share a
-    # block and reuse each other's edge distances
-    ld_cache = LdCache() if fallback else None
     for i in fallback:
-        s = sld_capped(
-            res.tokens_left[li[i]],
-            res.tokens_right[ri[i]],
-            int(cap[i]),
-            greedy=res.greedy,
-            ld_cache=ld_cache,
-        )
+        s = sld_capped(res.tokens_left[li[i]], res.tokens_right[ri[i]], int(cap[i]), greedy=res.greedy)
         if s is not None:
             scalar_idx.append(i)
             scalar_cost.append(s)

@@ -12,8 +12,8 @@ residual lower bound (:func:`residual_lower_bound`: drop the shared tokens,
 then at least one edit per remaining token pair) is the first check of
 verify's array path, and :func:`sld_capped` is the scalar verifier. Its
 token edit distances can go through an :class:`LdCache`, whose
-:meth:`LdCache.bounded` computes and remembers each one; verify makes one
-per block that has scalar pairs.
+:meth:`LdCache.bounded` computes and remembers each one; the join's verify
+passes none.
 """
 
 from __future__ import annotations

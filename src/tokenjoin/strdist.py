@@ -11,7 +11,9 @@ threshold, admissible partner lengths) are computed with exact rational
 arithmetic on the binary64 value of the threshold. Floating-point floor/ceil of
 these formulas can be off by one at representable boundaries, which would break
 candidate-generation completeness, so every integer bound goes through
-fractions.Fraction.
+fractions.Fraction or the exact ratio ``num/den``. The join reads all of its
+bounds from one table, :func:`threshold_bounds`, built once per join; the
+Fraction helpers are the references the tests hold it to.
 
 The table and the batch kernel import numpy where they run, not at module
 import. The package imports this module first; when the sources are
@@ -173,17 +175,15 @@ class TokenTable(NamedTuple):
         return "".join(map(chr, self.codes[start : start + int(self.lens[t])].tolist()))
 
 
-def token_table(tokens: Collection[str], lens: np.ndarray | None = None) -> TokenTable:
+def token_table(tokens: Collection[str]) -> TokenTable:
     """The :class:`TokenTable` of ``tokens``, token id i at position i.
 
-    ``lens`` holds their lengths, if the caller has them. The code points are
-    read through numpy's ``str_`` layout, which is UTF-32, so no codec
-    module is imported.
+    The code points are read through numpy's ``str_`` layout, which is
+    UTF-32, so no codec module is imported.
     """
     import numpy as np
 
-    if lens is None:
-        lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     joined = "".join(tokens)
     size = len(joined)
     codes = np.array([joined], dtype=f"<U{max(size, 1)}").view("<u4")[:size]
@@ -315,6 +315,47 @@ def threshold_ratio(threshold: float) -> tuple[int, int]:
     if not 0 <= frac <= 1:
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     return frac.numerator, frac.denominator
+
+
+class Bounds(NamedTuple):
+    """A threshold's exact ratio ``num/den`` and its integer bounds by length (:func:`threshold_bounds`).
+
+    For strings x and y with |x| <= |y| = l: ``cost_cap[|x| + |y|]`` is the
+    largest LD within the threshold, so ``U(l) = cost_cap[2·l]``; the
+    lengths alone put the pair beyond it when ``l − |x| > maxdiff[l]``; and
+    no y longer than ``ceiling[|x|]`` is within it.
+    """
+
+    num: int
+    den: int
+    cost_cap: np.ndarray
+    maxdiff: np.ndarray
+    ceiling: np.ndarray
+
+
+def threshold_bounds(threshold: float, max_len: int) -> Bounds:
+    """The :class:`Bounds` of ``threshold`` for lengths up to ``max_len``, exact.
+
+    ``cost_cap[L] = num·L // (2·den − num)`` for L <= 2·max_len,
+    ``maxdiff[l] = num·l // den`` and ``ceiling[l] = min(l·den // (den −
+    num), max_len)`` for l <= max_len, all int64. They are worked out in
+    Python ints, one length at a time: num·L overflows int64 (at T = 0.1,
+    num is about 3.6·10**15).
+    """
+    import numpy as np
+
+    num, den = threshold_ratio(threshold)
+    if num == den:
+        raise ValueError("threshold must be < 1")
+    cap_den, ceiling_den = 2 * den - num, den - num
+    lengths = range(max_len + 1)
+    return Bounds(
+        num,
+        den,
+        np.fromiter((num * total // cap_den for total in range(2 * max_len + 1)), np.int64),
+        np.fromiter((num * l // den for l in lengths), np.int64),
+        np.fromiter((min(l * den // ceiling_den, max_len) for l in lengths), np.int64),
+    )
 
 
 @lru_cache(maxsize=None)

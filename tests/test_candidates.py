@@ -16,7 +16,7 @@ from tokenjoin.candidates import (
 from tokenjoin.errors import DataError, NotPartitionable
 from tokenjoin.pipeline import JoinConfig, join
 from tokenjoin.setdist import LdCache
-from tokenjoin.strdist import max_ld_given_nld, min_partner_len, token_table
+from tokenjoin.strdist import max_ld_given_nld, min_partner_len, threshold_bounds, token_table
 
 from conftest import all_pairs_token_oracle, make_ts, naive_ld, nld_frac, rand_token
 
@@ -179,7 +179,7 @@ def similar(tokens_r, tokens_p, threshold, capped_r=(), capped_p=()):
         token_table(vocab),
         kept(tokens_r),
         None if tokens_p is None else kept(tokens_p),
-        threshold,
+        threshold_bounds(threshold, max(map(len, vocab), default=0)),
     )
     return stats, [(vocab[a], vocab[b]) for a, b in zip(sim_r.tolist(), sim_p.tolist())]
 
@@ -216,11 +216,11 @@ def check_self_join_oracle(rng, threshold, alphabet, trials=20):
 
 class TestSimilarTokenPairs:
     def test_frozen_example(self):
-        # both tokens are probed; "kalan" also hits itself, a candidate that
-        # is dropped before the edit distance
+        # both tokens are probed; the pair is a candidate once, from "alan",
+        # its shorter token, and "kalan"'s hit on itself is no candidate
         stats, pairs = similar(["kalan"], ["alan"], 0.2)
         assert pairs == [("kalan", "alan")]
-        assert (stats.probes, stats.candidates, stats.ld_checks, stats.pairs) == (2, 2, 1, 1)
+        assert (stats.probes, stats.candidates, stats.ld_checks, stats.pairs) == (2, 1, 1, 1)
 
     def test_dissimilar_tokens_empty(self):
         assert similar(["chan"], ["xyzw"], 0.2)[1] == []
@@ -313,8 +313,9 @@ class TestNldIndexProbe:
     @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.2, 0.3, 0.5, 0.8])
     def test_only_searchable_lengths_are_kept(self, threshold, monkeypatch):
         # the bound below which a token is neither indexed nor probed is tight
-        bound = candidates._shortest_searched(threshold)
-        monkeypatch.setattr(candidates, "_shortest_searched", lambda t: 0)
+        lens = np.arange(1, 60)
+        bound = int(lens[candidates._searched(lens, threshold_bounds(threshold, 59))][0])
+        monkeypatch.setattr(candidates, "_searched", lambda lens, bounds: np.ones(lens.size, dtype=bool))
         index = NldIndex(["a" * n for n in range(1, 60)], threshold)
         searched = [n for n in range(1, 60) if index.plan(n).starts.size or n in index._layouts]
         assert searched[0] == bound
@@ -369,8 +370,7 @@ class TestHashedSegmentKeys:
 
     def test_two_set_sides_sharing_tokens(self, monkeypatch):
         # both sides hold "abcdefghij" and "abcdefghik": one index holds each
-        # token once, each token hits itself, and each equal-length pair is
-        # hit from both of its tokens but checked once
+        # token once, and each pair is a candidate and checked once
         left = ["abcdefghij", "abcdefghik", "zbcdefghij", "qqqqqqqqqq"]
         right = ["abcdefghik", "abcdefghij", "abcdefghil", "abcdefghijk"]
         sent = []
@@ -389,8 +389,10 @@ class TestHashedSegmentKeys:
         unordered = {frozenset(pair) for pair in sent}
         assert len(sent) == len(unordered) == stats.ld_checks
         assert {frozenset(pair) for pair in pairs} <= unordered
-        # the identical-token hits were candidates, dropped before the kernel
-        assert stats.candidates >= stats.ld_checks + 2
+        # the one candidate the kernel never sees pairs two right-only tokens;
+        # a token's hit on itself is no candidate
+        assert frozenset(("abcdefghil", "abcdefghijk")) not in unordered
+        assert stats.candidates == stats.ld_checks + 1
         assert stats.pairs == len(pairs)
 
 

@@ -1,7 +1,8 @@
 """No module of the package and no test file imports a name it never uses.
 
 No linter ships with the project, so an ``ast`` scan stands in for one. The
-package's ``__init__.py`` is skipped: its imports are re-exports.
+package's ``__init__.py`` is skipped: its imports are re-exports. The same
+scan keeps exact rational arithmetic in the modules that own it.
 """
 
 import ast
@@ -44,6 +45,17 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in unread]
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports, anywhere in it."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
 def test_the_scan_finds_an_unused_import():
     source = """
 from __future__ import annotations
@@ -56,6 +68,7 @@ def f(xs: Iterable[int], cache: "LdCache | None") -> int:
     return np.sum(xs)
 """
     assert unused_imports(source) == ["line 3: os", "line 5: Sequence"]
+    assert imported_modules(source) == {"__future__", "os", "numpy", "typing"}
 
 
 @pytest.mark.parametrize(
@@ -63,3 +76,14 @@ def f(xs: Iterable[int], cache: "LdCache | None") -> int:
 )
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_strdist_and_oracle_import_fractions():
+    # the join reads every threshold bound from strdist's integer table;
+    # the oracle is the independent reference
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "fractions" in imported_modules(path.read_text(encoding="utf-8"))
+    }
+    assert importers == {"strdist.py", "oracle.py"}

@@ -22,7 +22,7 @@ from tokenjoin.pipeline import (
     join,
 )
 from tokenjoin.setdist import LdCache, drop_shared, sld_capped
-from tokenjoin.strdist import ld_bounded_ids, threshold_ratio
+from tokenjoin.strdist import ld_bounded_ids, threshold_bounds
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
 
@@ -269,10 +269,10 @@ def long_records(rng, prefix, n):
 
 def residual_rows(side_r, side_p, threshold, greedy=False):
     """The residual rows of the two prepared sides, and the interned vocabulary as token -> id."""
-    table, _, _ = pipeline._index(side_r, side_p, math.inf)
-    num, den = threshold_ratio(threshold)
-    res = residual.Residuals(side_r, side_p, table, num, den, greedy=greedy)
-    return res, {table.token(t): t for t in range(table.lens.size)}, num, den
+    table, ids_r, ids_p, _, _ = pipeline._index(side_r, side_p, math.inf)
+    bounds = threshold_bounds(threshold, int(max(side_r.lens.max(initial=0), side_p.lens.max(initial=0))))
+    res = residual.Residuals(side_r, side_p, ids_r, ids_p, table, bounds, greedy=greedy)
+    return res, {table.token(t): t for t in range(table.lens.size)}, bounds.num, bounds.den
 
 
 def expected_residual_rows(side, vocab, width):

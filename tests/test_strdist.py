@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tokenjoin import strdist
+from tokenjoin.filters import length_prunes
 from tokenjoin.strdist import (
     distance_to_similarity,
     ld,
@@ -19,6 +20,7 @@ from tokenjoin.strdist import (
     min_partner_len,
     nld,
     nld_bounds_from_lengths,
+    threshold_bounds,
     token_table,
 )
 
@@ -262,6 +264,8 @@ class TestThresholdBounds:
     def test_divergent_configuration_rejected(self):
         with pytest.raises(ValueError):
             max_ld_given_nld(10, 1.0, False)
+        with pytest.raises(ValueError):
+            threshold_bounds(1.0, 10)  # the partner ceiling diverges
         assert max_ld_given_nld(10, 1.0, True) == 20  # finite branch is fine at T=1
 
     def test_range_validation(self):
@@ -270,6 +274,38 @@ class TestThresholdBounds:
                 fn(5, -0.1, True)
         with pytest.raises(ValueError):
             min_partner_len(5, 1.5)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.1, 0.2, 1 / 3, 0.5, 0.8, 0.95])
+    def test_table_matches_the_fraction_references(self, threshold):
+        t = Fraction(threshold)
+        max_len = 300
+        bounds = threshold_bounds(threshold, max_len)
+        assert (bounds.num, bounds.den) == (t.numerator, t.denominator)
+        cost_cap, maxdiff, ceiling = bounds.cost_cap.tolist(), bounds.maxdiff.tolist(), bounds.ceiling.tolist()
+        assert len(cost_cap) == 2 * max_len + 1 and len(maxdiff) == len(ceiling) == max_len + 1
+        for total, cap in enumerate(cost_cap):
+            # the largest d with 2d / (total + d) <= T, which grows with d
+            assert total + cap == 0 or Fraction(2 * cap, total + cap) <= t
+            assert Fraction(2 * (cap + 1), total + cap + 1) > t
+        for l in range(max_len + 1):
+            assert cost_cap[2 * l] == max_ld_given_nld(l, threshold, True)
+            assert l - maxdiff[l] == min_partner_len(l, threshold)
+            assert ceiling[l] == min(math.floor(l / (1 - t)), max_len)
+            pruned = [length_prunes(short, l, bounds.num, bounds.den) for short in range(l + 1)]
+            assert pruned == [l - short > maxdiff[l] for short in range(l + 1)]
+
+    def test_table_past_int64(self):
+        # at T = 0.1, num·L is past 2**63 from L = 2,560 on
+        l = 999_983
+        bounds = threshold_bounds(0.1, l)
+        assert bounds.num * 2 * l > 2**63
+        assert bounds.cost_cap[2 * l] == max_ld_given_nld(l, 0.1, True) == 105_261
+        assert bounds.cost_cap[2 * l - 1] == math.floor(Fraction(0.1) * (2 * l - 1) / (2 - Fraction(0.1)))
+        assert l - bounds.maxdiff[l] == min_partner_len(l, 0.1)
+        # 899,985 / 0.9 is just above l; the next ceiling is clipped to l
+        assert bounds.ceiling[899_984] == math.floor(899_984 / (1 - Fraction(0.1))) == l - 1
+        assert bounds.ceiling[899_985] == math.floor(899_985 / (1 - Fraction(0.1))) == l
+        assert bounds.ceiling[899_986] == l
 
     def _soundness_corpus(self):
         rng = random.Random(23)
