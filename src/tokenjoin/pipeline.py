@@ -302,7 +302,7 @@ def _generate(
         raw = raw[: n_shared + n_similar]
     else:
         _pack_into(raw[n_shared:], a, b)
-    return raw.view(np.uint64)
+    return raw
 
 
 def join(

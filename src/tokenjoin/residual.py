@@ -2,20 +2,22 @@
 
 Once the tokens two records share drop out (:func:`setdist.drop_shared`),
 what is left decides the pair. :class:`Residuals` holds both sides as
-right-aligned rows of token keys ``(token id, occurrence rank)``: equal keys
-of two records match each shared copy of a token once, and the unmatched
-keys, as ``(length, token id)`` cells, sort into the residual lengths and
-tokens. :func:`length_survivors` is the filter stage's length prune.
-:func:`verify_block` first rejects with the residual-length bound of
-:func:`filters.residual_prunes`, then matches the residual tokens of up to
-four a side in arrays, with every edit distance of a block in one
-:func:`strdist.ld_bounded_ids` call: the token ids go in, and the kernel
-reads their code points from the join's :class:`strdist.TokenTable`. The
-pairs the rows cannot express go to the scalar :func:`setdist.sld_capped`
-one by one, with no cache. Verify computes every edit distance it needs
-itself; the similar-token search hands none on. The filter stage builds the
-rows from the token ids the index stage interned, and the length prune and
-the verify cap read the join's :class:`strdist.Bounds`.
+right-aligned rows of token keys ``(token id, occurrence rank)`` in id
+order: equal keys of two records match each shared copy of a token once,
+and the unmatched keys, as ``(length, token id)`` cells, sort into the
+residual lengths and tokens. :func:`length_survivors` is the filter stage's
+length prune. :func:`verify_block` keeps one cost per pair of its block,
+cap + 1 (rejected) until a matcher writes it. It first rejects with the
+residual-length bound of :func:`filters.residual_prunes`, then matches the
+residual tokens of up to four a side in arrays, with every edit distance of
+a block in one :func:`strdist.ld_bounded_ids` call: the token ids go in,
+and the kernel reads their code points from the join's
+:class:`strdist.TokenTable`. The pairs the rows cannot express get their
+cost from the scalar :func:`setdist.sld_capped`, one by one, with no cache.
+Verify computes every edit distance it needs itself; the similar-token
+search hands none on. The filter stage builds the rows from the token ids
+the index stage interned, and the length prune and the verify cap read the
+join's :class:`strdist.Bounds`.
 """
 
 from __future__ import annotations
@@ -136,13 +138,8 @@ class Residuals:
             max(int(side.counts.max(initial=0)) for side in sides),
             CELLS_PER_TOKEN * n_tokens // max(n_rows, 1),
         ))
-        # each token's position in (length, id) order
-        vocab_lens = table.lens
-        by_length = np.sort((vocab_lens << 32) | np.arange(vocab_lens.size)) & _PACK_MASK
-        position = np.empty_like(by_length)
-        position[by_length] = np.arange(by_length.size)
-        left = _rows(side_r, ids_r, self.width, by_length, position, vocab_lens)
-        right = left if self_join else _rows(side_p, ids_p, self.width, by_length, position, vocab_lens)
+        left = _rows(side_r, ids_r, self.width, table.lens)
+        right = left if self_join else _rows(side_p, ids_p, self.width, table.lens)
         self.keys_left, self.scalar_left = left
         self.keys_right, self.scalar_right = right
         self.table = table
@@ -154,18 +151,16 @@ class Residuals:
         self.greedy = greedy
 
 
-def _rows(
-    side, ids: np.ndarray, width: int, by_length: np.ndarray, position: np.ndarray, vocab_lens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _rows(side, ids: np.ndarray, width: int, vocab_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key rows of one side's records, and the records they leave out.
 
     ``ids`` holds the side's token ids, record after record. Row i holds
-    record i's tokens in ascending (length, id) order, right-aligned. A key
-    is ``(token id << 32) | occurrence rank``, the rank counting earlier
-    copies of the token in the record, so equal keys across two records
-    match each shared copy once, as :func:`drop_shared` does; padding keys
-    are -1. ``by_length`` lists the token ids in (length, id) order and
-    ``position`` is its inverse.
+    record i's tokens in ascending id order, right-aligned. A key is
+    ``(token id << 32) | occurrence rank``, the rank counting earlier copies
+    of the token in the record, so equal keys across two records match each
+    shared copy once, as :func:`drop_shared` does; padding keys are -1.
+    Nothing reads the order of a row's keys: :func:`_residual_cells` sorts
+    what is left of them.
 
     A record with more than ``width`` tokens or with an empty token (whose
     length 0 would read as padding in :func:`_residual_cells`) is left out,
@@ -173,10 +168,10 @@ def _rows(
     """
     n = side.counts.size
     rows = np.repeat(np.arange(n), side.counts)
-    # sorting (row, position in length order) keys orders each row's tokens
-    # and puts copies of a token next to each other
-    order = np.sort((rows << 32) | position[ids])
-    tids = by_length[order & _PACK_MASK]
+    # sorting (row, token id) keys orders each row's tokens and puts copies
+    # of a token next to each other
+    order = np.sort((rows << 32) | ids)
+    tids = order & _PACK_MASK
     flat = np.arange(order.size)
     # a copy's occurrence rank is its distance from the token's first copy
     copy_of = np.diff(order, prepend=-1) == 0
@@ -199,7 +194,7 @@ def block_rows(width: int) -> int:
 
 
 def _unpack(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (block >> np.uint64(32)).astype(np.int64), (block & np.uint64(_PACK_MASK)).astype(np.int64)
+    return block >> 32, block & _PACK_MASK
 
 
 def _residual_cells(
@@ -213,7 +208,8 @@ def _residual_cells(
     reducing a rows x width x width comparison over its short last axis).
     Every other key becomes a ``(length << 32) | token id`` cell, and
     matched and padding keys become 0. Sorting each row moves the zeros in
-    front of the residual cells, which keep the keys' (length, id) order.
+    front and puts the residual cells in (length, id) order, whatever the
+    order of the keys.
     The bound is :func:`setdist.residual_lower_bound` over the residual
     lengths: both rows are front-padded to one width, and a column where
     both lengths are 0 adds nothing. Rows must come from records that
@@ -274,11 +270,13 @@ def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
 def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndarray, VerifyStats]:
     """Verify one block of packed pairs; returns the accepted pairs, distances and counters.
 
-    The accepted pairs keep their block order. In arrays: the residual bound
-    rejects, and pairs with k <= 4 residual tokens (k <= 1 in greedy mode,
-    whose ties follow the records' token order) get their cost from
-    :func:`_matching_costs`. Pairs with a record the rows leave out, and the
-    pairs with a larger k, go to :func:`sld_capped` one by one.
+    Each pair of the block has one cost, cap + 1 (rejected) until a matcher
+    writes it. In arrays: the residual bound rejects, and pairs with k <= 4
+    residual tokens (k <= 1 in greedy mode, whose ties follow the records'
+    token order) get their cost from :func:`_matching_costs`. Pairs with a
+    record the rows leave out, and the pairs with a larger k, get theirs from
+    :func:`sld_capped`, one by one. The pairs whose cost is within the cap
+    are accepted, in block order.
     """
     stats = VerifyStats()
     li, ri = _unpack(block)
@@ -294,30 +292,25 @@ def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndar
     max_k = 1 if res.greedy else ARRAY_MAX_K
     # a rejected pair gets a k the array path skips
     k[~within] = max_k + 1
-    cost = _matching_costs(k, cells_l, cells_r, cap[arr], max_k, res.table, stats)
-    ok = (k <= max_k) & (cost <= cap[arr])
-    idx, cost = [arr[ok]], [cost[ok]]
+    matched = k <= max_k
+    found = _matching_costs(k, cells_l, cells_r, cap[arr], max_k, res.table, stats)
+    # made once the matching's temporaries, verify's memory peak, are gone
+    cost = cap + 1
+    cost[arr[matched]] = found[matched]
 
-    fallback = arr[within & (k > max_k)].tolist()
+    fallback = arr[within & ~matched].tolist()
     for i in np.flatnonzero(scalar).tolist():
         rest_l, rest_r = drop_shared(res.tokens_left[li[i]], res.tokens_right[ri[i]])
         stats.pairs_by_k[min(max(len(rest_l), len(rest_r)), ARRAY_MAX_K + 1)] += 1
         fallback.append(i)
     stats.scalar_fallbacks = len(fallback)
-    scalar_idx: list[int] = []
-    scalar_cost: list[int] = []
     for i in fallback:
         s = sld_capped(res.tokens_left[li[i]], res.tokens_right[ri[i]], int(cap[i]), greedy=res.greedy)
         if s is not None:
-            scalar_idx.append(i)
-            scalar_cost.append(s)
-    idx.append(np.array(scalar_idx, dtype=np.int64))
-    cost.append(np.array(scalar_cost, dtype=np.int64))
-    idx = np.concatenate(idx)
-    order = np.argsort(idx)  # block order, so finalize's sort has little to do
-    idx = idx[order]
-    cost = np.concatenate(cost)[order]
-    return block[idx], (2.0 * cost) / (total[idx] + cost), stats
+            cost[i] = s
+    keep = np.flatnonzero(cost <= cap)
+    cost = cost[keep]
+    return block[keep], (2.0 * cost) / (total[keep] + cost), stats
 
 
 def _matching_costs(

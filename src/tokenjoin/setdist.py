@@ -6,19 +6,21 @@ minimal, i.e. a minimum-weight perfect matching on the token bigraph. The
 normalized form divides by the combined aggregate length, mirroring the
 string-level normalization.
 
-Exact matching uses an O(k^3) Hungarian solver on the padded square cost
-matrix; a greedy aligner provides the cheaper upper-bound approximation. The
-residual lower bound (:func:`residual_lower_bound`: drop the shared tokens,
-then at least one edit per remaining token pair) is the first check of
-verify's array path, and :func:`sld_capped` is the scalar verifier. Its
-token edit distances can go through an :class:`LdCache`, whose
-:meth:`LdCache.bounded` computes and remembers each one; the join's verify
-passes none.
+Every setwise cost is one padded square cost matrix
+(:func:`_padded_cost_matrix`) and one solver: the O(k^3) Hungarian
+algorithm for the exact cost, or :func:`_greedy_matching` for the cheaper
+upper-bound approximation. The residual lower bound
+(:func:`residual_lower_bound`: drop the shared tokens, then at least one
+edit per remaining token pair) is the first check of verify's array path,
+and :func:`sld_capped` is the scalar verifier, whose matrix holds edit
+distances capped at the pair's cost cap. Its token edit distances can go
+through an :class:`LdCache`, whose :meth:`LdCache.bounded` computes and
+remembers each one; the join's verify passes none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .strdist import ld, ld_bounded
@@ -96,8 +98,15 @@ def hungarian(cost: list[list[int]]) -> tuple[int, list[int]]:
     return total, assignment
 
 
-def _padded_cost_matrix(a_tokens: tuple[str, ...], b_tokens: tuple[str, ...]) -> list[list[int]]:
-    """k x k edit-cost matrix; edges against padding cost the token's length."""
+def _padded_cost_matrix(
+    a_tokens: Sequence[str], b_tokens: Sequence[str], dist: Callable[[str, str], int] = ld
+) -> list[list[int]]:
+    """k x k cost matrix of two token lists, the shorter padded with empty tokens.
+
+    An edge against an empty token costs both lengths summed (the other
+    token's length, as its edit distance would be); every other edge costs
+    ``dist``, the edit distance unless a caller passes a capped one.
+    """
     k = max(len(a_tokens), len(b_tokens))
     matrix: list[list[int]] = []
     for i in range(k):
@@ -105,9 +114,35 @@ def _padded_cost_matrix(a_tokens: tuple[str, ...], b_tokens: tuple[str, ...]) ->
         row = []
         for j in range(k):
             tb = b_tokens[j] if j < len(b_tokens) else ""
-            row.append(ld(ta, tb))
+            row.append(dist(ta, tb) if ta and tb else len(ta) + len(tb))
         matrix.append(row)
     return matrix
+
+
+def _greedy_matching(matrix: list[list[int]]) -> tuple[int, list[int]]:
+    """Greedy perfect matching on a square cost matrix: repeatedly take the cheapest free edge.
+
+    Returns (total cost, assignment) where assignment[row] = column. At
+    equal weight the smallest (row, column) wins, so results are
+    reproducible.
+    """
+    k = len(matrix)
+    edges = sorted((matrix[i][j], i, j) for i in range(k) for j in range(k))
+    row_free = [True] * k
+    col_free = [True] * k
+    assignment = [0] * k
+    total = 0
+    left = k
+    for w, i, j in edges:
+        if row_free[i] and col_free[j]:
+            row_free[i] = False
+            col_free[j] = False
+            assignment[i] = j
+            total += w
+            left -= 1
+            if left == 0:
+                break
+    return total, assignment
 
 
 def _pairing_from_assignment(
@@ -131,30 +166,14 @@ def sld_exact(a: TokenizedString, b: TokenizedString) -> AlignmentCost:
 
 
 def sld_greedy(a: TokenizedString, b: TokenizedString) -> AlignmentCost:
-    """Greedy setwise edit cost: repeatedly take the cheapest remaining edge.
+    """Greedy setwise edit cost: :func:`_greedy_matching` on the padded cost matrix.
 
     Exact edge weights; at equal weight the smallest (left, right) index pair
     wins, so results are reproducible. Never below the exact distance.
     """
     if not a.tokens and not b.tokens:
         return AlignmentCost(0, ())
-    cost = _padded_cost_matrix(a.tokens, b.tokens)
-    k = len(cost)
-    edges = sorted((cost[i][j], i, j) for i in range(k) for j in range(k))
-    row_free = [True] * k
-    col_free = [True] * k
-    total = 0
-    picked: list[tuple[int, int]] = []
-    for w, i, j in edges:
-        if row_free[i] and col_free[j]:
-            row_free[i] = False
-            col_free[j] = False
-            total += w
-            picked.append((i, j))
-            if len(picked) == k:
-                break
-    picked.sort()
-    assignment = [j for _, j in picked]
+    total, assignment = _greedy_matching(_padded_cost_matrix(a.tokens, b.tokens))
     return AlignmentCost(total, _pairing_from_assignment(assignment, len(a.tokens), len(b.tokens)))
 
 
@@ -271,10 +290,13 @@ def sld_capped(
     exact one, so the bound serves both modes. The bound is skipped when a
     residual token is empty.
 
-    Edge weights come from the bounded distance capped at ``cap``; over-cap
-    edges get the surrogate weight cap+1, so any matching that needs one
-    totals above the cap and is rejected, while accepted totals are exact (an
-    optimal matching within the cap only uses exactly-weighted edges).
+    The residual matrix is :func:`_padded_cost_matrix` with the bounded
+    distance capped at ``cap`` as ``dist``: over-cap edges get the
+    surrogate weight cap+1, so any matching that needs one totals above the
+    cap and is rejected, while accepted totals are exact (an optimal
+    matching within the cap only uses exactly-weighted edges).
+    :func:`_greedy_matching` solves it in greedy mode and :func:`hungarian`
+    in exact mode; k = 1 (both modes) and k = 2 (exact) are closed forms.
     """
     a_tokens, b_tokens = drop_shared(a_tokens, b_tokens)
     n_a, n_b = len(a_tokens), len(b_tokens)
@@ -297,49 +319,15 @@ def sld_capped(
             total = surrogate if d is None else d
         return total if total <= cap else None
 
-    matrix: list[list[int]] = []
-    for i in range(k):
-        ta = a_tokens[i] if i < n_a else ""
-        row = []
-        for j in range(k):
-            tb = b_tokens[j] if j < n_b else ""
-            if not ta or not tb:
-                w = len(ta) + len(tb)
-            else:
-                d = bounded(ta, tb, cap)
-                w = surrogate if d is None else d
-            row.append(w)
-        matrix.append(row)
+    def capped(x: str, y: str) -> int:
+        d = bounded(x, y, cap)
+        return surrogate if d is None else d
 
+    matrix = _padded_cost_matrix(a_tokens, b_tokens, capped)
     if greedy:
-        edges = sorted((matrix[i][j], i, j) for i in range(k) for j in range(k))
-        row_free = [True] * k
-        col_free = [True] * k
-        total = 0
-        left = k
-        for w, i, j in edges:
-            if row_free[i] and col_free[j]:
-                row_free[i] = False
-                col_free[j] = False
-                total += w
-                left -= 1
-                if total > cap:
-                    return None
-                if left == 0:
-                    break
-        return total
-    if k == 2:
+        total, _ = _greedy_matching(matrix)
+    elif k == 2:
         total = min(matrix[0][0] + matrix[1][1], matrix[0][1] + matrix[1][0])
-    elif k == 3:
-        m = matrix
-        total = min(
-            m[0][0] + m[1][1] + m[2][2],
-            m[0][0] + m[1][2] + m[2][1],
-            m[0][1] + m[1][0] + m[2][2],
-            m[0][1] + m[1][2] + m[2][0],
-            m[0][2] + m[1][0] + m[2][1],
-            m[0][2] + m[1][1] + m[2][0],
-        )
     else:
         total, _ = hungarian(matrix)
     return total if total <= cap else None

@@ -25,7 +25,7 @@ not given back, and a join's peak RSS rose by about a megabyte.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -238,20 +238,6 @@ def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.nda
         dist = _myers_batch(table.rows(pats, width), table.rows(texts, int(n[0])), m, n)
         out[part] = np.where(dist <= caps[part], dist, -1)
     return out
-
-
-def ld_bounded_batch(xs: Sequence[str], ys: Sequence[str], caps: Sequence[int]) -> np.ndarray:
-    """Per pair ``(xs[i], ys[i])``, the distance if it is at most ``caps[i]``, else -1.
-
-    Interns the strings into one :class:`TokenTable` and runs
-    :func:`ld_bounded_ids`, the kernel the join runs.
-    """
-    import numpy as np
-
-    vocab = {tok: i for i, tok in enumerate(dict.fromkeys([*xs, *ys]))}
-    a = np.array([vocab[x] for x in xs], dtype=np.int64)
-    b = np.array([vocab[y] for y in ys], dtype=np.int64)
-    return ld_bounded_ids(token_table(vocab), a, b, np.asarray(caps, dtype=np.int64))
 
 
 def _myers_batch(pats: np.ndarray, texts: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from tokenjoin.strdist import (
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import TokenizedString, tokenize
 
-from conftest import naive_ld, sld_perm, strings_upto
+from helpers import naive_ld, sld_perm, strings_upto
 
 THRESHOLDS = (0.025, 0.1, 0.2)
 SIZES = (1000, 1100, 1200, 1300, 1400, 1500, 1600, 1700, 1850, 2000)

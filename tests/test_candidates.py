@@ -18,7 +18,7 @@ from tokenjoin.pipeline import JoinConfig, join
 from tokenjoin.setdist import LdCache
 from tokenjoin.strdist import max_ld_given_nld, min_partner_len, threshold_bounds, token_table
 
-from conftest import all_pairs_token_oracle, make_ts, naive_ld, nld_frac, rand_token
+from helpers import all_pairs_token_oracle, make_ts, naive_ld, nld_frac, rand_token
 
 
 @pytest.fixture
@@ -421,7 +421,7 @@ class TestCompleteness:
     def test_generation_reaches_every_true_pair(self, threshold, rng, generate):
         # the load-bearing guarantee: join()'s raw stream with no cap is a
         # superset of the truth on random small corpora
-        from conftest import nsld_frac, rand_multiset
+        from helpers import nsld_frac, rand_multiset
 
         for _ in range(10):
             corpus = [

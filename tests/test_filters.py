@@ -9,7 +9,7 @@ from tokenjoin.filters import (
     residual_prunes,
 )
 
-from conftest import nsld_frac, rand_multiset
+from helpers import nsld_frac, rand_multiset
 
 
 class TestLengthFilter:

@@ -8,7 +8,7 @@ from tokenjoin.oracle import join_bruteforce, join_bruteforce_thresholds, sld_br
 from tokenjoin.setdist import sld_exact
 from tokenjoin.strdist import ld
 
-from conftest import make_ts, naive_ld, nsld_frac, rand_multiset
+from helpers import make_ts, naive_ld, nsld_frac, rand_multiset
 
 
 class TestLdPrimitiveIndependence:

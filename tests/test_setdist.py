@@ -12,7 +12,7 @@ from tokenjoin.setdist import (
     sld_greedy,
     sorted_lengths_lower_bound,
 )
-from conftest import make_ts, naive_ld, nsld_frac, rand_multiset, rand_token, sld_perm
+from helpers import make_ts, naive_ld, nsld_frac, rand_multiset, rand_token, sld_perm
 
 CHAN_KALAN = make_ts("x", ("chan", "kalan"))
 CHANK_ALAN = make_ts("y", ("chank", "alan"))
@@ -320,18 +320,26 @@ class TestSldCapped:
 
     def test_accepts_at_the_truth_and_rejects_one_below(self, rng):
         tight = 0
-        for a, b in unshared_unequal_pairs(rng, 300):
+        pairs = unshared_unequal_pairs(rng, 300)
+        for a, b in pairs:
+            lens_a, lens_b = sorted(map(len, a)), sorted(map(len, b))
+            pad = len(b) - len(a)
+            lens_a, lens_b = [0] * pad + lens_a, [0] * -pad + lens_b
+            tight += sld_perm(a, b) == sum(max(1, abs(p - q)) for p, q in zip(lens_a, lens_b))
+        assert tight > 50  # the boundary the bound itself must not cross
+        # their first tokens, one a side and unshared, take the k = 1 shortcut
+        pairs += [(a[:1], b[:1]) for a, b in pairs[:50]]
+        residual_k = set()
+        for a, b in pairs:
+            residual_k.add(min(max(len(a), len(b)), 4))  # no token is shared
             truth = sld_perm(a, b)
             greedy = sld_greedy(make_ts("a", a), make_ts("b", b)).sld
             assert sld_capped(a, b, truth, ld_cache=LdCache()) == truth
             assert sld_capped(a, b, truth - 1, ld_cache=LdCache()) is None
             assert sld_capped(a, b, greedy, greedy=True, ld_cache=LdCache()) == greedy
             assert sld_capped(a, b, greedy - 1, greedy=True, ld_cache=LdCache()) is None
-            lens_a, lens_b = sorted(map(len, a)), sorted(map(len, b))
-            pad = len(b) - len(a)
-            lens_a, lens_b = [0] * pad + lens_a, [0] * -pad + lens_b
-            tight += truth == sum(max(1, abs(p - q)) for p, q in zip(lens_a, lens_b))
-        assert tight > 50  # the boundary the bound itself must not cross
+        # both closed forms (k = 1, and k = 2 exact) and both solvers (k >= 3)
+        assert residual_k == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("greedy", [False, True])
     def test_length_bound_above_cap_makes_no_lookup(self, greedy):

@@ -13,7 +13,6 @@ from tokenjoin.strdist import (
     distance_to_similarity,
     ld,
     ld_bounded,
-    ld_bounded_batch,
     ld_bounded_ids,
     max_ld_given_nld,
     min_ld_given_nld_exceeds,
@@ -24,7 +23,7 @@ from tokenjoin.strdist import (
     token_table,
 )
 
-from conftest import naive_ld, nld_frac, strings_upto
+from helpers import naive_ld, nld_frac, strings_upto
 
 short_text = st.text(alphabet="abcdef", max_size=12)
 
@@ -123,6 +122,13 @@ def edited(rng, x, alphabet, max_edits):
     return "".join(y)
 
 
+def ld_bounded_strings(xs, ys, caps):
+    """:func:`ld_bounded_ids` over strings, interned into one table as the join interns its vocabulary."""
+    vocab = {tok: i for i, tok in enumerate(dict.fromkeys([*xs, *ys]))}
+    a, b = (np.array([vocab[tok] for tok in toks], dtype=np.int64) for toks in (xs, ys))
+    return ld_bounded_ids(token_table(vocab), a, b, np.array(caps, dtype=np.int64))
+
+
 class TestLdBoundedBatch:
     @pytest.mark.parametrize("alphabet", ["abc", "aé漢字\x00", "ab\U0001F600\x00"])
     def test_equals_ld_bounded(self, alphabet):
@@ -152,7 +158,7 @@ class TestLdBoundedBatch:
         dists = [ld(x, y) for x, y in zip(xs, ys)]
         want = [d if d <= cap else -1 for d, cap in zip(dists, caps)]
         assert got.tolist() == want
-        assert ld_bounded_batch(xs, ys, caps).tolist() == want
+        assert ld_bounded_strings(xs, ys, caps).tolist() == want
         assert [table.token(t) for t in range(len(tokens))] == tokens
         lens = [min(len(x), len(y)) for x, y in zip(xs, ys)]
         assert max(lens) > 63 and sum(0 < n <= 63 for n in lens) > 1000
@@ -167,8 +173,8 @@ class TestLdBoundedBatch:
         xs = ["abc", "", "abc", "", "ab", "a" * 64, "é漢", "ab"]
         ys = ["abc", "", "abd", "xyz", "ab", "a" * 63 + "b", "漢é", "ba"]
         caps = [0, 0, 0, 3, 5, 1, 2, 1]
-        assert ld_bounded_batch(xs, ys, caps).tolist() == [0, 0, -1, 3, 0, 1, 2, -1]
-        assert ld_bounded_batch([], [], []).tolist() == []
+        assert ld_bounded_strings(xs, ys, caps).tolist() == [0, 0, -1, 3, 0, 1, 2, -1]
+        assert ld_bounded_strings([], [], []).tolist() == []
 
     def test_small_passes_give_the_same_distances(self, monkeypatch):
         # about one pair per pass when texts are long, a few when short
@@ -176,9 +182,9 @@ class TestLdBoundedBatch:
         xs = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 70))) for _ in range(200)]
         ys = [edited(rng, x, "ab", 4) for x in xs]
         caps = [rng.randint(1, 6) for _ in xs]
-        whole = ld_bounded_batch(xs, ys, caps)
+        whole = ld_bounded_strings(xs, ys, caps)
         monkeypatch.setattr(strdist, "_BATCH_CODE_POINTS", 150)
-        assert ld_bounded_batch(xs, ys, caps).tolist() == whole.tolist()
+        assert ld_bounded_strings(xs, ys, caps).tolist() == whole.tolist()
         want = [ld_bounded(x, y, cap) for x, y, cap in zip(xs, ys, caps)]
         assert whole.tolist() == [-1 if d is None else d for d in want]
 
@@ -188,9 +194,9 @@ class TestLdBoundedBatch:
         xs = [rng.choice(words) for _ in range(400)]
         ys = [rng.choice(words) for _ in range(400)]
         caps = [rng.randint(1, 6) for _ in range(400)]
-        got = ld_bounded_batch(xs, ys, caps)
+        got = ld_bounded_strings(xs, ys, caps)
         assert got.tolist() == [naive_ld(x, y) if naive_ld(x, y) <= c else -1 for x, y, c in zip(xs, ys, caps)]
-        assert ld_bounded_batch(ys[::-1], xs[::-1], caps[::-1]).tolist() == got.tolist()[::-1]
+        assert ld_bounded_strings(ys[::-1], xs[::-1], caps[::-1]).tolist() == got.tolist()[::-1]
 
 
 class TestNld:
