@@ -31,7 +31,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,16 +149,6 @@ class SimilarStats:
     ld_checks: int = 0
     pairs: int = 0
     index_ms: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index_ms": self.index_ms,
-            "probes": self.probes,
-            "probe_keys": self.probe_keys,
-            "candidates": self.candidates,
-            "ld_checks": self.ld_checks,
-            "pairs": self.pairs,
-        }
 
 
 class Plan(NamedTuple):

@@ -70,18 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_join = subs.add_parser("join", help="run the generate-filter-verify join")
     _add_corpus_flags(p_join)
     p_join.add_argument("--output", required=True, help="result file path")
-    p_join.add_argument("--threshold", type=float, default=0.1, help="distance threshold T")
+    p_join.add_argument("--threshold", type=float, default=JoinConfig.threshold, help="distance threshold T")
     p_join.add_argument(
         "--max-token-freq",
         type=_max_freq,
-        default=1000,
+        default=JoinConfig.max_token_freq,
         help="drop tokens occurring in more than this many records ('inf' disables)",
     )
-    p_join.add_argument("--matching", choices=MATCHING_MODES, default="fuzzy")
+    p_join.add_argument("--matching", choices=MATCHING_MODES, default=JoinConfig.matching)
     p_join.add_argument(
         "--dedup",
         choices=DEDUP_STRATEGIES,
-        default="one-string",
+        default=JoinConfig.dedup,
         help="dedup grouping; both keep the same pairs, so the choice does not change the join",
     )
     p_join.add_argument(

@@ -33,14 +33,6 @@ class FilterStats:
     pruned_by_histogram: int = 0
     surviving: int = 0
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "input_pairs": self.input_pairs,
-            "pruned_by_length": self.pruned_by_length,
-            "pruned_by_histogram": self.pruned_by_histogram,
-            "surviving": self.surviving,
-        }
-
 
 def length_prunes(la: int, lb: int, num: int, den: int) -> bool:
     """True when aggregate lengths alone put the pair beyond num/den.

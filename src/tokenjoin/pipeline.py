@@ -7,6 +7,10 @@ maps its blocks over one fork-based process pool when ``workers`` is above 1
 and its survivors fill more than one block. A worker that fails or dies ends
 the join with a :class:`StageError`.
 
+Each stage is one :meth:`StageReport.stage` block, which reads the wall and
+CPU clocks at its entry and exit. Verify's pool is a stage of its own, timed
+inside verify's span, and verify's times leave it out.
+
 Record ids are interned to dense integers in sorted-id order, and tokens to
 dense integers in first-occurrence order. The token index is a pair of CSR
 arrays per side, and candidate pairs travel as single packed integers (left in
@@ -18,10 +22,11 @@ from __future__ import annotations
 import gc
 import math
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from itertools import chain, count, islice
 from operator import attrgetter, eq
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 # numpy loads with residual, once the modules without it have compiled (see
 # strdist); candidates uses numpy too, so it comes after residual
@@ -83,15 +88,10 @@ class JoinConfig:
             raise ConfigError(f"tokenizer must be one of {TOKENIZER_SCHEMES}, got {self.tokenizer!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "threshold": self.threshold,
-            "max_token_freq": "inf" if self.max_token_freq == math.inf else self.max_token_freq,
-            "matching": self.matching,
-            "dedup": self.dedup,
-            "self_join": self.self_join,
-            "workers": self.workers,
-            "tokenizer": self.tokenizer,
-        }
+        payload = asdict(self)
+        if self.max_token_freq == math.inf:
+            payload["max_token_freq"] = "inf"
+        return payload
 
 
 class JoinResult(NamedTuple):
@@ -106,9 +106,10 @@ class JoinResult(NamedTuple):
 class StageCounts:
     """A stage's items in and out, and its wall and CPU milliseconds.
 
-    ``cpu_ms`` is the CPU time of the joining process over the same span as
-    ``millis`` (``time.process_time``). Verify blocks that run in a pool's
-    child processes are not included: their CPU time is the children's.
+    :meth:`StageReport.stage` reads both clocks. ``cpu_ms`` is the CPU time
+    of the joining process over the same spans as ``millis``
+    (``time.process_time``). Verify blocks that run in a pool's child
+    processes are not included: their CPU time is the children's.
     """
 
     items_in: int = 0
@@ -121,8 +122,10 @@ class StageCounts:
 class StageReport:
     """Per-stage item counts, wall and CPU times, and the similar-token, filter and verify counters.
 
-    The ``pool`` stage, present only when verify made a worker pool, times the
-    pool's start-up and shutdown; its items are the pool's processes.
+    Every stage is timed by :meth:`stage`, in the order the stages first
+    ran. The ``pool`` stage, present only when verify made a worker pool,
+    times the pool's start-up and its shutdown, and verify's times leave it
+    out; its items are the pool's processes.
     """
 
     stages: dict[str, StageCounts] = field(default_factory=dict)
@@ -130,19 +133,23 @@ class StageReport:
     filters: FilterStats = field(default_factory=FilterStats)
     verify: VerifyStats = field(default_factory=VerifyStats)
 
-    def record(self, name: str, items_in: int, items_out: int, millis: float, cpu_ms: float) -> None:
-        self.stages[name] = StageCounts(items_in, items_out, millis, cpu_ms)
+    @contextmanager
+    def stage(self, name: str, items_in: int = 0) -> Iterator[StageCounts]:
+        """Time the ``with`` body as stage ``name`` and yield its counts to fill in.
+
+        Reads the wall and CPU clocks once at entry and once at exit. A stage
+        that already ran keeps its counts, and the body's times add to its own.
+        """
+        counts = self.stages.setdefault(name, StageCounts(items_in))
+        wall, cpu = time.perf_counter(), time.process_time()
+        yield counts
+        counts.millis += (time.perf_counter() - wall) * 1000.0
+        counts.cpu_ms += (time.process_time() - cpu) * 1000.0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "stages": {
-                name: {"items_in": c.items_in, "items_out": c.items_out, "millis": c.millis, "cpu_ms": c.cpu_ms}
-                for name, c in self.stages.items()
-            },
-            "similar": self.similar.to_dict(),
-            "filters": self.filters.to_dict(),
-            "verify": self.verify.to_dict(),
-        }
+        payload = asdict(self)
+        payload["verify"] = self.verify.to_dict()
+        return payload
 
 
 @dataclass(slots=True)
@@ -202,10 +209,9 @@ class _Postings:
 
 def _postings(side: _Side, token_ids: np.ndarray, n_tokens: int, max_freq: int | float) -> _Postings:
     rows = np.repeat(np.arange(side.counts.size, dtype=np.int64), side.counts)
-    # one (token, record) key per occurrence; sorting and keeping the first
-    # of each run of equal keys counts a token repeated in a record once
-    keys = np.sort(((token_ids << 32) | rows)[np.repeat(side.lens > 0, side.counts)])
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    # one (token, record) key per occurrence; keeping each distinct key once
+    # counts a token repeated in a record once
+    keys = sorted_distinct(((token_ids << 32) | rows)[np.repeat(side.lens > 0, side.counts)])
     counts = np.bincount(keys >> 32, minlength=n_tokens)
     return _Postings(
         keys & _PACK_MASK,
@@ -350,97 +356,77 @@ def _join(
         )
     report = StageReport()
 
-    t0 = _start()
-    side_r = _prepare_side(corpus_r, "left")
-    side_p = side_r if self_join else _prepare_side(corpus_p, "right")
-    n_records = len(side_r.ids) + (0 if self_join else len(side_p.ids))
-    max_len = int(max(side_r.lens.max(initial=0), side_p.lens.max(initial=0)))
-    bounds = threshold_bounds(cfg.threshold, max_len)
-    report.record("prepare", n_records, n_records, *_elapsed(t0))
+    with report.stage("prepare") as stage:
+        side_r = _prepare_side(corpus_r, "left")
+        side_p = side_r if self_join else _prepare_side(corpus_p, "right")
+        n_records = len(side_r.ids) + (0 if self_join else len(side_p.ids))
+        max_len = int(max(side_r.lens.max(initial=0), side_p.lens.max(initial=0)))
+        bounds = threshold_bounds(cfg.threshold, max_len)
+        stage.items_in = stage.items_out = n_records
 
-    t0 = _start()
-    table, ids_r, ids_p, post_r, post_p = _index(side_r, side_p, cfg.max_token_freq)
-    kept_tokens = int(post_r.kept.sum()) + (0 if self_join else int(post_p.kept.sum()))
-    report.record("index", n_records, kept_tokens, *_elapsed(t0))
+    with report.stage("index", n_records) as stage:
+        table, ids_r, ids_p, post_r, post_p = _index(side_r, side_p, cfg.max_token_freq)
+        kept_tokens = int(post_r.kept.sum()) + (0 if self_join else int(post_p.kept.sum()))
+        stage.items_out = kept_tokens
 
-    t0 = _start()
-    sim_r = sim_p = np.empty(0, dtype=np.int64)
-    if cfg.matching in (FUZZY, GREEDY):
-        report.similar, sim_r, sim_p = similar_token_pairs(
-            table,
-            post_r.kept,
-            None if self_join else post_p.kept,
-            bounds,
-        )
-    n_pairs = int(sim_r.size)
-    report.record("similar-tokens", report.similar.probes, n_pairs, *_elapsed(t0))
+    with report.stage("similar-tokens") as stage:
+        sim_r = sim_p = np.empty(0, dtype=np.int64)
+        if cfg.matching in (FUZZY, GREEDY):
+            report.similar, sim_r, sim_p = similar_token_pairs(
+                table,
+                post_r.kept,
+                None if self_join else post_p.kept,
+                bounds,
+            )
+        n_pairs = int(sim_r.size)
+        stage.items_in, stage.items_out = report.similar.probes, n_pairs
 
-    t0 = _start()
-    raw = _generate(post_r, post_p, sim_r, sim_p, self_join)
-    del post_r, post_p, sim_r, sim_p
-    report.record("generate", kept_tokens + n_pairs, int(raw.size), *_elapsed(t0))
+    with report.stage("generate", kept_tokens + n_pairs) as stage:
+        raw = _generate(post_r, post_p, sim_r, sim_p, self_join)
+        del post_r, post_p, sim_r, sim_p
+        stage.items_out = int(raw.size)
 
-    t0 = _start()
-    n_raw = int(raw.size)
-    unique = dedup_candidates(raw)
-    del raw
-    report.record("dedup", n_raw, int(unique.size), *_elapsed(t0))
+    with report.stage("dedup", int(raw.size)) as stage:
+        unique = dedup_candidates(raw)
+        del raw
+        stage.items_out = n_unique = int(unique.size)
 
-    t0 = _start()
-    n_unique = int(unique.size)
-    residuals = Residuals(side_r, side_p, ids_r, ids_p, table, bounds, greedy=cfg.matching == GREEDY)
-    del ids_r, ids_p, table
-    survivors = length_survivors(unique, residuals) if use_filters else unique
-    del unique
-    report.record("filter", n_unique, int(survivors.size), *_elapsed(t0))
+    with report.stage("filter", n_unique) as filtering:
+        residuals = Residuals(side_r, side_p, ids_r, ids_p, table, bounds, greedy=cfg.matching == GREEDY)
+        del ids_r, ids_p, table
+        survivors = length_survivors(unique, residuals) if use_filters else unique
+        del unique
 
-    t0 = _start()
-    accepted, report.verify, pool = _verify(survivors, residuals, cfg.workers)
-    millis, cpu_ms = _elapsed(t0)
+    with report.stage("verify") as stage:
+        accepted, report.verify = _verify(survivors, residuals, cfg.workers, report)
+    pool = report.stages.get("pool")
     if pool is not None:
-        millis -= pool.millis
-        cpu_ms -= pool.cpu_ms
+        # the pool's spans run inside verify's
+        stage.millis -= pool.millis
+        stage.cpu_ms -= pool.cpu_ms
     # with the filter stage on, verify's residual bound is its second prune
     pruned = report.verify.residual_rejects if use_filters else 0
     report.verify.residual_rejects -= pruned
     n_verified = int(survivors.size) - pruned
     report.filters = FilterStats(n_unique, n_unique - int(survivors.size), pruned, n_verified)
-    report.stages["filter"].items_out = n_verified
-    report.record("verify", n_verified, len(accepted), millis, cpu_ms)
-    if pool is not None:
-        report.stages["pool"] = pool
+    filtering.items_out = stage.items_in = n_verified
+    stage.items_out = len(accepted)
 
-    t0 = _start()
-    if self_join:
-        emp = side_r.empties
-        for i in range(len(emp) - 1):
-            hi = emp[i] << 32
-            accepted.extend((hi | emp[j], 0.0) for j in range(i + 1, len(emp)))
-    else:
-        for left in side_r.empties:
+    with report.stage("finalize") as stage:
+        for i, left in enumerate(side_r.empties):
             hi = left << 32
-            accepted.extend((hi | right, 0.0) for right in side_p.empties)
-    # dense ids follow sorted record ids on each side, so packed order is
-    # (left_id, right_id) order
-    accepted.sort()
-    ids_l, ids_r = side_r.ids, side_p.ids
-    results = [
-        JoinResult(ids_l[packed >> 32], ids_r[packed & _PACK_MASK], dist)
-        for packed, dist in accepted
-    ]
-    report.record("finalize", len(accepted), len(results), *_elapsed(t0))
+            partners = side_r.empties[i + 1 :] if self_join else side_p.empties
+            accepted.extend((hi | right, 0.0) for right in partners)
+        # dense ids follow sorted record ids on each side, so packed order is
+        # (left_id, right_id) order
+        accepted.sort()
+        ids_l, ids_r = side_r.ids, side_p.ids
+        results = [
+            JoinResult(ids_l[packed >> 32], ids_r[packed & _PACK_MASK], dist)
+            for packed, dist in accepted
+        ]
+        stage.items_in = stage.items_out = len(results)
     return results, report
-
-
-def _start() -> tuple[float, float]:
-    """The wall and CPU time of this process, in seconds."""
-    return time.perf_counter(), time.process_time()
-
-
-def _elapsed(t0: tuple[float, float]) -> tuple[float, float]:
-    """Milliseconds of wall and CPU time since ``t0``, a :func:`_start`."""
-    wall, cpu = t0
-    return (time.perf_counter() - wall) * 1000.0, (time.process_time() - cpu) * 1000.0
 
 
 def dedup_candidates(raw: np.ndarray) -> np.ndarray:
@@ -455,34 +441,36 @@ def dedup_candidates(raw: np.ndarray) -> np.ndarray:
 
 
 def _verify(
-    survivors: np.ndarray, residuals: Residuals, workers: int
-) -> tuple[list[tuple[int, float]], VerifyStats, StageCounts | None]:
-    """(packed pair, distance) of each survivor within the threshold, the
-    counters, and the ``pool`` stage if a pool was made.
+    survivors: np.ndarray, residuals: Residuals, workers: int, report: StageReport
+) -> tuple[list[tuple[int, float]], VerifyStats]:
+    """(packed pair, distance) of each survivor within the threshold, and the counters.
 
     Runs :func:`residual.verify_block` over blocks of survivors, in block
     order: in the caller, or over a fork-based process pool when ``workers``
-    is above 1 and there is more than one block. The pool stage times the
-    pool's start-up (making it and handing it the blocks, which forks the
-    workers) and its shutdown. A block that raises, or a worker that dies,
-    becomes a :class:`StageError` naming the first block whose result is
-    missing; pending blocks are cancelled.
+    is above 1 and there is more than one block. The pool is timed as
+    ``report``'s ``pool`` stage over two spans: its start-up (making it and
+    handing it the blocks, which forks the workers) and its shutdown. A
+    block that raises, or a worker that dies, becomes a :class:`StageError`
+    naming the first block whose result is missing; pending blocks are
+    cancelled.
     """
     step = block_rows(residuals.width)
     blocks = [survivors[start : start + step] for start in range(0, survivors.size, step)]
     n_workers = min(workers, len(blocks))
-    t0 = _start()
-    executor = _fork_executor(n_workers, residuals) if n_workers > 1 else None
-    pool = None
+    executor = None
     accepted: list[tuple[int, float]] = []
     stats = VerifyStats()
     done = 0
     try:
-        if executor is None:
-            parts = (verify_block(block, residuals) for block in blocks)
-        else:
-            parts = executor.map(_verify_task, blocks)
-            pool = StageCounts(n_workers, n_workers, *_elapsed(t0))
+        parts = (verify_block(block, residuals) for block in blocks)
+        if n_workers > 1:
+            with report.stage("pool", n_workers) as pool:
+                executor = _fork_executor(n_workers, residuals)
+                if executor is not None:
+                    parts = executor.map(_verify_task, blocks)
+                pool.items_out = n_workers
+            if executor is None:
+                del report.stages["pool"]  # no fork on this platform: verify runs inline
         for packed, dists, block_stats in parts:
             accepted.extend(zip(packed.tolist(), dists.tolist()))
             stats.add(block_stats)
@@ -491,13 +479,9 @@ def _verify(
         raise StageError("verify", done, f"{type(exc).__name__}: {exc}") from exc
     finally:
         if executor is not None:
-            t0 = _start()
-            executor.shutdown(cancel_futures=True)
-            if pool is not None:
-                millis, cpu_ms = _elapsed(t0)
-                pool.millis += millis
-                pool.cpu_ms += cpu_ms
-    return accepted, stats, pool
+            with report.stage("pool"):
+                executor.shutdown(cancel_futures=True)
+    return accepted, stats
 
 
 def _fork_executor(workers: int, residuals: Residuals):

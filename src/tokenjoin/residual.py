@@ -22,8 +22,9 @@ join's :class:`strdist.Bounds`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import permutations
+from operator import add
 from typing import Any
 
 import numpy as np
@@ -71,21 +72,16 @@ class VerifyStats:
     scalar_fallbacks: int = 0
 
     def add(self, other: "VerifyStats") -> None:
-        self.pairs_by_k = [a + b for a, b in zip(self.pairs_by_k, other.pairs_by_k)]
-        self.residual_rejects += other.residual_rejects
-        self.kernel_cells += other.kernel_cells
-        self.kernel_token_pairs += other.kernel_token_pairs
-        self.scalar_fallbacks += other.scalar_fallbacks
+        """Add ``other``'s counters to these, ``pairs_by_k`` entry by entry."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, list(map(add, mine, theirs)) if isinstance(mine, list) else mine + theirs)
 
     def to_dict(self) -> dict[str, Any]:
+        payload = asdict(self)
         keys = [str(k) for k in range(ARRAY_MAX_K + 1)] + [f"{ARRAY_MAX_K + 1}+"]
-        return {
-            "pairs_by_k": dict(zip(keys, self.pairs_by_k)),
-            "residual_rejects": self.residual_rejects,
-            "kernel_cells": self.kernel_cells,
-            "kernel_token_pairs": self.kernel_token_pairs,
-            "scalar_fallbacks": self.scalar_fallbacks,
-        }
+        payload["pairs_by_k"] = dict(zip(keys, self.pairs_by_k))
+        return payload
 
 
 class Residuals:

@@ -6,7 +6,7 @@ import pytest
 from tokenjoin.cli import build_parser, main
 from tokenjoin.corpusio import read_corpus, read_results, write_results
 from tokenjoin.errors import DataError
-from tokenjoin.pipeline import JoinResult
+from tokenjoin.pipeline import JoinConfig, JoinResult
 
 
 @pytest.fixture
@@ -132,6 +132,16 @@ class TestJoinCommand:
         assert build_parser().parse_args(argv).workers == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert build_parser().parse_args(argv).workers == 1
+
+    def test_join_defaults_are_join_configs(self):
+        args = build_parser().parse_args(["join", "--input", "a", "--output", "b"])
+        default = JoinConfig()
+        assert (args.threshold, args.max_token_freq, args.matching, args.dedup) == (
+            default.threshold,
+            default.max_token_freq,
+            default.matching,
+            default.dedup,
+        )
 
     def test_two_set_join_and_tsv(self, tmp_path):
         left = tmp_path / "l.tsv"

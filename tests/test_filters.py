@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 from tokenjoin.filters import (
@@ -131,4 +132,4 @@ class TestFilterStats:
     def test_reconciliation_and_merge(self):
         s = FilterStats(input_pairs=10, pruned_by_length=3, pruned_by_histogram=2, surviving=5)
         assert s.input_pairs == s.pruned_by_length + s.pruned_by_histogram + s.surviving
-        assert s.to_dict() == {"input_pairs": 10, "pruned_by_length": 3, "pruned_by_histogram": 2, "surviving": 5}
+        assert dataclasses.asdict(s) == {"input_pairs": 10, "pruned_by_length": 3, "pruned_by_histogram": 2, "surviving": 5}

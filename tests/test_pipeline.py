@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -175,6 +176,29 @@ class TestJoinBasics:
         _, parallel = join(multi_block_corpus(), None, JoinConfig(threshold=0.2, workers=2))
         assert parallel.stages["pool"].items_in == parallel.stages["pool"].items_out == 2
         assert parallel.stages["pool"].millis > 0
+
+    def test_verify_time_leaves_out_the_pool(self, monkeypatch):
+        # the pool's start-up and shutdown each sleep 0.3 s inside verify's span
+        fork_executor = pipeline._fork_executor
+
+        def slow_executor(workers, residuals):
+            executor = fork_executor(workers, residuals)
+            shutdown = executor.shutdown
+
+            def slow_shutdown(**kwargs):
+                time.sleep(0.3)
+                shutdown(**kwargs)
+
+            executor.shutdown = slow_shutdown
+            time.sleep(0.3)
+            return executor
+
+        monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
+        monkeypatch.setattr(pipeline, "_fork_executor", slow_executor)
+        _, report = join(multi_block_corpus(), None, JoinConfig(threshold=0.2, workers=2))
+        pool, verify = report.stages["pool"], report.stages["verify"]
+        assert pool.millis >= 600 > verify.millis
+        assert verify.cpu_ms >= 0
 
     def test_side_size_limit(self):
         # a packed pair (left << 32 | right) must stay a non-negative int64
@@ -658,7 +682,27 @@ class TestJoinProperties:
         assert stages["verify"].items_in == stages["filter"].items_out
         assert stages["filter"].items_out == stats.surviving
         payload = report.to_dict()
+        # every key of the report, at every level
         assert set(payload) == {"stages", "similar", "filters", "verify"}
+        assert list(payload["stages"]) == [
+            "prepare", "index", "similar-tokens", "generate", "dedup", "filter", "verify", "finalize"
+        ]
+        for counts in payload["stages"].values():
+            assert set(counts) == {"items_in", "items_out", "millis", "cpu_ms"}
+        assert set(payload["similar"]) == {"probes", "probe_keys", "candidates", "ld_checks", "pairs", "index_ms"}
+        assert set(payload["filters"]) == {"input_pairs", "pruned_by_length", "pruned_by_histogram", "surviving"}
+        assert set(payload["verify"]) == {
+            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs", "scalar_fallbacks"
+        }
+        assert dataclasses.replace(cfg, max_token_freq=math.inf).to_dict() == {
+            "threshold": 0.15,
+            "max_token_freq": "inf",
+            "matching": "fuzzy",
+            "dedup": "one-string",
+            "self_join": True,
+            "workers": 1,
+            "tokenizer": "whitespace-punct",
+        }
         similar = payload["similar"]
         assert similar["probes"] == stages["similar-tokens"].items_in
         assert similar["pairs"] == stages["similar-tokens"].items_out > 0
