@@ -9,13 +9,13 @@ string-level normalization.
 Every setwise cost is one padded square cost matrix
 (:func:`_padded_cost_matrix`) and one solver: the O(k^3) Hungarian
 algorithm for the exact cost, or :func:`_greedy_matching` for the cheaper
-upper-bound approximation. The residual lower bound
-(:func:`residual_lower_bound`: drop the shared tokens, then at least one
-edit per remaining token pair) is the first check of verify's array path,
-and :func:`sld_capped` is the scalar verifier, whose matrix holds edit
-distances capped at the pair's cost cap. Its token edit distances can go
-through an :class:`LdCache`, whose :meth:`LdCache.bounded` computes and
-remembers each one; the join's verify passes none.
+upper-bound approximation, whose ties follow the records' token order.
+:func:`sld_capped` rejects by the residual lower bound
+(:func:`residual_lower_bound`), then caps the edit distances of its matrix
+at the pair's cost cap. It specifies what the join's verify computes from
+token ids (``residual.verify_block``); the join does not call it. Its edit
+distances can go through an :class:`LdCache`, whose :meth:`LdCache.bounded`
+computes and remembers each one.
 """
 
 from __future__ import annotations
@@ -169,7 +169,10 @@ def sld_greedy(a: TokenizedString, b: TokenizedString) -> AlignmentCost:
     """Greedy setwise edit cost: :func:`_greedy_matching` on the padded cost matrix.
 
     Exact edge weights; at equal weight the smallest (left, right) index pair
-    wins, so results are reproducible. Never below the exact distance.
+    wins, so results are reproducible, and the total depends on the
+    records' token order: ``("baa", "b", "ab")`` against ``("bab", "a",
+    "aabb")`` costs 4, with ``("baa", "ab", "b")`` on the left 5 (the exact
+    distance is 4 for both). Never below the exact distance.
     """
     if not a.tokens and not b.tokens:
         return AlignmentCost(0, ())
@@ -181,7 +184,7 @@ def nsld(a: TokenizedString, b: TokenizedString, mode: str = "exact") -> float:
     """Normalized setwise distance 2*SLD/(L_a + L_b + SLD), in [0, 1].
 
     Zero when both records are empty. ``mode`` picks the exact or the greedy
-    setwise cost.
+    setwise cost; the greedy one depends on token order (:func:`sld_greedy`).
     """
     if mode == "exact":
         s = sld_exact(a, b).sld
@@ -279,16 +282,13 @@ def sld_capped(
     exactly these zero-weight edges first in (left, right) order. The rest is
     matched on the residual matrix.
 
-    Before any edit distance is computed, the residual token lengths decide
-    what they can: sorted, the shorter list front-padded with zeros, the sum
-    of max(1, |difference|) position by position is a lower bound on the
-    residual cost, and a bound above ``cap`` rejects the pair. Residual
-    tokens differ, so a real-real edge costs at least max(1, |length
-    difference|); a padding edge costs the token's length, at least 1 for a
-    non-empty token; and since max(1, |d|) is convex, the sorted alignment
-    minimizes its sum over all matchings. Greedy totals are never below the
-    exact one, so the bound serves both modes. The bound is skipped when a
-    residual token is empty.
+    Before any edit distance is computed, :func:`residual_lower_bound`
+    above ``cap`` rejects the pair. Residual tokens differ, so a real-real
+    edge costs at least max(1, |length difference|); a padding edge costs
+    the token's length, at least 1 for a non-empty token; and since
+    max(1, |d|) is convex, the sorted alignment minimizes its sum over all
+    matchings. Greedy totals are never below the exact one, so the bound
+    serves both modes. It is skipped when a residual token is empty.
 
     The residual matrix is :func:`_padded_cost_matrix` with the bounded
     distance capped at ``cap`` as ``dist``: over-cap edges get the
@@ -296,40 +296,20 @@ def sld_capped(
     cap and is rejected, while accepted totals are exact (an optimal
     matching within the cap only uses exactly-weighted edges).
     :func:`_greedy_matching` solves it in greedy mode and :func:`hungarian`
-    in exact mode; k = 1 (both modes) and k = 2 (exact) are closed forms.
+    in exact mode.
     """
     a_tokens, b_tokens = drop_shared(a_tokens, b_tokens)
-    n_a, n_b = len(a_tokens), len(b_tokens)
-    k = n_a if n_a > n_b else n_b
-    if k == 0:
-        return 0
     # an empty token matches padding at cost 0, under the bound's 1 per
     # edge; records never hold one
     if "" not in a_tokens and "" not in b_tokens and residual_lower_bound(a_tokens, b_tokens) > cap:
         return None
     bounded = ld_cache.bounded if ld_cache is not None else ld_bounded
-    surrogate = cap + 1
-    if k == 1:
-        if n_a == 0:
-            total = len(b_tokens[0])
-        elif n_b == 0:
-            total = len(a_tokens[0])
-        else:
-            d = bounded(a_tokens[0], b_tokens[0], cap)
-            total = surrogate if d is None else d
-        return total if total <= cap else None
 
     def capped(x: str, y: str) -> int:
         d = bounded(x, y, cap)
-        return surrogate if d is None else d
+        return cap + 1 if d is None else d
 
-    matrix = _padded_cost_matrix(a_tokens, b_tokens, capped)
-    if greedy:
-        total, _ = _greedy_matching(matrix)
-    elif k == 2:
-        total = min(matrix[0][0] + matrix[1][1], matrix[0][1] + matrix[1][0])
-    else:
-        total, _ = hungarian(matrix)
+    total, _ = (_greedy_matching if greedy else hungarian)(_padded_cost_matrix(a_tokens, b_tokens, capped))
     return total if total <= cap else None
 
 

@@ -3,8 +3,8 @@
 A token is a plain ``str`` (never empty, never containing a separator). A
 record is a :class:`TokenizedString`: an opaque id plus the token multiset
 with cached aggregate length and token count. Duplicate tokens are preserved;
-token order is the left-to-right emission order, which no distance depends on
-but keeps construction reproducible.
+token order is the left-to-right emission order. The exact distance ignores
+it, but the greedy one breaks ties by it (see :func:`setdist.sld_greedy`).
 """
 
 from __future__ import annotations

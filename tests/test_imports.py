@@ -45,6 +45,16 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in unread]
 
 
+def imported_names(source: str) -> set[str]:
+    """The names ``source`` imports from modules, anywhere in it."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def imported_modules(source: str) -> set[str]:
     """The top-level names of the modules ``source`` imports, anywhere in it."""
     modules = set()
@@ -69,6 +79,7 @@ def f(xs: Iterable[int], cache: "LdCache | None") -> int:
 """
     assert unused_imports(source) == ["line 3: os", "line 5: Sequence"]
     assert imported_modules(source) == {"__future__", "os", "numpy", "typing"}
+    assert imported_names(source) == {"annotations", "Sequence", "Iterable", "LdCache"}
 
 
 @pytest.mark.parametrize(
@@ -87,3 +98,11 @@ def test_only_strdist_and_oracle_import_fractions():
         if "fractions" in imported_modules(path.read_text(encoding="utf-8"))
     }
     assert importers == {"strdist.py", "oracle.py"}
+
+
+def test_the_join_imports_no_scalar_verifier():
+    # every edit distance of the join goes through strdist.ld_bounded_ids;
+    # sld_capped, LdCache and ld_bounded are specifications and public API
+    for name in ("pipeline.py", "residual.py"):
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        assert imported_names(source) & {"sld_capped", "LdCache", "ld_bounded"} == set(), name

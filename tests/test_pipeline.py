@@ -22,7 +22,7 @@ from tokenjoin.pipeline import (
     dedup_candidates,
     join,
 )
-from tokenjoin.setdist import LdCache, drop_shared, sld_capped
+from tokenjoin.setdist import LdCache, drop_shared, nsld, sld_capped
 from tokenjoin.strdist import ld_bounded_ids, threshold_bounds
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
@@ -45,6 +45,29 @@ def multi_block_corpus():
 
 def as_tuples(results):
     return [(r.left_id, r.right_id, r.distance) for r in results]
+
+
+# how many tokens each near copy of wide_near_copies' base record edits
+WIDE_EDITS = (1, 2, 3, 4, 8, 30)
+
+
+def wide_near_copies(rng):
+    """Seven records of 50 tokens among 400 one-token records, which keep the rows 7 cells wide.
+
+    The base record and one near copy per entry of ``WIDE_EDITS``, each
+    editing as many tokens of its own (one letter longer), so base and copy
+    differ in that many tokens and two copies in their sum.
+    """
+    base = [rand_token(rng, max_len=6, alphabet="abcdefgh").ljust(6, "a") for _ in range(50)]
+    records = [make_ts(f"f{i:03}", (rand_token(rng, max_len=6),)) for i in range(400)]
+    records.append(make_ts("w0", base))
+    start = 0
+    for copy, edits in enumerate(WIDE_EDITS, start=1):
+        toks = list(base)
+        toks[start : start + edits] = [tok + "z" for tok in toks[start : start + edits]]
+        start += edits
+        records.append(make_ts(f"w{copy}", toks))
+    return records
 
 
 class TestJoinConfig:
@@ -242,9 +265,12 @@ print(sorted(set(sys.modules) - before))
         finally:
             (gc.enable if was else gc.disable)()
 
-    def test_collector_paused_while_verifying(self, monkeypatch):
+    @pytest.mark.parametrize("matching, wide", [("fuzzy", False), ("greedy", False), ("fuzzy", True)])
+    def test_collector_paused_while_verifying(self, monkeypatch, rng, matching, wide):
         # the reference pair has two residual tokens a side: its four token
-        # pairs go to the batched kernel in one call
+        # pairs go to the batched kernel in one call, from record-order
+        # cells in greedy mode; the wide records' pairs are matched on
+        # record-order cells, chunk by chunk
         states = []
 
         def spy(*args, **kwargs):
@@ -255,10 +281,12 @@ print(sorted(set(sys.modules) - before))
         was = gc.isenabled()
         try:
             gc.enable()
-            join(reference_corpus(), None, JoinConfig(threshold=0.2, workers=1))
+            corpus = wide_near_copies(rng) if wide else reference_corpus()
+            _, report = join(corpus, None, JoinConfig(threshold=0.2, matching=matching, workers=1))
         finally:
             (gc.enable if was else gc.disable)()
-        assert states == [False]
+        assert states == [False] * len(states) and (len(states) > 1 if wide else len(states) == 1)
+        assert report.verify.scalar_fallbacks == (21 if wide else int(matching == "greedy"))
 
     def test_results_sorted_by_string_ids(self):
         recs = [
@@ -768,11 +796,54 @@ class TestVerify:
         assert stats.residual_rejects > 0
         assert all(got <= want for got, want in zip(stats.pairs_by_k, by_k))
         assert stats.pairs_by_k[0] == by_k[0] and stats.pairs_by_k[5] > 0
-        # the 200-token record is left out; with it, the empty-token record,
-        # k >= 5 and (greedy) k >= 2 go to sld_capped
+        # the 200-token record and the empty-token record are left out of
+        # the rows: their pairs, and (greedy) pairs with k >= 2, are costed
+        # from record-order cells
         assert res.scalar_left[side.ids.index("wide")] and res.scalar_left[side.ids.index("blank")]
         assert stats.scalar_fallbacks >= 2 * (n - 1) - 1
         assert 0 < stats.kernel_token_pairs <= stats.kernel_cells
+
+    def test_greedy_breaks_ties_in_record_order(self):
+        # a1 and a2 hold the same tokens in different orders, and greedy
+        # ties follow the order (TestSldGreedy::test_total_depends_on_token_order):
+        # the residual rows hold both in one order, so they cannot tell them apart
+        a1 = make_ts("a1", ("baa", "b", "ab", "zzzzzz"))
+        a2 = make_ts("a2", ("baa", "ab", "b", "zzzzzz"))
+        b = make_ts("b", ("bab", "a", "aabb", "zzzzzz"))
+        both = [("a1", "a2", 0.0), ("a1", "b", 8 / 30)]
+        for matching, want in (("greedy", both), ("fuzzy", both + [("a2", "b", 8 / 30)])):
+            res, report = join([b, a2, a1], None, JoinConfig(threshold=0.3, matching=matching, workers=1))
+            assert as_tuples(res) == want
+            assert report.verify.pairs_by_k[3] == 2
+
+    @pytest.mark.parametrize("matching", ["fuzzy", "greedy"])
+    def test_record_cells_come_in_bounded_chunks(self, monkeypatch, rng, matching):
+        corpus = wide_near_copies(rng)
+        cfg = JoinConfig(threshold=0.2, matching=matching, workers=1)
+        whole, _ = join(corpus, None, cfg)
+        calls = []
+
+        def spy(k, *args):
+            calls.append(k.copy())
+            return matching_costs(k, *args)
+
+        matching_costs = residual._matching_costs
+        monkeypatch.setattr(residual, "_matching_costs", spy)
+        # verify blocks of 20 pairs; a chunk of pairs with k above 31 holds one pair
+        monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
+        res, report = join(corpus, None, cfg)
+        assert res == whole
+        assert report.verify.scalar_fallbacks == 21
+        for k in calls:
+            assert k.size == 1 or int((k[k > 0] ** 2).sum()) <= 1000
+        assert any(k.size == 1 and k[0] ** 2 > 1000 for k in calls)
+        assert any(k.size > 1 and k.max() > 7 for k in calls)
+        # every pair of two wide records is within the threshold, at its own cost
+        by_id = {rec.id: rec for rec in corpus}
+        wide = [(left, right, dist) for left, right, dist in as_tuples(res) if left[0] == right[0] == "w"]
+        assert len(wide) == 21
+        mode = "exact" if matching == "fuzzy" else "greedy"
+        assert all(dist == nsld(by_id[left], by_id[right], mode) for left, right, dist in wide)
 
     def test_pooled_blocks_match_one_block(self, monkeypatch):
         corpus = multi_block_corpus()

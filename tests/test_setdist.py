@@ -101,6 +101,18 @@ class TestSldGreedy:
         assert sld_exact(x, y).sld == 4
         assert sld_greedy(x, y).sld == 5
 
+    def test_total_depends_on_token_order(self):
+        # baa~bab, b~a and ab~a all cost 1, and ties break by (left, right)
+        # index: with b before ab, greedy takes baa~bab and b~a, leaving
+        # ab~aabb at 2 (total 4); with ab before b, it takes ab~a, leaving
+        # b~aabb at 3 (total 5)
+        b = make_ts("b", ("bab", "a", "aabb"))
+        for left, greedy in ((("baa", "b", "ab"), 4), (("baa", "ab", "b"), 5)):
+            a = make_ts("a", left)
+            assert sld_greedy(a, b).sld == greedy
+            assert sld_exact(a, b).sld == 4
+            assert nsld(a, b, "greedy") == 2 * greedy / (a.agg_len + b.agg_len + greedy)
+
 
 class TestNsld:
     def test_reference_value(self):
@@ -327,7 +339,7 @@ class TestSldCapped:
             lens_a, lens_b = [0] * pad + lens_a, [0] * -pad + lens_b
             tight += sld_perm(a, b) == sum(max(1, abs(p - q)) for p, q in zip(lens_a, lens_b))
         assert tight > 50  # the boundary the bound itself must not cross
-        # their first tokens, one a side and unshared, take the k = 1 shortcut
+        # their first tokens, one a side and unshared, make 1 x 1 matrices
         pairs += [(a[:1], b[:1]) for a, b in pairs[:50]]
         residual_k = set()
         for a, b in pairs:
@@ -338,7 +350,7 @@ class TestSldCapped:
             assert sld_capped(a, b, truth - 1, ld_cache=LdCache()) is None
             assert sld_capped(a, b, greedy, greedy=True, ld_cache=LdCache()) == greedy
             assert sld_capped(a, b, greedy - 1, greedy=True, ld_cache=LdCache()) is None
-        # both closed forms (k = 1, and k = 2 exact) and both solvers (k >= 3)
+        # both solvers, on matrices of every residual size from 1 to 4 and up
         assert residual_k == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("greedy", [False, True])
