@@ -75,14 +75,11 @@ def residual_prunes(
     """True when the residual-length bound already exceeds num/den.
 
     Drops the token multiset the records share, then bounds the setwise cost
-    of the rest from below by :func:`residual_lower_bound`. A pair in which
-    either record holds an empty token is never pruned (an empty token can
-    match padding at cost 0). Otherwise the bound is at least the histogram
-    bound: dropping a length from both sorted lists leaves their
-    |difference| sum unchanged, and max(1, ·) only raises the terms.
+    of the rest from below by :func:`residual_lower_bound`. The bound is at
+    least the histogram bound: dropping a length from both sorted lists, or
+    a length 0 (an empty token) from one, leaves their |difference| sum
+    unchanged, and max(1, ·) only raises the terms.
     """
-    if "" in tokens_a or "" in tokens_b:
-        return False
     lower = residual_lower_bound(*drop_shared(tokens_a, tokens_b))
     # 2*LB/(la + lb + LB) > T, cross-multiplied
     return 2 * lower * den > num * (la + lb + lower)

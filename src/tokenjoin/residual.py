@@ -1,15 +1,14 @@
 """Residual token rows: the length prune and verify's one cost path.
 
 Once the tokens two records share drop out (:func:`setdist.drop_shared`),
-what is left decides the pair. :class:`Residuals` holds both sides as
-right-aligned rows of token keys ``(token id, occurrence rank)`` in id
-order: equal keys of two records match each shared copy of a token once,
-and the unmatched keys, as ``(length, token id)`` cells, sort into the
-residual lengths and tokens. :func:`length_survivors` is the filter stage's
+what is left decides the pair. :class:`Residuals` holds both sides as rows
+of token keys ``(token id, occurrence rank)`` in record order: equal keys of
+two records match each shared copy of a token once, and the unmatched keys
+are the residual tokens, as ``(length, token id)`` cells (see
+:func:`_residual_cells`). :func:`length_survivors` is the filter stage's
 length prune. :func:`verify_block` rejects with the residual-length bound
 of :func:`filters.residual_prunes` and costs every other pair with
-:func:`_matching_costs`, from the rows' cells or, where the rows cannot
-express a pair, from the records' token ids; the edit distances go to
+:func:`_matching_costs`; the edit distances go to
 :func:`strdist.ld_bounded_ids` as token ids. The filter stage builds the
 rows from the index stage's token ids, and both stages read the join's
 :class:`strdist.Bounds`.
@@ -24,14 +23,15 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .setdist import _greedy_matching, drop_shared, hungarian
+from .candidates import ranges
+from .setdist import _greedy_matching, hungarian
 from .strdist import Bounds, TokenTable, ld_bounded_ids
 
 _PACK_MASK = 0xFFFFFFFF
 # the rows hold at most this many cells per token of the joined sides (at
-# least one column); a wider record is left out (see _record_cells)
+# least one column); verify gives the pairs of a wider record rows of their own
 CELLS_PER_TOKEN = 4
-# verify blocks and chunks of record cells hold at most this many cells
+# verify blocks and chunks of wide pairs hold at most this many cells
 # (rows x width x width), and the length prune runs over blocks of as many
 # rows; on W1, blocks of 2**16 to 2**21 took the same time
 BLOCK_CELLS = 1 << 18
@@ -45,24 +45,21 @@ _PERMS = {k: np.array(list(permutations(range(k))), dtype=np.intp) for k in rang
 class VerifyStats:
     """Where verify's pairs went; ``sum(pairs_by_k) + residual_rejects`` is its input.
 
-    ``pairs_by_k[k]`` counts the pairs with k residual tokens (the larger
-    side's count after the shared tokens drop), the last entry k >= 5. A
-    pair the rows express is counted once it passes the residual bound;
-    ``residual_rejects`` counts the pairs that do not. Where the filter
-    stage ran, :func:`pipeline.join` reports them as its
-    ``pruned_by_histogram`` instead, and this count as 0. A pair with a
-    record the rows leave out is counted by its k, bound included.
-    ``kernel_cells`` is the number of token-pair edit distances needed,
-    ``kernel_token_pairs`` the distinct token pairs of each matcher call
-    that went to ``ld_bounded_ids``, and ``scalar_fallbacks`` the pairs
-    costed from :func:`_record_cells`.
+    ``pairs_by_k[k]`` counts the pairs within the residual bound with k
+    residual tokens (the larger side's count), the last entry k >= 5, and
+    ``residual_rejects`` the others; where the filter stage ran,
+    :func:`pipeline.join` reports these as its ``pruned_by_histogram``
+    instead, and this count as 0. ``kernel_cells`` is the number of
+    token-pair edit distances needed, ``kernel_token_pairs`` the distinct
+    token pairs of each matcher call that went to ``ld_bounded_ids``, and
+    ``wide_pairs`` the pairs with a record wider than the shared rows.
     """
 
     pairs_by_k: list[int] = field(default_factory=lambda: [0] * (ARRAY_MAX_K + 2))
     residual_rejects: int = 0
     kernel_cells: int = 0
     kernel_token_pairs: int = 0
-    scalar_fallbacks: int = 0
+    wide_pairs: int = 0
 
     def add(self, other: "VerifyStats") -> None:
         """Add ``other``'s counters to these, ``pairs_by_k`` entry by entry."""
@@ -84,8 +81,8 @@ class Residuals:
 
     ``lens_left[i]`` is left record i's aggregate length, and its token ids,
     in record order, are ``ids_left[offsets_left[i] : offsets_left[i + 1]]``;
-    ``keys_left`` and ``scalar_left`` are its key rows and the records they
-    leave out (see :func:`_rows`), and likewise on the right. ``table``
+    ``keys_left`` and ``wide_left`` are its key rows and the records too
+    wide for them (see :func:`_rows`), and likewise on the right. ``table``
     holds the code points of the interned vocabulary, and ``table.lens[t]``
     is the length of token t.
     ``bounds`` are the threshold's, over the longest record: a pair whose
@@ -103,9 +100,8 @@ class Residuals:
         "offsets_right",
         "keys_left",
         "keys_right",
-        # records the rows leave out; their pairs take record-order cells
-        "scalar_left",
-        "scalar_right",
+        "wide_left",
+        "wide_right",
         "width",
         "table",
         "bounds",
@@ -130,10 +126,11 @@ class Residuals:
             max(int(side.counts.max(initial=0)) for side in sides),
             CELLS_PER_TOKEN * n_tokens // max(n_rows, 1),
         ))
-        left = _rows(side_r, ids_r, self.width, table.lens)
-        right = left if self_join else _rows(side_p, ids_p, self.width, table.lens)
-        self.keys_left, self.scalar_left, self.offsets_left = left
-        self.keys_right, self.scalar_right, self.offsets_right = right
+        self.keys_left = _rows(side_r.counts, ids_r, self.width)
+        self.keys_right = self.keys_left if self_join else _rows(side_p.counts, ids_p, self.width)
+        self.wide_left, self.wide_right = side_r.counts > self.width, side_p.counts > self.width
+        self.offsets_left = np.concatenate(([0], np.cumsum(side_r.counts)))
+        self.offsets_right = np.concatenate(([0], np.cumsum(side_p.counts)))
         self.table = table
         self.lens_left = side_r.lens
         self.lens_right = side_p.lens
@@ -142,42 +139,30 @@ class Residuals:
         self.greedy = greedy
 
 
-def _rows(side, ids: np.ndarray, width: int, vocab_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Key rows of one side's records, the records they leave out, and each record's offset into ``ids``.
+def _rows(counts: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
+    """Key rows of records, all padding for a record wider than ``width``.
 
-    ``ids`` holds the side's token ids, record after record. Row i holds
-    record i's tokens in ascending id order, right-aligned. A key is
-    ``(token id << 32) | occurrence rank``, the rank counting earlier copies
-    of the token in the record, so equal keys across two records match each
-    shared copy once, as :func:`drop_shared` does; padding keys are -1.
-    Nothing reads the order of a row's keys: :func:`_residual_cells` sorts
-    what is left of them.
-
-    A record with more than ``width`` tokens or with an empty token (whose
-    length 0 would read as padding in :func:`_residual_cells`) is left out,
-    all padding, and flagged in the returned boolean array.
+    ``counts[i]`` is record i's token count, and ``ids`` holds the records'
+    token ids, record after record. Row i holds record i's tokens in record
+    order, then padding keys (-1). A key is ``(token id << 32) |
+    occurrence rank``, the rank counting the earlier copies of the token in
+    the record, so equal keys of two records match each shared copy once,
+    the earliest copies first, as :func:`setdist.drop_shared` does.
     """
-    n = side.counts.size
-    rows = np.repeat(np.arange(n), side.counts)
-    # sorting (row, token id) keys orders each row's tokens and puts copies
-    # of a token next to each other
-    order = np.sort((rows << 32) | ids)
-    tids = order & _PACK_MASK
-    flat = np.arange(order.size)
+    rows = np.repeat(np.arange(counts.size), counts)
+    flat = np.arange(ids.size)
+    # a stable sort of the (row, token id) keys puts the copies of a token
+    # next to each other, in record order
+    tagged = (rows << 32) | ids
+    order = np.argsort(tagged, kind="stable")
     # a copy's occurrence rank is its distance from the token's first copy
-    copy_of = np.diff(order, prepend=-1) == 0
-    first = np.maximum.accumulate(np.where(copy_of, 0, flat))
-    left_out = side.counts > width
-    left_out[rows[vocab_lens[tids] == 0]] = True
-    # the t-th token sits in row rows[t]; ending that row at column
-    # width - 1 puts it at column t + width - ends[rows[t]]
-    ends = np.cumsum(side.counts)
-    cols = flat + np.repeat(width - ends, side.counts)
-    keep = ~left_out[rows]
-    at = (rows[keep], cols[keep])
-    keys = np.full((n, width), -1, dtype=np.int64)
-    keys[at] = (tids[keep] << 32) | (flat - first)[keep]
-    return keys, left_out, np.concatenate(([0], ends))
+    copy_of = np.diff(tagged[order], prepend=-1) == 0
+    rank = np.empty_like(flat)
+    rank[order] = flat - np.maximum.accumulate(np.where(copy_of, 0, flat))
+    keep = (counts <= width)[rows]
+    keys = np.full((counts.size, width), -1, dtype=np.int64)
+    keys[rows[keep], (flat - np.repeat(np.cumsum(counts) - counts, counts))[keep]] = (ids << 32 | rank)[keep]
+    return keys
 
 
 def block_rows(width: int) -> int:
@@ -190,39 +175,56 @@ def _unpack(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual_cells(
-    res: Residuals, li: np.ndarray, ri: np.ndarray
+    keys_l: np.ndarray, keys_r: np.ndarray, caps: np.ndarray, res: Residuals
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each pair's residual cells, ascending and right-aligned, and their lower bound.
+    """Each pair's residual token count k and cells, the residual cells first, then padding.
 
-    Matches equal keys across the two rows, which drops the copies
-    :func:`drop_shared` drops: each column of one row is broadcast against
-    the whole other row (one pass per column is several times faster than
-    reducing a rows x width x width comparison over its short last axis).
-    Every other key becomes a ``(length << 32) | token id`` cell, and
-    matched and padding keys become 0. Sorting each row moves the zeros in
-    front and puts the residual cells in (length, id) order, whatever the
-    order of the keys.
-    The bound is :func:`_lower_bound`'s. Rows must come from records that
-    :func:`_rows` keeps.
+    Pair i is row i of two equally wide key arrays (see :func:`_rows`),
+    which this overwrites. Matching equal keys across the two rows drops
+    the copies :func:`setdist.drop_shared` drops (one pass per column of a
+    row is several times faster than one rows x width x width comparison).
+    The other keys but padding are the residual tokens, k the larger side's
+    count, as ``(length << 32) | token id`` cells; padding and matched keys
+    are 0. Greedy mode breaks ties by token order, and its cells keep
+    record order; else they are sorted, descending. k is -1 where the
+    residual bound, :func:`_lower_bound` of the sorted lengths, exceeds
+    ``caps``.
     """
-    keys_l = res.keys_left[li]
-    keys_r = res.keys_right[ri]
-    gone_l = keys_l < 0
-    gone_r = keys_r < 0
-    for col in range(res.width):
-        gone_l |= keys_l == keys_r[:, col, None]
-        gone_r |= keys_r == keys_l[:, col, None]
-    cells_l = _cells(keys_l, gone_l, res.table.lens)
-    del keys_l, gone_l
-    cells_r = _cells(keys_r, gone_r, res.table.lens)
-    del keys_r, gone_r
-    cells_l.sort(axis=1)
-    cells_r.sort(axis=1)
-    return cells_l, cells_r, _lower_bound(cells_l >> 32, cells_r >> 32)
+    real_l = keys_l >= 0
+    real_r = keys_r >= 0
+    for col in range(keys_l.shape[1]):
+        real_l &= keys_l != keys_r[:, col, None]
+        real_r &= keys_r != keys_l[:, col, None]
+    n_l = np.count_nonzero(real_l, axis=1)
+    n_r = np.count_nonzero(real_r, axis=1)
+    k = np.maximum(n_l, n_r)
+    cells_l = _cells(keys_l, real_l, res.table.lens)
+    cells_r = _cells(keys_r, real_r, res.table.lens)
+    if res.greedy:
+        cells_l = _compact(cells_l, real_l, n_l)
+        cells_r = _compact(cells_r, real_r, n_r)
+        bound = _lower_bound(np.sort(cells_l >> 32, axis=1), np.sort(cells_r >> 32, axis=1))
+    else:
+        # descending (negated, so rows stay contiguous), zeros last; an empty
+        # token's cell, (0 << 32) | id, is the last residual one or 0, as padding
+        for cells in (cells_l, cells_r):
+            np.negative(cells, out=cells)
+            cells.sort(axis=1)
+            np.negative(cells, out=cells)
+        bound = _lower_bound(cells_l >> 32, cells_r >> 32)
+    k[bound > caps] = -1
+    return k, cells_l, cells_r
+
+
+def _compact(cells: np.ndarray, real: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Each row's ``real`` cells, ``n`` of them, in order and then zeros."""
+    out = np.zeros_like(cells)
+    out[np.arange(cells.shape[1]) < n[:, None]] = cells[real]
+    return out
 
 
 def _lower_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`setdist.residual_lower_bound` per row of ascending lengths, 0-padded in front; overwrites ``a``."""
+    """:func:`setdist.residual_lower_bound` per row of two equally sorted, 0-padded length rows; overwrites ``a``."""
     # max(1, |a - b|), and 0 where both are padding (or an empty token)
     real = a > 0
     real |= b > 0
@@ -232,15 +234,15 @@ def _lower_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.sum(axis=1)
 
 
-def _cells(keys: np.ndarray, gone: np.ndarray, vocab_lens: np.ndarray) -> np.ndarray:
-    """``(length << 32) | token id`` of each key, 0 where ``gone``; overwrites ``keys``."""
+def _cells(keys: np.ndarray, real: np.ndarray, vocab_lens: np.ndarray) -> np.ndarray:
+    """``(length << 32) | token id`` of each ``real`` key, else 0, written over ``keys``."""
     tids = np.right_shift(keys, 32, out=keys)
     np.maximum(tids, 0, out=tids)  # padding ids are -1
-    cells = vocab_lens[tids]
-    cells <<= 32
-    cells |= tids
-    cells *= ~gone
-    return cells
+    lens = vocab_lens[tids]
+    lens <<= 32
+    tids |= lens
+    tids *= real
+    return tids
 
 
 def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
@@ -263,75 +265,57 @@ def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
 def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndarray, VerifyStats]:
     """Verify one block of packed pairs; returns the accepted pairs, distances and counters.
 
-    Past the residual bound, :func:`_matching_costs` costs the pairs the
-    rows express in one call, greedy pairs with k >= 2 on record-order
-    cells (greedy breaks ties by token order, which the rows lose), and
-    pairs with a record the rows leave out on :func:`_record_cells`, chunk
-    by chunk. Costs start at cap + 1 (rejected); the pairs within their cap
-    are accepted, in block order.
+    Every pair's residual cells come from :func:`_residual_cells` and its
+    cost from :func:`_matching_costs`, over the shared rows in one call and
+    over the wide pairs' rows chunk by chunk (:func:`_pair_rows`). Costs
+    start at cap + 1 (rejected); the pairs within their cap are accepted,
+    in block order.
     """
     stats = VerifyStats()
     li, ri = _unpack(block)
     total = res.lens_left[li] + res.lens_right[ri]
     cap = res.bounds.cost_cap[total]
-    left_out = res.scalar_left[li] | res.scalar_right[ri]
-    arr = np.flatnonzero(~left_out)
-    cells_l, cells_r, bound = _residual_cells(res, li[arr], ri[arr])
-    k = np.maximum(np.count_nonzero(cells_l, axis=1), np.count_nonzero(cells_r, axis=1))
-    k[bound > cap[arr]] = -1
-    stats.residual_rejects = int(np.count_nonzero(k < 0))
-    by_k = [k[k >= 0]]
-    tied = np.flatnonzero(k >= 2) if res.greedy else arr[:0]
-    for at, _, tied_l, tied_r in _record_cells(res, li[arr[tied]], ri[arr[tied]]):
-        cells_l[tied[at], -tied_l.shape[1] :] = tied_l
-        cells_r[tied[at], -tied_r.shape[1] :] = tied_r
-    found = _matching_costs(k, cells_l, cells_r, cap[arr], res, stats)
-    # made once the matching's temporaries, verify's memory peak, are gone
     cost = cap + 1
-    cost[arr] = found
-    record = np.flatnonzero(left_out)
-    stats.scalar_fallbacks = tied.size + record.size
-    for at, k, cells_l, cells_r in _record_cells(res, li[record], ri[record]):
+    wide = res.wide_left[li] | res.wide_right[ri]
+    stats.wide_pairs = int(np.count_nonzero(wide))
+    by_k = []
+    for at, keys_l, keys_r in _pair_rows(res, li, ri, wide):
+        k, cells_l, cells_r = _residual_cells(keys_l, keys_r, cap[at], res)
+        cost[at] = _matching_costs(k, cells_l, cells_r, cap[at], res, stats)
         by_k.append(k)
-        caps = cap[record[at]]
-        bound = _lower_bound(np.sort(cells_l >> 32, axis=1), np.sort(cells_r >> 32, axis=1))
-        cost[record[at]] = _matching_costs(np.where(bound <= caps, k, -1), cells_l, cells_r, caps, res, stats)
-    by_k = np.minimum(np.concatenate(by_k), ARRAY_MAX_K + 1)
-    stats.pairs_by_k = np.bincount(by_k, minlength=ARRAY_MAX_K + 2).tolist()
+    k = np.concatenate(by_k)
+    stats.residual_rejects = int(np.count_nonzero(k < 0))
+    stats.pairs_by_k = np.bincount(np.minimum(k[k >= 0], ARRAY_MAX_K + 1), minlength=ARRAY_MAX_K + 2).tolist()
     keep = np.flatnonzero(cost <= cap)
     cost = cost[keep]
     return block[keep], (2.0 * cost) / (total[keep] + cost), stats
 
 
-def _record_cells(res: Residuals, li: np.ndarray, ri: np.ndarray) -> Iterator[tuple]:
-    """Residual cells of the pairs ``(li[i], ri[i])`` in the records' token order, chunk by chunk.
+def _pair_rows(res: Residuals, li: np.ndarray, ri: np.ndarray, wide: np.ndarray) -> Iterator[tuple]:
+    """Key rows of the pairs ``(li[i], ri[i])``: ``(at, keys_l, keys_r)`` for the pairs ``at``.
 
-    :func:`drop_shared` on each pair's token ids keeps each side's residual
-    in record order. Yields ``(at, k, cells_l, cells_r)`` for the pairs
-    ``at`` (a slice) of each chunk: the last ``k[i]`` columns of row i hold
-    each side's ``(length << 32) | token id`` cells, then padding (0), as
-    in :func:`setdist._padded_cost_matrix`. A chunk's rows x width x width
-    stays within ``BLOCK_CELLS``, as a block's does, unless it holds one pair.
+    First the pairs the shared rows hold, then those flagged ``wide`` (with
+    a record wider than the rows), whose records get rows of their own from
+    :func:`_rows`, chunk by chunk. A chunk's rows are as wide as its widest
+    record, and its rows x width x width stays within ``BLOCK_CELLS``, as a
+    block's does, unless it holds one pair.
     """
-    spans = (res.offsets_left[li], res.offsets_left[li + 1], res.offsets_right[ri], res.offsets_right[ri + 1])
-    rests, width = [], 1
-    for i, (a0, a1, b0, b1) in enumerate(zip(*(span.tolist() for span in spans))):
-        rest = drop_shared(res.ids_left[a0:a1].tolist(), res.ids_right[b0:b1].tolist())
-        if rests and (len(rests) + 1) * max(width, *map(len, rest)) ** 2 > BLOCK_CELLS:
-            yield _chunk(i, rests, width, res.table.lens)
-            rests, width = [], 1
-        rests.append(rest)
-        width = max(width, *map(len, rest))
-    if rests:
-        yield _chunk(li.size, rests, width, res.table.lens)
-
-
-def _chunk(stop: int, rests: list, width: int, vocab_lens: np.ndarray) -> tuple:
-    k = [max(map(len, rest)) for rest in rests]
-    rows = [[-1] * (width - kk) + ids + [-1] * (kk - len(ids)) for side in zip(*rests) for kk, ids in zip(k, side)]
-    tids = np.array(rows).reshape(2, len(rests), width)
-    cells = np.where(tids < 0, 0, (vocab_lens[tids] << 32) | tids)
-    return slice(stop - len(rests), stop), np.array(k), cells[0], cells[1]
+    at = np.flatnonzero(~wide)
+    yield at, res.keys_left[li[at]], res.keys_right[ri[at]]
+    at = np.flatnonzero(wide)
+    li, ri = li[at], ri[at]
+    counts_l = res.offsets_left[li + 1] - res.offsets_left[li]
+    counts_r = res.offsets_right[ri + 1] - res.offsets_right[ri]
+    widths = np.maximum(counts_l, counts_r).tolist()
+    start, width = 0, 1
+    for stop in range(1, len(widths) + 1):
+        width = max(width, widths[stop - 1])
+        if stop == len(widths) or (stop - start + 1) * max(width, widths[stop]) ** 2 > BLOCK_CELLS:
+            chunk = slice(start, stop)
+            keys_l = _rows(counts_l[chunk], res.ids_left[ranges(res.offsets_left[li[chunk]], counts_l[chunk])], width)
+            keys_r = _rows(counts_r[chunk], res.ids_right[ranges(res.offsets_right[ri[chunk]], counts_r[chunk])], width)
+            yield at[chunk], keys_l, keys_r
+            start, width = stop, 1
 
 
 def _matching_costs(
@@ -340,8 +324,9 @@ def _matching_costs(
     """The cost of each pair's best residual matching, exact wherever it is within the cap.
 
     ``k[i]`` is pair i's residual token count, or -1 to skip the pair (its
-    cost reads cap + 1), and the last ``k[i]`` columns of its cells hold
-    the tokens (padding is 0). Each k x k matrix weighs an edge against
+    cost reads cap + 1), and the first ``k[i]`` columns of its cells hold
+    its tokens, each side's followed by padding (0), as in
+    :func:`setdist._padded_cost_matrix`. Each k x k matrix weighs an edge against
     padding by the real token's length and an edge of two tokens by their
     edit distance, capped as in :func:`setdist.sld_capped`: over the pair's
     cap, it weighs more than the cap (its distance, or cap + 1 over the
@@ -354,8 +339,8 @@ def _matching_costs(
     groups = []
     for kk in sorted(set(k[k > 0].tolist())):
         sel = np.flatnonzero(k == kk)
-        a = np.broadcast_to(cells_l[sel, -kk:][:, :, None], (sel.size, kk, kk))
-        b = np.broadcast_to(cells_r[sel, -kk:][:, None, :], (sel.size, kk, kk))
+        a = np.broadcast_to(cells_l[sel, :kk][:, :, None], (sel.size, kk, kk))
+        b = np.broadcast_to(cells_r[sel, :kk][:, None, :], (sel.size, kk, kk))
         groups.append((sel, a, b, (a != 0) & (b != 0)))
     if not groups:
         return cost

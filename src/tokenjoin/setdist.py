@@ -10,12 +10,14 @@ Every setwise cost is one padded square cost matrix
 (:func:`_padded_cost_matrix`) and one solver: the O(k^3) Hungarian
 algorithm for the exact cost, or :func:`_greedy_matching` for the cheaper
 upper-bound approximation, whose ties follow the records' token order.
-:func:`sld_capped` rejects by the residual lower bound
-(:func:`residual_lower_bound`), then caps the edit distances of its matrix
-at the pair's cost cap. It specifies what the join's verify computes from
-token ids (``residual.verify_block``); the join does not call it. Its edit
-distances can go through an :class:`LdCache`, whose :meth:`LdCache.bounded`
-computes and remembers each one.
+:func:`sld_capped` drops the tokens the two records share
+(:func:`drop_shared`), rejects by the residual lower bound
+(:func:`residual_lower_bound`, which counts an empty token as padding), then
+caps the edit distances of its matrix at the pair's cost cap. It specifies
+what the join's verify computes from token ids and record-order key rows
+(``residual.verify_block``); the join calls neither it nor
+:func:`drop_shared`. Its edit distances can go through an :class:`LdCache`,
+whose :meth:`LdCache.bounded` computes and remembers each one.
 """
 
 from __future__ import annotations
@@ -250,11 +252,11 @@ def residual_lower_bound(a_tokens: Sequence[str], b_tokens: Sequence[str]) -> in
     """Lower bound on the setwise cost of two token lists with no token in common.
 
     Sorts each side's token lengths, front-pads the shorter list with zeros
-    and sums max(1, |difference|) position by position. The tokens must be
-    non-empty: see :func:`sld_capped`.
+    and sums max(1, |difference|) position by position. An empty token
+    counts as padding, which costs the same against every token.
     """
-    lens_a = sorted(map(len, a_tokens))
-    lens_b = sorted(map(len, b_tokens))
+    lens_a = sorted(filter(None, map(len, a_tokens)))
+    lens_b = sorted(filter(None, map(len, b_tokens)))
     if len(lens_a) < len(lens_b):
         lens_a[:0] = [0] * (len(lens_b) - len(lens_a))
     elif len(lens_b) < len(lens_a):
@@ -288,7 +290,8 @@ def sld_capped(
     the token's length, at least 1 for a non-empty token; and since
     max(1, |d|) is convex, the sorted alignment minimizes its sum over all
     matchings. Greedy totals are never below the exact one, so the bound
-    serves both modes. It is skipped when a residual token is empty.
+    serves both modes. An empty residual token weighs what padding weighs,
+    its edges the other token's length and 0, so the bound leaves it out.
 
     The residual matrix is :func:`_padded_cost_matrix` with the bounded
     distance capped at ``cap`` as ``dist``: over-cap edges get the
@@ -299,9 +302,7 @@ def sld_capped(
     in exact mode.
     """
     a_tokens, b_tokens = drop_shared(a_tokens, b_tokens)
-    # an empty token matches padding at cost 0, under the bound's 1 per
-    # edge; records never hold one
-    if "" not in a_tokens and "" not in b_tokens and residual_lower_bound(a_tokens, b_tokens) > cap:
+    if residual_lower_bound(a_tokens, b_tokens) > cap:
         return None
     bounded = ld_cache.bounded if ld_cache is not None else ld_bounded
 

@@ -324,24 +324,40 @@ def threshold_bounds(threshold: float, max_len: int) -> Bounds:
 
     ``cost_cap[L] = num·L // (2·den − num)`` for L <= 2·max_len,
     ``maxdiff[l] = num·l // den`` and ``ceiling[l] = min(l·den // (den −
-    num), max_len)`` for l <= max_len, all int64. They are worked out in
-    Python ints, one length at a time: num·L overflows int64 (at T = 0.1,
-    num is about 3.6·10**15).
+    num), max_len)`` for l <= max_len, all int64.
     """
     import numpy as np
 
     num, den = threshold_ratio(threshold)
     if num == den:
         raise ValueError("threshold must be < 1")
-    cap_den, ceiling_den = 2 * den - num, den - num
-    lengths = range(max_len + 1)
     return Bounds(
         num,
         den,
-        np.fromiter((num * total // cap_den for total in range(2 * max_len + 1)), np.int64),
-        np.fromiter((num * l // den for l in lengths), np.int64),
-        np.fromiter((min(l * den // ceiling_den, max_len) for l in lengths), np.int64),
+        _floor_ratios(num, 2 * den - num, 2 * max_len),
+        _floor_ratios(num, den, max_len),
+        np.minimum(_floor_ratios(den, den - num, max_len), max_len),
     )
+
+
+def _floor_ratios(a: int, b: int, n: int) -> np.ndarray:
+    """``a·l // b`` for l = 0..n, exact, as int64.
+
+    In int64 where ``a·n`` and ``b`` fit. Else (at T = 0.1, num is about
+    3.6·10**15) the float product ``l·(a / b)`` is off by under 10**-15
+    relative, so its floor is recomputed in Python ints only where it lies
+    within 10**-12 of an integer.
+    """
+    import numpy as np
+
+    lengths = np.arange(n + 1, dtype=np.int64)
+    if max(a * n, b) < 2**63:
+        return lengths * a // b
+    est = lengths * (a / b)
+    out = np.floor(est).astype(np.int64)
+    near = np.flatnonzero(np.abs(est - np.rint(est)) <= 1e-12 * np.maximum(est, 1.0))
+    out[near] = [a * l // b for l in near.tolist()]
+    return out
 
 
 @lru_cache(maxsize=None)

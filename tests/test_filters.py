@@ -10,7 +10,9 @@ from tokenjoin.filters import (
     residual_prunes,
 )
 
-from helpers import nsld_frac, rand_multiset
+from tokenjoin.setdist import drop_shared, residual_lower_bound
+
+from helpers import nsld_frac, rand_multiset, sld_perm
 
 
 class TestLengthFilter:
@@ -99,9 +101,22 @@ class TestResidualFilter:
         assert residual_prunes(("aa", "aa", "bbbbbbbb"), ("aa", "bbbbbbbb"), 12, 10, num, den)
         assert not residual_prunes(("aa", "aa", "bbbbbbbb"), ("aa", "bbbbbbbb"), 12, 10, 1, 5)
 
-    def test_empty_token_never_prunes(self):
-        assert not residual_prunes(("", "abc"), ("xyzuvw",), 3, 6, 1, 10)
-        assert not residual_prunes(("abc",), ("", "xyzuvw"), 3, 6, 1, 10)
+    def test_empty_token_bounds_as_padding(self, rng):
+        # "" weighs what padding weighs, so the bound leaves it out: "abc"
+        # against "xyzuvw" costs at least 3, and 2*3/(9 + 3) > 1/10
+        assert residual_prunes(("", "abc"), ("xyzuvw",), 3, 6, 1, 10)
+        assert residual_prunes(("abc",), ("", "xyzuvw"), 3, 6, 1, 10)
+        # never above the exact cost, with empty and repeated tokens
+        tokens = ["", "", "a", "b", "ab", "ba", "abc", "bbca"]
+        bounded = 0
+        for _ in range(2000):
+            a = [rng.choice(tokens) for _ in range(rng.randint(0, 4))]
+            b = [rng.choice(tokens) for _ in range(rng.randint(0, 4))]
+            truth = sld_perm(a, b)
+            lower = residual_lower_bound(*drop_shared(a, b))
+            assert lower <= truth
+            bounded += "" in a + b and 0 < lower == truth
+        assert bounded > 50
 
     def test_never_prunes_true_positive(self, rng):
         for threshold in (0.1, 0.3, 0.6):

@@ -101,8 +101,9 @@ def test_only_strdist_and_oracle_import_fractions():
 
 
 def test_the_join_imports_no_scalar_verifier():
-    # every edit distance of the join goes through strdist.ld_bounded_ids;
-    # sld_capped, LdCache and ld_bounded are specifications and public API
+    # every edit distance of the join goes through strdist.ld_bounded_ids,
+    # and the residual rows drop the shared tokens; sld_capped, LdCache,
+    # ld_bounded and drop_shared are specifications and public API
     for name in ("pipeline.py", "residual.py"):
         source = (PACKAGE / name).read_text(encoding="utf-8")
-        assert imported_names(source) & {"sld_capped", "LdCache", "ld_bounded"} == set(), name
+        assert imported_names(source) & {"sld_capped", "LdCache", "ld_bounded", "drop_shared"} == set(), name

@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from tokenjoin.pipeline import (
     dedup_candidates,
     join,
 )
-from tokenjoin.setdist import LdCache, drop_shared, nsld, sld_capped
+from tokenjoin.setdist import LdCache, drop_shared, nsld, residual_lower_bound, sld_capped, sld_greedy
 from tokenjoin.strdist import ld_bounded_ids, threshold_bounds
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
@@ -268,9 +269,8 @@ print(sorted(set(sys.modules) - before))
     @pytest.mark.parametrize("matching, wide", [("fuzzy", False), ("greedy", False), ("fuzzy", True)])
     def test_collector_paused_while_verifying(self, monkeypatch, rng, matching, wide):
         # the reference pair has two residual tokens a side: its four token
-        # pairs go to the batched kernel in one call, from record-order
-        # cells in greedy mode; the wide records' pairs are matched on
-        # record-order cells, chunk by chunk
+        # pairs go to the batched kernel in one call; the wide records'
+        # pairs get rows of their own, chunk by chunk
         states = []
 
         def spy(*args, **kwargs):
@@ -286,7 +286,7 @@ print(sorted(set(sys.modules) - before))
         finally:
             (gc.enable if was else gc.disable)()
         assert states == [False] * len(states) and (len(states) > 1 if wide else len(states) == 1)
-        assert report.verify.scalar_fallbacks == (21 if wide else int(matching == "greedy"))
+        assert report.verify.wide_pairs == (21 if wide else 0)
 
     def test_results_sorted_by_string_ids(self):
         recs = [
@@ -328,17 +328,16 @@ def residual_rows(side_r, side_p, threshold, greedy=False):
 
 
 def expected_residual_rows(side, vocab, width):
-    """Key rows of each record, and which records are left out."""
+    """Key rows of each record, in record order, and which records are wider than the rows."""
     keys = np.full((len(side.tokens), width), -1, dtype=np.int64)
-    left_out = np.zeros(len(side.tokens), dtype=bool)
+    wide = np.zeros(len(side.tokens), dtype=bool)
     for i, toks in enumerate(side.tokens):
-        if len(toks) > width or "" in toks:
-            left_out[i] = True
+        if len(toks) > width:
+            wide[i] = True
             continue
-        ordered = sorted(toks, key=vocab.__getitem__)
-        for col, tok in enumerate(ordered, start=width - len(toks)):
-            keys[i, col] = (vocab[tok] << 32) | ordered[: col - width + len(toks)].count(tok)
-    return keys, left_out
+        for col, tok in enumerate(toks):
+            keys[i, col] = (vocab[tok] << 32) | toks[:col].count(tok)
+    return keys, wide
 
 
 def wide_records(rng):
@@ -392,16 +391,17 @@ class TestPackedFilter:
         side = _prepare_side(records, "left")
         res, vocab, _, _ = residual_rows(side, side, 0.1)
         assert res.width == residual.CELLS_PER_TOKEN * int(side.counts.sum()) // len(side.ids)
-        keys, left_out = expected_residual_rows(side, vocab, res.width)
+        keys, wide = expected_residual_rows(side, vocab, res.width)
         assert np.array_equal(res.keys_left, keys)
-        assert np.array_equal(res.scalar_left, left_out)
+        assert np.array_equal(res.wide_left, wide)
         assert res.table.lens.tolist() == [len(tok) for tok in vocab]
         assert res.keys_right is res.keys_left
-        # the 2,000-token record and the record with an empty token only
-        assert sorted(np.array(side.ids)[left_out]) == ["blank", "wide"]
-        row = side.ids.index("repeats")
-        ab = vocab["ab"] << 32
-        assert [key for key in res.keys_left[row].tolist() if key >> 32 == vocab["ab"]] == [ab, ab | 1, ab | 2]
+        # the 2,000-token record only; the rows hold the empty token
+        assert np.array(side.ids)[wide].tolist() == ["wide"]
+        assert res.keys_left[side.ids.index("blank"), :3].tolist() == [vocab["ab"] << 32, vocab[""] << 32, -1]
+        # copies are ranked in record order
+        ab, c, zz = (vocab[tok] << 32 for tok in ("ab", "c", "zz"))
+        assert res.keys_left[side.ids.index("repeats"), :6].tolist() == [ab, c, ab | 1, zz, ab | 2, -1]
 
     def test_width_cap_keeps_every_specified_survivor(self, rng):
         records = wide_records(rng)
@@ -413,16 +413,16 @@ class TestPackedFilter:
         res, _, num, den = residual_rows(side, side, 0.2)
         n = len(side.ids)
         # three records of about 2,000 tokens among 301 short ones: the
-        # matrices are capped at their cells-per-token budget and leave the
-        # three out, so their pairs get the length prune only
+        # rows are capped at their cells-per-token budget and leave the
+        # three out, so verify gives their pairs rows of their own
         assert res.width == residual.CELLS_PER_TOKEN * int(side.counts.sum()) // n
         assert int(side.counts.max()) > res.width
         wide_ids = {side.ids.index(rid) for rid in ("wide", "wide-edit", "wide-drop")}
-        assert set(np.flatnonzero(res.scalar_left).tolist()) == wide_ids
+        assert set(np.flatnonzero(res.wide_left).tolist()) == wide_ids
         # alone, the wide records are within the budget and keep full rows
         alone = _prepare_side(records[-3:], "left")
         res_alone, _, _, _ = residual_rows(alone, alone, 0.2)
-        assert res_alone.keys_left.shape == (3, 2000) and not res_alone.scalar_left.any()
+        assert res_alone.keys_left.shape == (3, 2000) and not res_alone.wide_left.any()
 
         pairs = joinable_pairs(side, side, True)
         survivors = residual.length_survivors(pairs, res)
@@ -430,24 +430,29 @@ class TestPackedFilter:
         assert sorted(set(pairs.tolist()) - set(survivors.tolist())) == by_len
         wide_pairs = [p for p in expected if {p >> 32, p & 0xFFFFFFFF} <= wide_ids]
         assert len(wide_pairs) == 3
-        # verify's residual bound rejects every specified prune but those of
-        # the wide records, and no pair of a wide record
-        narrow = [p for p in by_res if not {p >> 32, p & 0xFFFFFFFF} & wide_ids]
-        assert residual.verify_block(survivors, res)[2].residual_rejects == len(narrow)
+        # verify's residual bound rejects every specified prune, those of the
+        # wide records included
+        stats = residual.verify_block(survivors, res)[2]
+        assert stats.residual_rejects == len(by_res)
         wide_survivors = [p for p in survivors.tolist() if {p >> 32, p & 0xFFFFFFFF} & wide_ids]
+        assert stats.wide_pairs == len(wide_survivors)
         assert set(wide_pairs) <= set(wide_survivors)
-        assert bound_rejects(np.array(wide_survivors, dtype=np.int64), res) == []
+        wide_rejects = [p for p in by_res if {p >> 32, p & 0xFFFFFFFF} & wide_ids]
+        assert bound_rejects(np.array(wide_survivors, dtype=np.int64), res) == wide_rejects
 
     @pytest.mark.parametrize("threshold", [0.025, 0.1, 0.2])
     @pytest.mark.parametrize("self_join", [True, False])
     def test_matches_scalar_specification(self, threshold, self_join, rng):
         # repeated tokens (long_records), an empty record and a record with
-        # an empty token, which TokenizedString.from_tokens allows
-        extra = [make_ts("empty", ()), make_ts("blank", ("", "a" * 40))]
+        # an empty token, which TokenizedString.from_tokens allows and the
+        # bound counts as padding: one partner of that record is within
+        # every threshold, and one is pruned by the bound, not by length
+        blank_partners = [make_ts("blank-near", ("a" * 39 + "b",)), make_ts("blank-split", ("b" * 20, "c" * 20))]
+        extra = [make_ts("empty", ()), make_ts("blank", ("", "a" * 40))] + blank_partners
         side_r = _prepare_side(long_records(rng, "r", 30) + extra, "left")
         side_p = side_r if self_join else _prepare_side(long_records(rng, "p", 25) + extra, "right")
         res, _, num, den = residual_rows(side_r, side_p, threshold)
-        # no record is wider than the matrices, so the counts are exact
+        # no record is wider than the rows
         assert res.width == max(int(side_r.counts.max()), int(side_p.counts.max()))
         pairs = joinable_pairs(side_r, side_p, self_join)
         survivors = residual.length_survivors(pairs, res)
@@ -458,7 +463,7 @@ class TestPackedFilter:
         assert bound_rejects(survivors, res) == by_res
         assert by_res and expected
         blank = side_r.ids.index("blank")
-        assert any(p >> 32 == blank for p in expected)
+        assert any(p >> 32 == blank for p in expected) and any(p >> 32 == blank for p in by_res)
 
 
 def random_side(rng, prefix, n, vocab):
@@ -720,7 +725,7 @@ class TestJoinProperties:
         assert set(payload["similar"]) == {"probes", "probe_keys", "candidates", "ld_checks", "pairs", "index_ms"}
         assert set(payload["filters"]) == {"input_pairs", "pruned_by_length", "pruned_by_histogram", "surviving"}
         assert set(payload["verify"]) == {
-            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs", "scalar_fallbacks"
+            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs", "wide_pairs"
         }
         assert dataclasses.replace(cfg, max_token_freq=math.inf).to_dict() == {
             "threshold": 0.15,
@@ -768,6 +773,32 @@ def verify_corpus(rng, n=120):
     return records
 
 
+def greedy_corpus(rng):
+    """Records sorted by id with repeated tokens, copies in another token order, empty tokens and wide records.
+
+    Greedy ties follow token order: ``a2`` holds ``a1``'s tokens in another
+    order and is not within 0.3 of ``b``, while ``a1`` is. The three wide
+    records of 24 tokens are more than four times the mean token count.
+    """
+    vocab = [rand_token(rng, max_len=4, alphabet="ab") for _ in range(25)]
+    records = []
+    for i in range(80):
+        toks = [rng.choice(vocab) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            toks.append(rng.choice(toks))
+        if rng.random() < 0.1:
+            toks.insert(rng.randrange(len(toks)), "")
+        records.append(make_ts(f"r{i:02}", toks))
+        if rng.random() < 0.3:
+            records.append(make_ts(f"s{i:02}", rng.sample(toks, len(toks))))
+    wide = [rng.choice(vocab) + "b" for _ in range(24)]
+    edited = [tok + "a" if j % 12 == 0 else tok for j, tok in enumerate(wide)]
+    records += [make_ts("w0", wide), make_ts("w1", edited), make_ts("w2", rng.sample(edited, 24))]
+    records += [make_ts("a1", ("baa", "b", "ab", "zzzzzz")), make_ts("a2", ("baa", "ab", "b", "zzzzzz"))]
+    records.append(make_ts("b", ("bab", "a", "aabb", "zzzzzz")))
+    return sorted(records, key=lambda rec: rec.id)
+
+
 class TestVerify:
     @pytest.mark.parametrize("greedy", [False, True])
     @pytest.mark.parametrize("threshold", [0.2, 0.5])
@@ -780,33 +811,34 @@ class TestVerify:
         accepted = list(zip(packed.tolist(), dists.tolist()))
 
         expected = []
-        by_k = [0] * 6
+        by_k, rejects = [0] * 6, 0
         for packed in pairs.tolist():
             a, b = packed >> 32, packed & 0xFFFFFFFF
             total = int(side.lens[a] + side.lens[b])
             cap = num * total // (2 * den - num)
             rest_a, rest_b = drop_shared(side.tokens[a], side.tokens[b])
-            by_k[min(max(len(rest_a), len(rest_b)), 5)] += 1
+            if residual_lower_bound(rest_a, rest_b) > cap:
+                rejects += 1
+            else:
+                by_k[min(max(len(rest_a), len(rest_b)), 5)] += 1
             s = sld_capped(side.tokens[a], side.tokens[b], cap, greedy=greedy, ld_cache=LdCache())
             if s is not None:
                 expected.append((packed, (2.0 * s) / (total + s)))
         assert accepted == expected
-        # without the filter, the k of a pair the bound rejects is not counted
-        assert sum(stats.pairs_by_k) + stats.residual_rejects == pairs.size
-        assert stats.residual_rejects > 0
-        assert all(got <= want for got, want in zip(stats.pairs_by_k, by_k))
-        assert stats.pairs_by_k[0] == by_k[0] and stats.pairs_by_k[5] > 0
-        # the 200-token record and the empty-token record are left out of
-        # the rows: their pairs, and (greedy) pairs with k >= 2, are costed
-        # from record-order cells
-        assert res.scalar_left[side.ids.index("wide")] and res.scalar_left[side.ids.index("blank")]
-        assert stats.scalar_fallbacks >= 2 * (n - 1) - 1
+        # every pair, the wide record's and the empty token's included, is
+        # counted by the same bound and the same k
+        assert (stats.pairs_by_k, stats.residual_rejects) == (by_k, rejects)
+        assert rejects > 0 and by_k[5] > 0
+        # the 200-token record is wider than the rows; the rows hold the
+        # empty token
+        assert np.flatnonzero(res.wide_left).tolist() == [side.ids.index("wide")]
+        assert stats.wide_pairs == n - 1
         assert 0 < stats.kernel_token_pairs <= stats.kernel_cells
 
     def test_greedy_breaks_ties_in_record_order(self):
         # a1 and a2 hold the same tokens in different orders, and greedy
-        # ties follow the order (TestSldGreedy::test_total_depends_on_token_order):
-        # the residual rows hold both in one order, so they cannot tell them apart
+        # ties follow the order (TestSldGreedy::test_total_depends_on_token_order),
+        # which the residual rows keep
         a1 = make_ts("a1", ("baa", "b", "ab", "zzzzzz"))
         a2 = make_ts("a2", ("baa", "ab", "b", "zzzzzz"))
         b = make_ts("b", ("bab", "a", "aabb", "zzzzzz"))
@@ -816,28 +848,52 @@ class TestVerify:
             assert as_tuples(res) == want
             assert report.verify.pairs_by_k[3] == 2
 
+    def test_greedy_join_equals_bruteforce(self, monkeypatch, rng):
+        corpus = greedy_corpus(rng)
+        threshold = Fraction(0.3)
+        within = []
+        for i, a in enumerate(corpus):
+            for b in corpus[i + 1 :]:
+                s = sld_greedy(a, b).sld
+                if s == 0 or Fraction(2 * s, a.agg_len + b.agg_len + s) <= threshold:
+                    within.append((a.id, b.id, nsld(a, b, "greedy")))
+        exact = as_tuples(join(corpus, None, JoinConfig(threshold=0.3, max_token_freq=math.inf))[0])
+        # greedy loses pairs the exact matching keeps, by token order too
+        assert set(within) < set(exact) and ("a1", "b", 8 / 30) in within and ("a2", "b", 8 / 30) not in within
+        cfg = JoinConfig(threshold=0.3, max_token_freq=math.inf, matching="greedy")
+        monkeypatch.setattr(residual, "BLOCK_CELLS", 2000)
+        for workers in (1, 2):
+            for use_filters in (True, False):
+                res, report = join(corpus, None, dataclasses.replace(cfg, workers=workers), use_filters=use_filters)
+                assert as_tuples(res) == within
+                assert report.verify.wide_pairs > 0 and report.verify.pairs_by_k[5] > 0
+
     @pytest.mark.parametrize("matching", ["fuzzy", "greedy"])
-    def test_record_cells_come_in_bounded_chunks(self, monkeypatch, rng, matching):
+    def test_wide_pairs_come_in_bounded_chunks(self, monkeypatch, rng, matching):
         corpus = wide_near_copies(rng)
         cfg = JoinConfig(threshold=0.2, matching=matching, workers=1)
         whole, _ = join(corpus, None, cfg)
-        calls = []
+        shapes = []
 
-        def spy(k, *args):
-            calls.append(k.copy())
-            return matching_costs(k, *args)
+        def spy(keys_l, keys_r, *args):
+            assert keys_l.shape == keys_r.shape
+            shapes.append(keys_l.shape)
+            return residual_cells(keys_l, keys_r, *args)
 
-        matching_costs = residual._matching_costs
-        monkeypatch.setattr(residual, "_matching_costs", spy)
-        # verify blocks of 20 pairs; a chunk of pairs with k above 31 holds one pair
-        monkeypatch.setattr(residual, "BLOCK_CELLS", 1000)
-        res, report = join(corpus, None, cfg)
-        assert res == whole
-        assert report.verify.scalar_fallbacks == 21
-        for k in calls:
-            assert k.size == 1 or int((k[k > 0] ** 2).sum()) <= 1000
-        assert any(k.size == 1 and k[0] ** 2 > 1000 for k in calls)
-        assert any(k.size > 1 and k.max() > 7 for k in calls)
+        residual_cells = residual._residual_cells
+        monkeypatch.setattr(residual, "_residual_cells", spy)
+        # the rows are 7 cells wide and the wide records 50 tokens: at 1,000
+        # cells a verify block holds 20 pairs and a wide pair runs alone, at
+        # 6,000 cells 122 pairs and two wide pairs
+        for cells, wide_rows in ((1000, 1), (6000, 2)):
+            monkeypatch.setattr(residual, "BLOCK_CELLS", cells)
+            shapes.clear()
+            res, report = join(corpus, None, cfg)
+            assert res == whole
+            assert report.verify.wide_pairs == 21
+            assert all(rows == 1 or rows * width**2 <= cells for rows, width in shapes)
+            assert max(rows for rows, width in shapes if width == 50) == wide_rows
+            assert sum(rows for rows, width in shapes if width == 50) == 21
         # every pair of two wide records is within the threshold, at its own cost
         by_id = {rec.id: rec for rec in corpus}
         wide = [(left, right, dist) for left, right, dist in as_tuples(res) if left[0] == right[0] == "w"]

@@ -365,11 +365,15 @@ class TestSldCapped:
         assert sld_capped(a, b, 3, greedy=greedy, ld_cache=cache) == 3
         assert cache.calls > 0
 
-    def test_empty_residual_token_skips_the_bound(self):
-        # the cost is 1 ("" against padding, "a" against "b"), but the bound
-        # would charge at least 1 per edge; records never hold an empty
-        # token, but sld_capped is public
+    def test_empty_residual_token_bounds_as_padding(self):
+        # the cost is 1 ("" against padding, "a" against "b"); the bound
+        # leaves "" out, as padding, and charges 1 for "a" against "b".
+        # Records of the join's tokenizers never hold an empty token, but
+        # sld_capped is public
         assert sld_capped(("", "a"), ("b",), 1) == 1
+        cache = CountingLdCache()
+        assert sld_capped(("", "abc"), ("xyzuvw",), 2, ld_cache=cache) is None
+        assert cache.calls == 0
 
 
 class TestLdCache:

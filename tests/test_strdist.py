@@ -300,6 +300,20 @@ class TestThresholdBounds:
             pruned = [length_prunes(short, l, bounds.num, bounds.den) for short in range(l + 1)]
             assert pruned == [l - short > maxdiff[l] for short in range(l + 1)]
 
+    @pytest.mark.parametrize("threshold", [1e-20, 0.05, 0.1, 0.3, 1 / 3, 0.7])
+    def test_table_in_floats_matches_python_ints(self, threshold):
+        # num·L is past 2**63 here (and at 1e-20 den is too), so the table
+        # comes from float products; at T = 0.3 the cost cap's quotient is
+        # just below 3/17, and the float product's floor is one too high at
+        # 136 of these lengths (51, 102, 187, ...)
+        max_len = 5000
+        bounds = threshold_bounds(threshold, max_len)
+        num, den = bounds.num, bounds.den
+        assert num * 2 * max_len > 2**63
+        assert bounds.cost_cap.tolist() == [num * total // (2 * den - num) for total in range(2 * max_len + 1)]
+        assert bounds.maxdiff.tolist() == [num * l // den for l in range(max_len + 1)]
+        assert bounds.ceiling.tolist() == [min(l * den // (den - num), max_len) for l in range(max_len + 1)]
+
     def test_table_past_int64(self):
         # at T = 0.1, num·L is past 2**63 from L = 2,560 on
         l = 999_983
