@@ -9,7 +9,8 @@ as numpy array code over the join's interned vocabulary, whose code points
 the join lays out once in a :class:`strdist.TokenTable`. :class:`NldIndex`
 keeps each indexed token's even partition segments as 64-bit keys in one
 sorted array: a polynomial hash of the segment's code points, read from
-the table's rows, tagged with the token's length and the segment's slot.
+the table's rows, tagged with the token's length and the segment's slot;
+each distinct key is kept once, with its run of tokens.
 :func:`similar_token_pairs` builds one index over the tokens kept on either
 side, self-join or not, looks up the position-restricted substrings of all
 its tokens at once, keeps each pair's hits from one of its tokens,
@@ -222,16 +223,21 @@ class NldIndex:
     given order, and ``lens`` their lengths; a token's row is its position
     there, and ``table`` holds its code points. ``bounds`` are the
     threshold's integer bounds, over lengths up to at least the longest
-    token. Each token of an indexed length has one key per segment slot in
-    ``keys``, sorted, with its row beside it in ``rows``. A token too short for
-    ``U+1`` non-empty segments has one key, for the empty segment of slot
-    0, which every probe of an admissible length reads. The prefix hashes of
-    one length's tokens (:meth:`prefix`) and the plan of one probe length
-    (:meth:`plan`) are built on first use and kept, so only the lengths that
-    are indexed or probed are hashed.
+    token. Each token of an indexed length has one key per segment slot.
+    ``keys`` holds the distinct keys, ascending, and the rows of the tokens
+    with key ``keys[i]`` are ``rows[starts[i] : starts[i] + counts[i]]``,
+    so a probe key is found by one search and an equality test. A token too
+    short for ``U+1`` non-empty segments has one key, for the empty segment
+    of slot 0, which every probe of an admissible length reads. The prefix
+    hashes of one length's tokens (:meth:`prefix`) and the plan of one probe
+    length (:meth:`plan`) are built on first use and kept, so only the
+    lengths that are indexed or probed are hashed.
     """
 
-    __slots__ = ("bounds", "table", "ids", "lens", "keys", "rows", "_by_len", "_layouts", "_prefix", "_plans")
+    __slots__ = (
+        "bounds", "table", "ids", "lens", "keys", "starts", "counts", "rows",
+        "_by_len", "_layouts", "_prefix", "_plans",
+    )
 
     def __init__(self, tokens: TokenTable | Iterable[str], bounds: Bounds | float, ids: np.ndarray | None = None):
         """Index the tokens ``ids`` of the table ``tokens``, or all of its tokens.
@@ -269,8 +275,14 @@ class NldIndex:
             rows.append(np.tile(members, len(layout)))
         keys = np.concatenate(keys)
         order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
+        keys = keys[order]
         self.rows = np.concatenate(rows)[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self.starts = np.flatnonzero(first)
+        self.keys = keys[self.starts]
+        self.counts = np.diff(self.starts, append=keys.size)
 
     def prefix(self, length: int) -> np.ndarray:
         """The prefix hashes of the indexed tokens of this length, a column per row in ascending order."""
@@ -317,9 +329,12 @@ class NldIndex:
         # sorted queries search several times faster than scattered ones
         order = np.argsort(keys)
         keys = keys[order]
-        lo = np.searchsorted(self.keys, keys, side="left")
-        counts = np.searchsorted(self.keys, keys, side="right") - lo
-        return np.repeat(probe_rows[order], counts), self.rows[ranges(lo, counts)]
+        at = np.searchsorted(self.keys, keys)
+        hit = np.flatnonzero(at < self.keys.size)
+        hit = hit[self.keys[at[hit]] == keys[hit]]
+        at = at[hit]
+        counts = self.counts[at]
+        return np.repeat(probe_rows[order[hit]], counts), self.rows[ranges(self.starts[at], counts)]
 
     def probe_all(self, stats: SimilarStats) -> tuple[np.ndarray, np.ndarray]:
         """(probe row, indexed row) of every hit of one of this index's own tokens.

@@ -24,7 +24,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from operator import attrgetter, eq
 from typing import Any, Iterator, NamedTuple, Sequence
 
@@ -398,7 +398,7 @@ def _join(
         del unique
 
     with report.stage("verify") as stage:
-        accepted, report.verify = _verify(survivors, residuals, cfg.workers, report)
+        packed, dists, report.verify = _verify(survivors, residuals, cfg.workers, report)
     pool = report.stages.get("pool")
     if pool is not None:
         # the pool's spans run inside verify's
@@ -410,21 +410,24 @@ def _join(
     n_verified = int(survivors.size) - pruned
     report.filters = FilterStats(n_unique, n_unique - int(survivors.size), pruned, n_verified)
     filtering.items_out = stage.items_in = n_verified
-    stage.items_out = len(accepted)
+    stage.items_out = int(packed.size)
 
     with report.stage("finalize") as stage:
-        for i, left in enumerate(side_r.empties):
-            hi = left << 32
-            partners = side_r.empties[i + 1 :] if self_join else side_p.empties
-            accepted.extend((hi | right, 0.0) for right in partners)
-        # dense ids follow sorted record ids on each side, so packed order is
-        # (left_id, right_id) order
-        accepted.sort()
-        ids_l, ids_r = side_r.ids, side_p.ids
-        results = [
-            JoinResult(ids_l[packed >> 32], ids_r[packed & _PACK_MASK], dist)
-            for packed, dist in accepted
+        empty_pairs = [
+            left << 32 | right
+            for i, left in enumerate(side_r.empties)
+            for right in (side_r.empties[i + 1 :] if self_join else side_p.empties)
         ]
+        # dense ids follow sorted record ids on each side, so packed order is
+        # (left_id, right_id) order; verify's pairs come in it already
+        if empty_pairs:
+            packed = np.concatenate([packed, np.array(empty_pairs, dtype=np.int64)])
+            dists = np.concatenate([dists, np.zeros(len(empty_pairs))])
+            order = np.argsort(packed, kind="stable")
+            packed, dists = packed[order], dists[order]
+        left_ids = map(side_r.ids.__getitem__, (packed >> 32).tolist())
+        right_ids = map(side_p.ids.__getitem__, (packed & _PACK_MASK).tolist())
+        results = list(map(tuple.__new__, repeat(JoinResult), zip(left_ids, right_ids, dists.tolist())))
         stage.items_in = stage.items_out = len(results)
     return results, report
 
@@ -442,10 +445,11 @@ def dedup_candidates(raw: np.ndarray) -> np.ndarray:
 
 def _verify(
     survivors: np.ndarray, residuals: Residuals, workers: int, report: StageReport
-) -> tuple[list[tuple[int, float]], VerifyStats]:
-    """(packed pair, distance) of each survivor within the threshold, and the counters.
+) -> tuple[np.ndarray, np.ndarray, VerifyStats]:
+    """The packed pairs of the survivors within the threshold, their distances, and the counters.
 
-    Runs :func:`residual.verify_block` over blocks of survivors, in block
+    The pairs come ascending, as the survivors do. Runs
+    :func:`residual.verify_block` over blocks of survivors, in block
     order: in the caller, or over a fork-based process pool when ``workers``
     is above 1 and there is more than one block. The pool is timed as
     ``report``'s ``pool`` stage over two spans: its start-up (making it and
@@ -458,7 +462,8 @@ def _verify(
     blocks = [survivors[start : start + step] for start in range(0, survivors.size, step)]
     n_workers = min(workers, len(blocks))
     executor = None
-    accepted: list[tuple[int, float]] = []
+    packed = [np.empty(0, dtype=np.int64)]
+    dists = [np.empty(0)]
     stats = VerifyStats()
     done = 0
     try:
@@ -471,8 +476,9 @@ def _verify(
                 pool.items_out = n_workers
             if executor is None:
                 del report.stages["pool"]  # no fork on this platform: verify runs inline
-        for packed, dists, block_stats in parts:
-            accepted.extend(zip(packed.tolist(), dists.tolist()))
+        for block_packed, block_dists, block_stats in parts:
+            packed.append(block_packed)
+            dists.append(block_dists)
             stats.add(block_stats)
             done += 1
     except Exception as exc:
@@ -481,7 +487,7 @@ def _verify(
         if executor is not None:
             with report.stage("pool"):
                 executor.shutdown(cancel_futures=True)
-    return accepted, stats
+    return np.concatenate(packed), np.concatenate(dists), stats
 
 
 def _fork_executor(workers: int, residuals: Residuals):

@@ -3,8 +3,10 @@
 Distances: plain and length-normalized Levenshtein. The normalized form is
 2*LD/(|x|+|y|+LD), a metric on [0, 1]. The join computes its edit distances
 in batches of token ids: :func:`token_table` lays out the code points of the
-interned vocabulary once, and :func:`ld_bounded_ids` gathers each pair's
-rows from it for a bit-parallel kernel on numpy words.
+interned vocabulary once, with a 32-bit character signature per token, and
+:func:`ld_bounded_ids` settles the pairs whose signatures differ by more
+than the cap, then gathers each remaining pair's rows from the table for a
+bit-parallel kernel on numpy words.
 
 The bound helpers (largest/smallest edit distance consistent with a normalized
 threshold, admissible partner lengths) are computed with exact rational
@@ -146,18 +148,25 @@ _GATHER_BYTE_FLAGS = 0x0102040810204080  # sum of 2**(56 - 7k), k = 0..7
 # one kernel pass holds at most this many code points of patterns and texts
 # (512 KB); passes of 2**17 to 2**22 took about the same time on W1
 _BATCH_CODE_POINTS = 1 << 17
+# a token's signature has one bit per bucket of code points c & 31, so every
+# lowercase ASCII letter has a bucket of its own
+_SIG_BUCKETS = 32
 
 
 class TokenTable(NamedTuple):
     """The UTF-32 code points of a vocabulary, token after token, in one array.
 
     Token t is ``codes[starts[t] : starts[t] + lens[t]]``; ``codes`` is
-    uint32, ``starts`` and ``lens`` are int64. Built by :func:`token_table`.
+    uint32, ``starts`` and ``lens`` are int64. ``sigs[t]`` is token t's
+    character signature, a uint32 with bit ``c & 31`` set for each of its
+    code points c (0 for the empty token), which :func:`ld_bounded_ids`
+    bounds the distance with. Built by :func:`token_table`.
     """
 
     codes: np.ndarray
     starts: np.ndarray
     lens: np.ndarray
+    sigs: np.ndarray
 
     def rows(self, ids: np.ndarray, width: int) -> np.ndarray:
         """One row of ``width`` code points per token of ``ids``, read from the token's start.
@@ -179,7 +188,9 @@ def token_table(tokens: Collection[str]) -> TokenTable:
     """The :class:`TokenTable` of ``tokens``, token id i at position i.
 
     The code points are read through numpy's ``str_`` layout, which is
-    UTF-32, so no codec module is imported.
+    UTF-32, so no codec module is imported. The signatures are one
+    ``bitwise_or.reduceat`` of each code point's bucket bit over the
+    non-empty tokens' starts.
     """
     import numpy as np
 
@@ -187,7 +198,13 @@ def token_table(tokens: Collection[str]) -> TokenTable:
     joined = "".join(tokens)
     size = len(joined)
     codes = np.array([joined], dtype=f"<U{max(size, 1)}").view("<u4")[:size]
-    return TokenTable(codes, np.cumsum(lens) - lens, lens)
+    starts = np.cumsum(lens) - lens
+    sigs = np.zeros(lens.size, dtype=np.uint32)
+    filled = lens > 0
+    bits = codes & np.uint32(_SIG_BUCKETS - 1)
+    np.left_shift(np.uint32(1), bits, out=bits)  # in place: fresh pages cost as much as the shift
+    sigs[filled] = np.bitwise_or.reduceat(bits, starts[filled])
+    return TokenTable(codes, starts, lens, sigs)
 
 
 def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -196,8 +213,14 @@ def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.nda
     The ids index ``table``, whose tokens must be distinct, so equal ids are
     the identical tokens (distance 0) and distinct ids differ by at least one
     edit. Equal ids, cap 0, empty tokens and length differences over the cap
-    are decided without the kernel. The other pairs run :func:`ld_bounded`'s
-    bit-parallel column update on numpy words, all pairs at once: the shorter
+    are decided without the kernel, and so is every pair that the table's
+    character signatures put over its cap: each character of x whose bucket
+    holds no character of y must be substituted or deleted, each by an edit
+    of its own, so LD(x, y) is at least the count of x's buckets that y
+    lacks, and likewise for y (the bag distance of Bartolini, Ciaccia and
+    Patella, SPIRE 2002, over 32 buckets). The other pairs run
+    :func:`ld_bounded`'s bit-parallel column update on numpy words, all
+    pairs at once: the shorter
     token is the pattern (one uint64 per pair, so at most 63 characters;
     longer patterns are decoded and fall back to :func:`ld_bounded`) and the
     longer one the text, their code points gathered as rows of the table.
@@ -220,6 +243,10 @@ def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.nda
     empty = open_ & (short == 0)
     out[empty] = long[empty]  # the length difference is within the cap
     open_ &= short > 0
+    sig_a, sig_b = table.sigs[a], table.sigs[b]
+    only_a = np.bitwise_count(sig_a & ~sig_b)
+    only_b = np.bitwise_count(sig_b & ~sig_a)
+    open_ &= np.maximum(only_a, only_b) <= caps
     for i in np.flatnonzero(open_ & (short > _BATCH_PATTERN_MAX)).tolist():
         d = ld_bounded(table.token(a[i]), table.token(b[i]), int(caps[i]))
         out[i] = -1 if d is None else d

@@ -18,6 +18,7 @@ from tokenjoin.errors import ConfigError, DataError, StageError
 from tokenjoin.filters import length_prunes, residual_prunes
 from tokenjoin.pipeline import (
     JoinConfig,
+    JoinResult,
     _check_side_size,
     _prepare_side,
     dedup_candidates,
@@ -541,6 +542,39 @@ class TestCandidateStream:
         if self_join:
             # under a cap of 1 a record rarely keeps two similar tokens
             assert reached["swap"] and (reached["both"] or cap == 1)
+
+
+def finalize_cases():
+    """(left corpus, right corpus or None, threshold) of four joins whose rows finalize builds differently."""
+    mixed = corpus_from_lines(["chan kalan", "", "chank alan", "", "chan kalan", "zzz"])
+    left = [make_ts("L0", ()), make_ts("L1", ("chan", "kalan")), make_ts("L2", ("",))]
+    right = [make_ts("R0", ("chank", "alan")), make_ts("R1", ()), make_ts("R2", ("", "")), make_ts("R3", ("zzz",))]
+    return {
+        "empty-pairs-between-verified": (mixed, None, 0.2),
+        "two-set-empties-on-both-sides": (left, right, 0.2),
+        "one-result": (reference_corpus(), None, 0.2),
+        "no-result": (reference_corpus(), None, 0.1),
+    }
+
+
+class TestFinalize:
+    @pytest.mark.parametrize("case", list(finalize_cases()))
+    def test_rows_equal_the_oracle_in_order(self, case):
+        from tokenjoin.oracle import join_bruteforce
+
+        corpus_r, corpus_p, threshold = finalize_cases()[case]
+        cfg = JoinConfig(threshold=threshold, self_join=corpus_p is None)
+        res, report = join(corpus_r, corpus_p, cfg)
+        assert res == list(join_bruteforce(corpus_r, corpus_p, threshold).pairs)
+        assert all(type(row) is JoinResult for row in res)
+        assert report.stages["finalize"].items_out == len(res)
+        want = {
+            "empty-pairs-between-verified": [("0", "2"), ("0", "4"), ("1", "3"), ("2", "4")],
+            "two-set-empties-on-both-sides": [("L0", "R1"), ("L0", "R2"), ("L1", "R0"), ("L2", "R1"), ("L2", "R2")],
+            "one-result": [("0", "1")],
+            "no-result": [],
+        }[case]
+        assert [(row.left_id, row.right_id) for row in res] == want
 
 
 class TestJoinAgainstOracle:

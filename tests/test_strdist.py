@@ -122,6 +122,14 @@ def edited(rng, x, alphabet, max_edits):
     return "".join(y)
 
 
+def edited_once(rng, x, alphabet):
+    """``x`` after one random insert, delete or substitution that changes it."""
+    while True:
+        y = edited(rng, x, alphabet, 1)
+        if y != x:
+            return y
+
+
 def ld_bounded_strings(xs, ys, caps):
     """:func:`ld_bounded_ids` over strings, interned into one table as the join interns its vocabulary."""
     vocab = {tok: i for i, tok in enumerate(dict.fromkeys([*xs, *ys]))}
@@ -197,6 +205,109 @@ class TestLdBoundedBatch:
         got = ld_bounded_strings(xs, ys, caps)
         assert got.tolist() == [naive_ld(x, y) if naive_ld(x, y) <= c else -1 for x, y, c in zip(xs, ys, caps)]
         assert ld_bounded_strings(ys[::-1], xs[::-1], caps[::-1]).tolist() == got.tolist()[::-1]
+
+
+def buckets(s):
+    """The signature buckets of the code points of ``s``."""
+    return {ord(c) & 31 for c in s}
+
+
+def bucket_bound(x, y):
+    """The character-signature lower bound of LD(x, y)."""
+    bx, by = buckets(x), buckets(y)
+    return max(len(bx - by), len(by - bx))
+
+
+def random_word(rng, letters, n):
+    """``n`` letters of ``letters``, at least four of them distinct."""
+    word = rng.sample(letters, 4) + [rng.choice(letters) for _ in range(n - 4)]
+    rng.shuffle(word)
+    return "".join(word)
+
+
+class TestCharacterSignatures:
+    # "a", "A", "á" and "\x01" (97, 65, 225 and 1) all fall in bucket 1, "b"
+    # and "B" in bucket 2, the non-BMP character in bucket 0
+    GROUPS = ["aAá\x01", "bB", "c\U0001F600", "xyz"]
+
+    def test_one_bit_per_bucket(self):
+        table = token_table(["", "aA", "bz\U0001F600", "á\x01", "a" * 70])
+        assert table.sigs.dtype == np.uint32
+        assert table.sigs.tolist() == [0, 1 << 1, 1 << 2 | 1 << 26 | 1, 1 << 1, 1 << 1]
+        assert token_table([]).sigs.tolist() == []
+        assert token_table(["", ""]).sigs.tolist() == [0, 0]
+
+    def test_equals_ld_where_buckets_collide(self):
+        # near copies (whose substitutions may stay in a bucket, where the
+        # bound sees nothing) and partners over other groups of the alphabet,
+        # one to three letters longer or shorter, so the length rule leaves
+        # them open and the bound decides; lengths cross the kernel's
+        # 63-character pattern limit
+        rng = random.Random(53)
+        alphabet = "".join(self.GROUPS)
+        xs, ys, caps = [], [], []
+        for _ in range(3000):
+            n = rng.randint(0, 8) if rng.random() < 0.6 else rng.randint(0, 70)
+            letters = "".join(rng.sample(self.GROUPS, rng.randint(1, 3)))
+            x = "".join(rng.choice(letters) for _ in range(n))
+            if rng.random() < 0.5:
+                y = edited(rng, x, alphabet, 6)
+            else:
+                letters = "".join(rng.sample(self.GROUPS, rng.randint(1, 3)))
+                y = "".join(rng.choice(letters) for _ in range(max(0, n + rng.randint(-3, 3))))
+            xs.append(x)
+            ys.append(y)
+            caps.append(rng.randint(0, 6))
+        got = ld_bounded_strings(xs, ys, caps).tolist()
+        dists = [ld(x, y) for x, y in zip(xs, ys)]
+        assert got == [d if d <= cap else -1 for d, cap in zip(dists, caps)]
+        # the bound settles many open pairs, in the kernel's range and past
+        # it, is tight on some, and misses pairs whose edits stay within a bucket
+        open_ = [
+            (x, y, cap, bucket_bound(x, y), d)
+            for x, y, cap, d in zip(xs, ys, caps, dists)
+            if x != y and x and y and 0 < cap and abs(len(x) - len(y)) <= cap
+        ]
+        settled = [(x, y) for x, y, cap, bound, _ in open_ if bound > cap]
+        assert len(settled) > 120
+        assert sum(min(len(x), len(y)) > 63 for x, y in settled) > 5
+        assert sum(bound <= cap < d for *_, cap, bound, d in open_) > 400
+        assert sum(0 < bound == d <= cap for *_, cap, bound, d in open_) > 100
+        assert any("\U0001F600" in x for x, _ in settled) and "" in xs + ys
+
+    def test_far_pairs_skip_the_kernel(self, monkeypatch):
+        # partners over disjoint letters (a-h against i-p) with at least four
+        # buckets each never reach the batch kernel or the scalar fallback at
+        # caps 1-3; one-edit copies still do
+        rng = random.Random(59)
+        seen = set()
+        kernel, scalar = strdist._myers_batch, strdist.ld_bounded
+
+        def batch_spy(pats, texts, m, n):
+            for pat, text, k, l in zip(pats.tolist(), texts.tolist(), m.tolist(), n.tolist()):
+                seen.add(frozenset(("".join(map(chr, pat[:k])), "".join(map(chr, text[:l])))))
+            return kernel(pats, texts, m, n)
+
+        def scalar_spy(x, y, cap):
+            seen.add(frozenset((x, y)))
+            return scalar(x, y, cap)
+
+        monkeypatch.setattr(strdist, "_myers_batch", batch_spy)
+        monkeypatch.setattr(strdist, "ld_bounded", scalar_spy)
+        far, near = [], []
+        for _ in range(400):
+            n = rng.randint(4, 70)
+            cap = rng.randint(1, 3)
+            x = random_word(rng, "abcdefgh", n)
+            far.append((x, random_word(rng, "ijklmnop", max(4, n + rng.randint(-1, 1))), cap))
+            near.append((x, edited_once(rng, x, "abcdefghijklmnop"), cap))
+        xs, ys, caps = zip(*far, *near)
+        got = ld_bounded_strings(xs, ys, caps).tolist()
+        assert got == [-1] * len(far) + [ld(x, y) if ld(x, y) <= c else -1 for x, y, c in near]
+        assert all(abs(len(x) - len(y)) <= cap for x, y, cap in far)
+        assert not seen & {frozenset((x, y)) for x, y, _ in far}
+        assert {frozenset((x, y)) for x, y, _ in near} <= seen
+        assert any(min(len(x), len(y)) > 63 for x, y, _ in near)
 
 
 class TestNld:
