@@ -43,6 +43,7 @@ from .textnorm import TokenizedString
 
 RecordId = Hashable
 
+# a packed pair is (left << 32) | right, and this mask takes its right half
 _PACK_MASK = 0xFFFFFFFF
 _U64 = (1 << 64) - 1
 # a segment's key is the polynomial hash of its code points in this odd base,

@@ -32,8 +32,8 @@ from typing import Any, Iterator, NamedTuple, Sequence
 # strdist); candidates uses numpy too, so it comes after residual
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
-from .residual import Residuals, VerifyStats, block_rows, length_survivors, verify_block
-from .candidates import SimilarStats, ranges, similar_token_pairs, sorted_distinct
+from .residual import Residuals, VerifyStats, length_survivors, verify_block, verify_blocks
+from .candidates import _PACK_MASK, SimilarStats, ranges, similar_token_pairs, sorted_distinct
 from .strdist import TokenTable, threshold_bounds, token_table
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
 
@@ -48,7 +48,6 @@ ONE_STRING = "one-string"
 BOTH_STRINGS = "both-strings"
 DEDUP_STRATEGIES = (ONE_STRING, BOTH_STRINGS)
 
-_PACK_MASK = 0xFFFFFFFF
 # dense ids fill the low 31 bits of each packed half, so a packed pair
 # (left << 32 | right) and a posting key (token << 32 | record) stay
 # non-negative int64 values, which the index and generate stages build
@@ -229,7 +228,7 @@ def _index(
     Returns the code-point table of the vocabulary, token id i at position
     i, which the similar-token search and verify's kernel read; each side's
     token ids, record after record, which the filter stage builds the
-    residual rows from; and each side's postings. Ids follow the first
+    residual keys from; and each side's postings. Ids follow the first
     occurrence of each token, left side first. A self-join passes the same
     side twice and gets the same ids and postings twice.
     """
@@ -449,17 +448,17 @@ def _verify(
     """The packed pairs of the survivors within the threshold, their distances, and the counters.
 
     The pairs come ascending, as the survivors do. Runs
-    :func:`residual.verify_block` over blocks of survivors, in block
-    order: in the caller, or over a fork-based process pool when ``workers``
-    is above 1 and there is more than one block. The pool is timed as
+    :func:`residual.verify_block` over the blocks of
+    :func:`residual.verify_blocks`, in block order: in the caller, or over
+    a fork-based process pool when ``workers`` is above 1 and there is more
+    than one block. The pool is timed as
     ``report``'s ``pool`` stage over two spans: its start-up (making it and
     handing it the blocks, which forks the workers) and its shutdown. A
     block that raises, or a worker that dies, becomes a :class:`StageError`
     naming the first block whose result is missing; pending blocks are
     cancelled.
     """
-    step = block_rows(residuals.width)
-    blocks = [survivors[start : start + step] for start in range(0, survivors.size, step)]
+    blocks = verify_blocks(survivors, residuals)
     n_workers = min(workers, len(blocks))
     executor = None
     packed = [np.empty(0, dtype=np.int64)]

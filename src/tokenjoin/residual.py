@@ -1,16 +1,17 @@
 """Residual token rows: the length prune and verify's one cost path.
 
 Once the tokens two records share drop out (:func:`setdist.drop_shared`),
-what is left decides the pair. :class:`Residuals` holds both sides as rows
-of token keys ``(token id, occurrence rank)`` in record order: equal keys of
-two records match each shared copy of a token once, and the unmatched keys
-are the residual tokens, as ``(length, token id)`` cells (see
-:func:`_residual_cells`). :func:`length_survivors` is the filter stage's
-length prune. :func:`verify_block` rejects with the residual-length bound
-of :func:`filters.residual_prunes` and costs every other pair with
-:func:`_matching_costs`; the edit distances go to
+what is left decides the pair. :class:`Residuals` holds one token key
+``(token id, occurrence rank)`` per token of both sides, record after
+record. Verify gathers each pair's keys into two rows as wide as its larger
+record: equal keys of the two rows match each shared copy of a token once,
+and the unmatched keys are the residual tokens, as ``(length, token id)``
+cells (see :func:`_residual_cells`). :func:`length_survivors` is the filter
+stage's length prune. :func:`verify_block` rejects with the
+residual-length bound of :func:`filters.residual_prunes` and costs every
+other pair with :func:`_matching_costs`; the edit distances go to
 :func:`strdist.ld_bounded_ids` as token ids. The filter stage builds the
-rows from the index stage's token ids, and both stages read the join's
+keys from the index stage's token ids, and both stages read the join's
 :class:`strdist.Bounds`.
 """
 
@@ -19,21 +20,17 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from itertools import permutations
 from operator import add
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
-from .candidates import ranges
+from .candidates import _PACK_MASK
 from .setdist import _greedy_matching, hungarian
 from .strdist import Bounds, TokenTable, ld_bounded_ids
 
-_PACK_MASK = 0xFFFFFFFF
-# the rows hold at most this many cells per token of the joined sides (at
-# least one column); verify gives the pairs of a wider record rows of their own
-CELLS_PER_TOKEN = 4
-# verify blocks and chunks of wide pairs hold at most this many cells
-# (rows x width x width), and the length prune runs over blocks of as many
-# rows; on W1, blocks of 2**16 to 2**21 took the same time
+# a verify block's pairs need at most this many key cells in all (w x w for
+# a pair of width w) unless it holds one pair, and the length prune runs
+# over slices of as many pairs; on W1, 2**16 to 2**21 took the same time
 BLOCK_CELLS = 1 << 18
 # k up to this is matched over every permutation; above it, by hungarian
 ARRAY_MAX_K = 4
@@ -50,16 +47,15 @@ class VerifyStats:
     ``residual_rejects`` the others; where the filter stage ran,
     :func:`pipeline.join` reports these as its ``pruned_by_histogram``
     instead, and this count as 0. ``kernel_cells`` is the number of
-    token-pair edit distances needed, ``kernel_token_pairs`` the distinct
-    token pairs of each matcher call that went to ``ld_bounded_ids``, and
-    ``wide_pairs`` the pairs with a record wider than the shared rows.
+    token-pair edit distances needed, and ``kernel_token_pairs`` the
+    distinct token pairs of each verify block that went to
+    ``ld_bounded_ids``.
     """
 
     pairs_by_k: list[int] = field(default_factory=lambda: [0] * (ARRAY_MAX_K + 2))
     residual_rejects: int = 0
     kernel_cells: int = 0
     kernel_token_pairs: int = 0
-    wide_pairs: int = 0
 
     def add(self, other: "VerifyStats") -> None:
         """Add ``other``'s counters to these, ``pairs_by_k`` entry by entry."""
@@ -79,12 +75,12 @@ class Residuals:
 
     Verify's pool workers inherit it by fork.
 
-    ``lens_left[i]`` is left record i's aggregate length, and its token ids,
-    in record order, are ``ids_left[offsets_left[i] : offsets_left[i + 1]]``;
-    ``keys_left`` and ``wide_left`` are its key rows and the records too
-    wide for them (see :func:`_rows`), and likewise on the right. ``table``
-    holds the code points of the interned vocabulary, and ``table.lens[t]``
-    is the length of token t.
+    ``lens_left[i]`` is left record i's aggregate length, and the keys of
+    its ``counts_left[i]`` tokens, in record order, are
+    ``keys_left[offsets_left[i] : offsets_left[i] + counts_left[i]]`` (see
+    :func:`_keys`); likewise on the right. ``table`` holds the code points
+    of the interned vocabulary, and ``table.lens[t]`` is the length of
+    token t.
     ``bounds`` are the threshold's, over the longest record: a pair whose
     longer side has length l is pruned by length when the lengths differ by
     more than ``maxdiff[l]``, and ``cost_cap[L]`` is the largest setwise
@@ -94,60 +90,44 @@ class Residuals:
     __slots__ = (
         "lens_left",
         "lens_right",
-        "ids_left",
-        "ids_right",
+        "counts_left",
+        "counts_right",
         "offsets_left",
         "offsets_right",
         "keys_left",
         "keys_right",
-        "wide_left",
-        "wide_right",
-        "width",
         "table",
         "bounds",
         "greedy",
     )
 
     def __init__(self, side_r, side_p, ids_r, ids_p, table: TokenTable, bounds: Bounds, *, greedy: bool):
-        """Rows of the two prepared sides (the same side twice for a self-join).
+        """Keys of the two prepared sides (the same side twice for a self-join).
 
         A side has ``counts`` (tokens per record) and ``lens`` (the records'
         aggregate lengths); ``ids_r`` and ``ids_p`` hold the ids of each
-        side's tokens in ``table``, record after record. The rows are as
-        wide as the widest record, but at most ``CELLS_PER_TOKEN`` times the
-        mean token count of the joined sides, so they never hold more than
-        that many cells per token.
+        side's tokens in ``table``, record after record.
         """
-        self_join = side_p is side_r
-        sides = (side_r,) if self_join else (side_r, side_p)
-        n_rows = sum(side.counts.size for side in sides)
-        n_tokens = ids_r.size + (0 if self_join else ids_p.size)
-        self.width = max(1, min(
-            max(int(side.counts.max(initial=0)) for side in sides),
-            CELLS_PER_TOKEN * n_tokens // max(n_rows, 1),
-        ))
-        self.keys_left = _rows(side_r.counts, ids_r, self.width)
-        self.keys_right = self.keys_left if self_join else _rows(side_p.counts, ids_p, self.width)
-        self.wide_left, self.wide_right = side_r.counts > self.width, side_p.counts > self.width
-        self.offsets_left = np.concatenate(([0], np.cumsum(side_r.counts)))
-        self.offsets_right = np.concatenate(([0], np.cumsum(side_p.counts)))
+        self.keys_left = _keys(side_r.counts, ids_r)
+        self.keys_right = self.keys_left if side_p is side_r else _keys(side_p.counts, ids_p)
+        self.counts_left, self.counts_right = side_r.counts, side_p.counts
+        self.offsets_left = np.cumsum(side_r.counts) - side_r.counts
+        self.offsets_right = np.cumsum(side_p.counts) - side_p.counts
         self.table = table
         self.lens_left = side_r.lens
         self.lens_right = side_p.lens
-        self.ids_left, self.ids_right = ids_r, ids_p
         self.bounds = bounds
         self.greedy = greedy
 
 
-def _rows(counts: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
-    """Key rows of records, all padding for a record wider than ``width``.
+def _keys(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """One key per token, record after record: ``(token id << 32) | occurrence rank``.
 
     ``counts[i]`` is record i's token count, and ``ids`` holds the records'
-    token ids, record after record. Row i holds record i's tokens in record
-    order, then padding keys (-1). A key is ``(token id << 32) |
-    occurrence rank``, the rank counting the earlier copies of the token in
-    the record, so equal keys of two records match each shared copy once,
-    the earliest copies first, as :func:`setdist.drop_shared` does.
+    token ids, record after record. The rank counts the earlier copies of
+    the token in the record, so equal keys of two records match each shared
+    copy once, the earliest copies first, as :func:`setdist.drop_shared`
+    does.
     """
     rows = np.repeat(np.arange(counts.size), counts)
     flat = np.arange(ids.size)
@@ -159,15 +139,17 @@ def _rows(counts: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
     copy_of = np.diff(tagged[order], prepend=-1) == 0
     rank = np.empty_like(flat)
     rank[order] = flat - np.maximum.accumulate(np.where(copy_of, 0, flat))
-    keep = (counts <= width)[rows]
-    keys = np.full((counts.size, width), -1, dtype=np.int64)
-    keys[rows[keep], (flat - np.repeat(np.cumsum(counts) - counts, counts))[keep]] = (ids << 32 | rank)[keep]
-    return keys
+    return ids << 32 | rank
 
 
-def block_rows(width: int) -> int:
-    """Pairs per filter or verify block, so that a block stays within ``BLOCK_CELLS``."""
-    return max(1, BLOCK_CELLS // (width * width))
+def _rows(keys: np.ndarray, offsets: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
+    """Key rows ``width`` cells wide: row i holds the ``counts[i]`` keys from ``offsets[i]``, then padding (-1)."""
+    cols = np.arange(width)
+    # the columns past a record's count read the next records' keys (or the
+    # last key, clipped), and become padding
+    rows = keys.take(offsets[:, None] + cols, mode="clip")
+    rows[cols >= counts[:, None]] = -1
+    return rows
 
 
 def _unpack(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,12 +230,11 @@ def _cells(keys: np.ndarray, real: np.ndarray, vocab_lens: np.ndarray) -> np.nda
 def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
     """The packed pairs whose aggregate lengths are within the threshold, in order.
 
-    Runs block by block, so no temporary is as long as ``unique``.
+    Runs over slices of ``BLOCK_CELLS`` pairs, so no temporary is as long as ``unique``.
     """
     parts = [unique[:0]]
-    step = block_rows(res.width)
-    for start in range(0, unique.size, step):
-        block = unique[start : start + step]
+    for start in range(0, unique.size, BLOCK_CELLS):
+        block = unique[start : start + BLOCK_CELLS]
         li, ri = _unpack(block)
         la = res.lens_left[li]
         lb = res.lens_right[ri]
@@ -262,28 +243,58 @@ def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def verify_blocks(survivors: np.ndarray, res: Residuals) -> list[np.ndarray]:
+    """The survivors cut into verify blocks, in order.
+
+    A block's pairs need at most ``BLOCK_CELLS`` cells in all, w x w for a
+    pair whose larger record has w tokens, unless it holds a single pair.
+    """
+    li, ri = _unpack(survivors)
+    widths = np.maximum(res.counts_left[li], res.counts_right[ri])
+    del li, ri
+    ends = np.cumsum(widths * widths)
+    blocks, start, used = [], 0, 0
+    while start < survivors.size:
+        stop = max(start + 1, int(np.searchsorted(ends, used + BLOCK_CELLS, side="right")))
+        blocks.append(survivors[start:stop])
+        start, used = stop, int(ends[stop - 1])
+    return blocks
+
+
 def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndarray, VerifyStats]:
     """Verify one block of packed pairs; returns the accepted pairs, distances and counters.
 
-    Every pair's residual cells come from :func:`_residual_cells` and its
-    cost from :func:`_matching_costs`, over the shared rows in one call and
-    over the wide pairs' rows chunk by chunk (:func:`_pair_rows`). Costs
-    start at cap + 1 (rejected); the pairs within their cap are accepted,
-    in block order.
+    The pairs are grouped by their width w, the larger token count of the
+    two records; each group's key rows are gathered at exactly w cells
+    (:func:`_rows`) and go to one :func:`_residual_cells` call. Every
+    pair's first k cells then go to one :func:`_matching_costs` call for
+    the whole block. Costs start at cap + 1 (rejected); the pairs within
+    their cap are accepted, in block order.
     """
     stats = VerifyStats()
     li, ri = _unpack(block)
     total = res.lens_left[li] + res.lens_right[ri]
     cap = res.bounds.cost_cap[total]
-    cost = cap + 1
-    wide = res.wide_left[li] | res.wide_right[ri]
-    stats.wide_pairs = int(np.count_nonzero(wide))
-    by_k = []
-    for at, keys_l, keys_r in _pair_rows(res, li, ri, wide):
-        k, cells_l, cells_r = _residual_cells(keys_l, keys_r, cap[at], res)
-        cost[at] = _matching_costs(k, cells_l, cells_r, cap[at], res, stats)
-        by_k.append(k)
-    k = np.concatenate(by_k)
+    counts_l, counts_r = res.counts_left[li], res.counts_right[ri]
+    widths = np.maximum(counts_l, counts_r)
+    # pair i's k cells a side are cells_*[starts[i] : starts[i] + k[i]]
+    k = np.empty(block.size, dtype=np.int64)
+    starts = np.empty(block.size, dtype=np.int64)
+    cells_l, cells_r = [block[:0]], [block[:0]]
+    n_cells = 0
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        at = np.flatnonzero(widths == width)
+        keys_l = _rows(res.keys_left, res.offsets_left[li[at]], counts_l[at], width)
+        keys_r = _rows(res.keys_right, res.offsets_right[ri[at]], counts_r[at], width)
+        group_k, group_l, group_r = _residual_cells(keys_l, keys_r, cap[at], res)
+        first_k = np.arange(width) < group_k[:, None]
+        cells_l.append(group_l[first_k])
+        cells_r.append(group_r[first_k])
+        k[at] = group_k
+        group_k = np.maximum(group_k, 0)
+        starts[at] = n_cells + np.cumsum(group_k) - group_k
+        n_cells += int(group_k.sum())
+    cost = _matching_costs(k, np.concatenate(cells_l), np.concatenate(cells_r), starts, cap, res, stats)
     stats.residual_rejects = int(np.count_nonzero(k < 0))
     stats.pairs_by_k = np.bincount(np.minimum(k[k >= 0], ARRAY_MAX_K + 1), minlength=ARRAY_MAX_K + 2).tolist()
     keep = np.flatnonzero(cost <= cap)
@@ -291,46 +302,26 @@ def verify_block(block: np.ndarray, res: Residuals) -> tuple[np.ndarray, np.ndar
     return block[keep], (2.0 * cost) / (total[keep] + cost), stats
 
 
-def _pair_rows(res: Residuals, li: np.ndarray, ri: np.ndarray, wide: np.ndarray) -> Iterator[tuple]:
-    """Key rows of the pairs ``(li[i], ri[i])``: ``(at, keys_l, keys_r)`` for the pairs ``at``.
-
-    First the pairs the shared rows hold, then those flagged ``wide`` (with
-    a record wider than the rows), whose records get rows of their own from
-    :func:`_rows`, chunk by chunk. A chunk's rows are as wide as its widest
-    record, and its rows x width x width stays within ``BLOCK_CELLS``, as a
-    block's does, unless it holds one pair.
-    """
-    at = np.flatnonzero(~wide)
-    yield at, res.keys_left[li[at]], res.keys_right[ri[at]]
-    at = np.flatnonzero(wide)
-    li, ri = li[at], ri[at]
-    counts_l = res.offsets_left[li + 1] - res.offsets_left[li]
-    counts_r = res.offsets_right[ri + 1] - res.offsets_right[ri]
-    widths = np.maximum(counts_l, counts_r).tolist()
-    start, width = 0, 1
-    for stop in range(1, len(widths) + 1):
-        width = max(width, widths[stop - 1])
-        if stop == len(widths) or (stop - start + 1) * max(width, widths[stop]) ** 2 > BLOCK_CELLS:
-            chunk = slice(start, stop)
-            keys_l = _rows(counts_l[chunk], res.ids_left[ranges(res.offsets_left[li[chunk]], counts_l[chunk])], width)
-            keys_r = _rows(counts_r[chunk], res.ids_right[ranges(res.offsets_right[ri[chunk]], counts_r[chunk])], width)
-            yield at[chunk], keys_l, keys_r
-            start, width = stop, 1
-
-
 def _matching_costs(
-    k: np.ndarray, cells_l: np.ndarray, cells_r: np.ndarray, caps: np.ndarray, res: Residuals, stats: VerifyStats
+    k: np.ndarray,
+    cells_l: np.ndarray,
+    cells_r: np.ndarray,
+    starts: np.ndarray,
+    caps: np.ndarray,
+    res: Residuals,
+    stats: VerifyStats,
 ) -> np.ndarray:
     """The cost of each pair's best residual matching, exact wherever it is within the cap.
 
     ``k[i]`` is pair i's residual token count, or -1 to skip the pair (its
-    cost reads cap + 1), and the first ``k[i]`` columns of its cells hold
-    its tokens, each side's followed by padding (0), as in
-    :func:`setdist._padded_cost_matrix`. Each k x k matrix weighs an edge against
-    padding by the real token's length and an edge of two tokens by their
-    edit distance, capped as in :func:`setdist.sld_capped`: over the pair's
-    cap, it weighs more than the cap (its distance, or cap + 1 over the
-    largest cap the kernel ran with). All edit distances go to one
+    cost reads cap + 1), and ``cells_l[starts[i] : starts[i] + k[i]]`` and
+    likewise ``cells_r`` hold its tokens, each side's followed by padding
+    (0), as in :func:`setdist._padded_cost_matrix`. Each k x k matrix
+    weighs an edge against padding by the real token's length and an edge
+    of two tokens by their edit distance, capped as in
+    :func:`setdist.sld_capped`: over the pair's cap, it weighs more than
+    the cap (its distance, or cap + 1 over the largest cap the kernel ran
+    with). All edit distances go to one
     :func:`_edge_distances` call. k = 1 is its one edge; larger k take
     :func:`setdist._greedy_matching` in greedy mode, else the minimum over
     all permutations up to ``ARRAY_MAX_K`` and :func:`setdist.hungarian`.
@@ -339,8 +330,9 @@ def _matching_costs(
     groups = []
     for kk in sorted(set(k[k > 0].tolist())):
         sel = np.flatnonzero(k == kk)
-        a = np.broadcast_to(cells_l[sel, :kk][:, :, None], (sel.size, kk, kk))
-        b = np.broadcast_to(cells_r[sel, :kk][:, None, :], (sel.size, kk, kk))
+        cols = starts[sel, None] + np.arange(kk)
+        a = np.broadcast_to(cells_l[cols][:, :, None], (sel.size, kk, kk))
+        b = np.broadcast_to(cells_r[cols][:, None, :], (sel.size, kk, kk))
         groups.append((sel, a, b, (a != 0) & (b != 0)))
     if not groups:
         return cost

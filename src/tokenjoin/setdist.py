@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .strdist import ld, ld_bounded
+from .strdist import ld, ld_bounded, nld_bounds_from_lengths
 from .textnorm import TokenizedString
 
 PAD = None  # stands for the empty padding token in pairings
@@ -207,14 +207,10 @@ def nsld_bounds_from_lengths(la: int, lb: int) -> tuple[float, float]:
     prunes on. The upper bound assumes the setwise cost never exceeds the
     larger aggregate length, which holds for single-token records but can be
     exceeded once token boundaries prevent character reuse; treat it as
-    indicative only.
+    indicative only. The formula is :func:`strdist.nld_bounds_from_lengths`,
+    over aggregate lengths.
     """
-    if la < 0 or lb < 0:
-        raise ValueError("lengths must be >= 0")
-    if la == 0 and lb == 0:
-        return (0.0, 0.0)
-    a = min(la, lb) / max(la, lb)
-    return (1.0 - a, 2.0 / (a + 2.0))
+    return nld_bounds_from_lengths(la, lb)
 
 
 def sorted_lengths_lower_bound(lens_a: tuple[int, ...], lens_b: tuple[int, ...]) -> int:

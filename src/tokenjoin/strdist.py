@@ -462,4 +462,4 @@ def distance_to_similarity(d: float, scheme: str) -> float:
         return 1.0 / (1.0 + d)
     if scheme == EXPONENTIAL:
         return math.exp(-d)
-    raise ValueError(f"unknown similarity scheme {scheme!r}")
+    raise ValueError(f"unknown similarity scheme {scheme!r}; expected one of {SIMILARITY_SCHEMES}")

@@ -54,7 +54,7 @@ WIDE_EDITS = (1, 2, 3, 4, 8, 30)
 
 
 def wide_near_copies(rng):
-    """Seven records of 50 tokens among 400 one-token records, which keep the rows 7 cells wide.
+    """Seven records of 50 tokens among 400 one-token records.
 
     The base record and one near copy per entry of ``WIDE_EDITS``, each
     editing as many tokens of its own (one letter longer), so base and copy
@@ -271,7 +271,7 @@ print(sorted(set(sys.modules) - before))
     def test_collector_paused_while_verifying(self, monkeypatch, rng, matching, wide):
         # the reference pair has two residual tokens a side: its four token
         # pairs go to the batched kernel in one call; the wide records'
-        # pairs get rows of their own, chunk by chunk
+        # pairs go with the other pairs of their block
         states = []
 
         def spy(*args, **kwargs):
@@ -286,8 +286,7 @@ print(sorted(set(sys.modules) - before))
             _, report = join(corpus, None, JoinConfig(threshold=0.2, matching=matching, workers=1))
         finally:
             (gc.enable if was else gc.disable)()
-        assert states == [False] * len(states) and (len(states) > 1 if wide else len(states) == 1)
-        assert report.verify.wide_pairs == (21 if wide else 0)
+        assert states == [False] * len(states) and len(states) == 1
 
     def test_results_sorted_by_string_ids(self):
         recs = [
@@ -328,17 +327,9 @@ def residual_rows(side_r, side_p, threshold, greedy=False):
     return res, {table.token(t): t for t in range(table.lens.size)}, bounds.num, bounds.den
 
 
-def expected_residual_rows(side, vocab, width):
-    """Key rows of each record, in record order, and which records are wider than the rows."""
-    keys = np.full((len(side.tokens), width), -1, dtype=np.int64)
-    wide = np.zeros(len(side.tokens), dtype=bool)
-    for i, toks in enumerate(side.tokens):
-        if len(toks) > width:
-            wide[i] = True
-            continue
-        for col, tok in enumerate(toks):
-            keys[i, col] = (vocab[tok] << 32) | toks[:col].count(tok)
-    return keys, wide
+def expected_residual_keys(side, vocab):
+    """The token keys of each record, in record order, record after record."""
+    return [(vocab[tok] << 32) | toks[:col].count(tok) for toks in side.tokens for col, tok in enumerate(toks)]
 
 
 def wide_records(rng):
@@ -391,18 +382,20 @@ class TestPackedFilter:
         records += [make_ts("repeats", ("ab", "c", "ab", "zz", "ab")), make_ts("blank", ("ab", ""))]
         side = _prepare_side(records, "left")
         res, vocab, _, _ = residual_rows(side, side, 0.1)
-        assert res.width == residual.CELLS_PER_TOKEN * int(side.counts.sum()) // len(side.ids)
-        keys, wide = expected_residual_rows(side, vocab, res.width)
-        assert np.array_equal(res.keys_left, keys)
-        assert np.array_equal(res.wide_left, wide)
+        assert res.keys_left.tolist() == expected_residual_keys(side, vocab)
         assert res.table.lens.tolist() == [len(tok) for tok in vocab]
         assert res.keys_right is res.keys_left
-        # the 2,000-token record only; the rows hold the empty token
-        assert np.array(side.ids)[wide].tolist() == ["wide"]
-        assert res.keys_left[side.ids.index("blank"), :3].tolist() == [vocab["ab"] << 32, vocab[""] << 32, -1]
+
+        def keys_of(rid):
+            i = side.ids.index(rid)
+            return res.keys_left[res.offsets_left[i] : res.offsets_left[i] + res.counts_left[i]].tolist()
+
+        # the keys hold the empty token and every token of the 2,000-token record
+        assert keys_of("blank") == [vocab["ab"] << 32, vocab[""] << 32]
+        assert len(keys_of("wide")) == 2000
         # copies are ranked in record order
         ab, c, zz = (vocab[tok] << 32 for tok in ("ab", "c", "zz"))
-        assert res.keys_left[side.ids.index("repeats"), :6].tolist() == [ab, c, ab | 1, zz, ab | 2, -1]
+        assert keys_of("repeats") == [ab, c, ab | 1, zz, ab | 2]
 
     def test_width_cap_keeps_every_specified_survivor(self, rng):
         records = wide_records(rng)
@@ -412,18 +405,8 @@ class TestPackedFilter:
         records.append(make_ts("wide-drop", wide.tokens[1:]))
         side = _prepare_side(records, "left")
         res, _, num, den = residual_rows(side, side, 0.2)
-        n = len(side.ids)
-        # three records of about 2,000 tokens among 301 short ones: the
-        # rows are capped at their cells-per-token budget and leave the
-        # three out, so verify gives their pairs rows of their own
-        assert res.width == residual.CELLS_PER_TOKEN * int(side.counts.sum()) // n
-        assert int(side.counts.max()) > res.width
+        # three records of about 2,000 tokens among 301 short ones
         wide_ids = {side.ids.index(rid) for rid in ("wide", "wide-edit", "wide-drop")}
-        assert set(np.flatnonzero(res.wide_left).tolist()) == wide_ids
-        # alone, the wide records are within the budget and keep full rows
-        alone = _prepare_side(records[-3:], "left")
-        res_alone, _, _, _ = residual_rows(alone, alone, 0.2)
-        assert res_alone.keys_left.shape == (3, 2000) and not res_alone.wide_left.any()
 
         pairs = joinable_pairs(side, side, True)
         survivors = residual.length_survivors(pairs, res)
@@ -436,7 +419,6 @@ class TestPackedFilter:
         stats = residual.verify_block(survivors, res)[2]
         assert stats.residual_rejects == len(by_res)
         wide_survivors = [p for p in survivors.tolist() if {p >> 32, p & 0xFFFFFFFF} & wide_ids]
-        assert stats.wide_pairs == len(wide_survivors)
         assert set(wide_pairs) <= set(wide_survivors)
         wide_rejects = [p for p in by_res if {p >> 32, p & 0xFFFFFFFF} & wide_ids]
         assert bound_rejects(np.array(wide_survivors, dtype=np.int64), res) == wide_rejects
@@ -453,8 +435,6 @@ class TestPackedFilter:
         side_r = _prepare_side(long_records(rng, "r", 30) + extra, "left")
         side_p = side_r if self_join else _prepare_side(long_records(rng, "p", 25) + extra, "right")
         res, _, num, den = residual_rows(side_r, side_p, threshold)
-        # no record is wider than the rows
-        assert res.width == max(int(side_r.counts.max()), int(side_p.counts.max()))
         pairs = joinable_pairs(side_r, side_p, self_join)
         survivors = residual.length_survivors(pairs, res)
 
@@ -759,7 +739,7 @@ class TestJoinProperties:
         assert set(payload["similar"]) == {"probes", "probe_keys", "candidates", "ld_checks", "pairs", "index_ms"}
         assert set(payload["filters"]) == {"input_pairs", "pruned_by_length", "pruned_by_histogram", "surviving"}
         assert set(payload["verify"]) == {
-            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs", "wide_pairs"
+            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs"
         }
         assert dataclasses.replace(cfg, max_token_freq=math.inf).to_dict() == {
             "threshold": 0.15,
@@ -794,7 +774,7 @@ class TestJoinProperties:
 
 def verify_corpus(rng, n=120):
     """Records of 0-7 tokens over a small vocabulary, with repeats, one record
-    with an empty token and one record wider than the residual matrices."""
+    with an empty token and one record of 200 tokens."""
     vocab = [rand_token(rng, max_len=6, alphabet="abc") for _ in range(40)]
     records = []
     for i in range(n):
@@ -812,7 +792,7 @@ def greedy_corpus(rng):
 
     Greedy ties follow token order: ``a2`` holds ``a1``'s tokens in another
     order and is not within 0.3 of ``b``, while ``a1`` is. The three wide
-    records of 24 tokens are more than four times the mean token count.
+    records hold 24 tokens, the others at most 6.
     """
     vocab = [rand_token(rng, max_len=4, alphabet="ab") for _ in range(25)]
     records = []
@@ -839,7 +819,6 @@ class TestVerify:
     def test_every_pair_matches_sld_capped(self, rng, greedy, threshold):
         side = _prepare_side(verify_corpus(rng), "left")
         res, _, num, den = residual_rows(side, side, threshold, greedy)
-        n = len(side.ids)
         pairs = joinable_pairs(side, side, True)
         packed, dists, stats = residual.verify_block(pairs, res)
         accepted = list(zip(packed.tolist(), dists.tolist()))
@@ -863,10 +842,6 @@ class TestVerify:
         # counted by the same bound and the same k
         assert (stats.pairs_by_k, stats.residual_rejects) == (by_k, rejects)
         assert rejects > 0 and by_k[5] > 0
-        # the 200-token record is wider than the rows; the rows hold the
-        # empty token
-        assert np.flatnonzero(res.wide_left).tolist() == [side.ids.index("wide")]
-        assert stats.wide_pairs == n - 1
         assert 0 < stats.kernel_token_pairs <= stats.kernel_cells
 
     def test_greedy_breaks_ties_in_record_order(self):
@@ -900,32 +875,43 @@ class TestVerify:
             for use_filters in (True, False):
                 res, report = join(corpus, None, dataclasses.replace(cfg, workers=workers), use_filters=use_filters)
                 assert as_tuples(res) == within
-                assert report.verify.wide_pairs > 0 and report.verify.pairs_by_k[5] > 0
+                assert report.verify.pairs_by_k[5] > 0
 
     @pytest.mark.parametrize("matching", ["fuzzy", "greedy"])
     def test_wide_pairs_come_in_bounded_chunks(self, monkeypatch, rng, matching):
         corpus = wide_near_copies(rng)
         cfg = JoinConfig(threshold=0.2, matching=matching, workers=1)
         whole, _ = join(corpus, None, cfg)
-        shapes = []
+        shapes, block_cells = [], []
 
-        def spy(keys_l, keys_r, *args):
-            assert keys_l.shape == keys_r.shape
-            shapes.append(keys_l.shape)
+        def cells_spy(keys_l, keys_r, *args):
+            # every pair of a call is as wide as its larger record
+            rows, width = keys_l.shape
+            assert keys_r.shape == (rows, width)
+            assert np.all(np.maximum((keys_l >= 0).sum(axis=1), (keys_r >= 0).sum(axis=1)) == width)
+            shapes.append((rows, width))
             return residual_cells(keys_l, keys_r, *args)
 
-        residual_cells = residual._residual_cells
-        monkeypatch.setattr(residual, "_residual_cells", spy)
-        # the rows are 7 cells wide and the wide records 50 tokens: at 1,000
-        # cells a verify block holds 20 pairs and a wide pair runs alone, at
-        # 6,000 cells 122 pairs and two wide pairs
+        def block_spy(block, res):
+            li, ri = block >> 32, block & 0xFFFFFFFF
+            widths = np.maximum(res.counts_left[li], res.counts_right[ri])
+            block_cells.append((block.size, int((widths * widths).sum())))
+            return verify_block(block, res)
+
+        residual_cells, verify_block = residual._residual_cells, pipeline.verify_block
+        monkeypatch.setattr(residual, "_residual_cells", cells_spy)
+        monkeypatch.setattr(pipeline, "verify_block", block_spy)
+        # a wide pair needs 2,500 cells: at 1,000 cells it runs alone, at
+        # 6,000 two run together
         for cells, wide_rows in ((1000, 1), (6000, 2)):
             monkeypatch.setattr(residual, "BLOCK_CELLS", cells)
             shapes.clear()
+            block_cells.clear()
             res, report = join(corpus, None, cfg)
             assert res == whole
-            assert report.verify.wide_pairs == 21
             assert all(rows == 1 or rows * width**2 <= cells for rows, width in shapes)
+            assert all(pairs == 1 or used <= cells for pairs, used in block_cells)
+            assert len(block_cells) > 1
             assert max(rows for rows, width in shapes if width == 50) == wide_rows
             assert sum(rows for rows, width in shapes if width == 50) == 21
         # every pair of two wide records is within the threshold, at its own cost
@@ -934,6 +920,46 @@ class TestVerify:
         assert len(wide) == 21
         mode = "exact" if matching == "fuzzy" else "greedy"
         assert all(dist == nsld(by_id[left], by_id[right], mode) for left, right, dist in wide)
+
+    @pytest.mark.parametrize("matching", ["fuzzy", "greedy"])
+    def test_wide_pair_runs_alone_within_budget(self, monkeypatch, rng, matching):
+        # two records of 2,000 distinct 8-letter tokens, the second a copy
+        # with j tokens each changed by one substitution, so SLD = j
+        j = 10
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        base = set()
+        while len(base) < 2000:
+            base.add("".join(rng.choice(letters) for _ in range(8)))
+        base = sorted(base)
+        copy = list(base)
+        for pos in rng.sample(range(2000), j):
+            at = rng.randrange(8)
+            tok = base[pos]
+            copy[pos] = tok[:at] + rng.choice(letters.replace(tok[at], "")) + tok[at + 1 :]
+        assert len(set(base) | set(copy)) == 2000 + j
+        corpus = [make_ts(f"s{i:03}", rand_multiset(rng, max_tokens=3, max_len=6, min_tokens=1)) for i in range(400)]
+        corpus += [make_ts("wide-a", base), make_ts("wide-b", copy)]
+        want = [("wide-a", "wide-b", 2 * j / (8 * 2000 + 8 * 2000 + j))]
+        shapes = []
+
+        def spy(keys_l, keys_r, *args):
+            shapes.append(keys_l.shape)
+            return residual_cells(keys_l, keys_r, *args)
+
+        residual_cells = residual._residual_cells
+        monkeypatch.setattr(residual, "_residual_cells", spy)
+        t0 = time.perf_counter()
+        for workers in (1, 2):
+            res, report = join(corpus, None, JoinConfig(threshold=0.1, matching=matching, workers=workers))
+            assert [row for row in as_tuples(res) if row[0].startswith("wide")] == want
+            assert report.verify.pairs_by_k[5] == 1
+            assert ("pool" in report.stages) == (workers == 2)
+        elapsed = time.perf_counter() - t0
+        # the pool's calls are in its workers; at workers 1 the wide pair's
+        # call holds that pair alone
+        assert [shape for shape in shapes if shape[1] == 2000] == [(1, 2000)]
+        # both joins took about 0.15 s on a 2-core host
+        assert elapsed < 5.0
 
     def test_pooled_blocks_match_one_block(self, monkeypatch):
         corpus = multi_block_corpus()
