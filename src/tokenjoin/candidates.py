@@ -12,11 +12,13 @@ sorted array: a polynomial hash of the segment's code points, read from
 the table's rows, tagged with the token's length and the segment's slot;
 each distinct key is kept once, with its run of tokens.
 :func:`similar_token_pairs` builds one index over the tokens kept on either
-side, self-join or not, looks up the position-restricted substrings of all
-its tokens at once, keeps each pair's hits from one of its tokens,
-de-duplicates them as packed token-id pairs and checks every edit distance
-in one :func:`strdist.ld_bounded_ids` call on the same table; it returns
-token ids, and hands no distance on to verify. Every length bound and edit
+side, self-join or not, and looks up the position-restricted substrings of
+all its tokens: a token's own segment at its own slot hits the other
+tokens of its run, so those lookups are answered from the runs, and all
+the shifted ones are searched at once. It keeps each pair's hits from one
+of its tokens, de-duplicates them as packed token-id pairs and checks
+every edit distance in one :func:`strdist.ld_bounded_ids` call on the same
+table; it returns token ids, and hands no distance on to verify. Every length bound and edit
 cap it reads comes from the join's :class:`strdist.Bounds`.
 Equal segments always get equal keys, so no pair is lost; a hash collision
 only adds a candidate, which the exact check rejects unless it is a true
@@ -134,21 +136,25 @@ class SimilarStats:
     """Counters of one similar-token search.
 
     ``probes`` tokens had a non-empty plan and looked up ``probe_keys``
-    segment keys in all; in a two-set join they are tokens kept on either
-    side. The hits held ``candidates`` distinct unordered pairs of distinct
-    tokens, each hit from one of its tokens (:meth:`NldIndex.probe_all`),
-    in a two-set join also the pairs of two tokens kept on one side only.
+    segment keys in all, the own lookups (:class:`Plan`) included, which
+    are answered from the index's runs, not searched; in a two-set join
+    the probes are tokens kept on either side. The hits held
+    ``candidates`` distinct unordered pairs of distinct tokens, each hit
+    from one of its tokens (:meth:`NldIndex.probe_all`), in a two-set join
+    also the pairs of two tokens kept on one side only.
     The ``ld_checks`` of them that a self-join keeps, or that pair a
     left-kept token with a right-kept one in a two-set join, went to
-    ``ld_bounded_ids``, and ``pairs`` (ordered, in a two-set join) were
-    within the threshold. ``index_ms`` is the time spent building the
-    index.
+    ``ld_bounded_ids``, whose kernel ran ``ld_kernel_runs`` of them (it
+    settles the others by their lengths, caps or character signatures), and
+    ``pairs`` (ordered, in a two-set join) were within the threshold.
+    ``index_ms`` is the time spent building the index.
     """
 
     probes: int = 0
     probe_keys: int = 0
     candidates: int = 0
     ld_checks: int = 0
+    ld_kernel_runs: int = 0
     pairs: int = 0
     index_ms: float = 0.0
 
@@ -157,23 +163,27 @@ class Plan(NamedTuple):
     """Segment lookups: lookup i reads ``token[starts[i]:ends[i]]`` under the tag ``tags[i]``.
 
     ``shifts[i]`` is the hash base to the power of the segment's length.
+    ``own[i]`` marks a lookup of a token's own segment: the indexed length
+    is the token's, and the substring starts where its slot does, so the
+    key is the token's own index key for that slot.
     """
 
     starts: np.ndarray
     ends: np.ndarray
     shifts: np.ndarray
     tags: np.ndarray
+    own: np.ndarray
 
 
-def _plan(lookups: list[tuple[int, int, int, int]]) -> Plan:
-    """The :class:`Plan` of ``(indexed length, slot, start, end)`` lookups."""
-    length, slot, starts, ends = np.array(lookups, dtype=np.int64).reshape(-1, 4).T
+def _plan(lookups: list[tuple[int, int, int, int, bool]]) -> Plan:
+    """The :class:`Plan` of ``(indexed length, slot, start, end, own)`` lookups."""
+    length, slot, starts, ends, own = np.array(lookups, dtype=np.int64).reshape(-1, 5).T
     seg_lens = ends - starts
     powers = [1]
     for _ in range(int(seg_lens.max(initial=0))):
         powers.append(powers[-1] * _HASH_BASE & _U64)
     tags = (length.astype(np.uint64) << np.uint64(32) | slot.astype(np.uint64)) * np.uint64(_TAG_MIX)
-    return Plan(starts, ends, np.array(powers, dtype=np.uint64)[seg_lens], tags)
+    return Plan(starts, ends, np.array(powers, dtype=np.uint64)[seg_lens], tags, own.astype(bool))
 
 
 def _prefix_hashes(codes: np.ndarray) -> np.ndarray:
@@ -227,7 +237,8 @@ class NldIndex:
     token. Each token of an indexed length has one key per segment slot.
     ``keys`` holds the distinct keys, ascending, and the rows of the tokens
     with key ``keys[i]`` are ``rows[starts[i] : starts[i] + counts[i]]``,
-    so a probe key is found by one search and an equality test. A token too
+    so a probe key is found by one search and an equality test, and the
+    hits of a token's own keys are the other rows of their runs. A token too
     short for ``U+1`` non-empty segments has one key, for the empty segment
     of slot 0, which every probe of an admissible length reads. The prefix
     hashes of one length's tokens (:meth:`prefix`) and the plan of one probe
@@ -271,11 +282,11 @@ class NldIndex:
             if u == 0:
                 continue
             layout = self._layouts[length] = segment_layout(length, u) if length > u else ((0, 0),)
-            segments = _plan([(length, slot, a, a + n) for slot, (a, n) in enumerate(layout)])
+            segments = _plan([(length, slot, a, a + n, True) for slot, (a, n) in enumerate(layout)])
             keys.append(_segment_keys(self.prefix(length), segments).ravel())
             rows.append(np.tile(members, len(layout)))
         keys = np.concatenate(keys)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)  # the order within a run is never read
         keys = keys[order]
         self.rows = np.concatenate(rows)[order]
         first = np.empty(keys.size, dtype=bool)
@@ -305,7 +316,7 @@ class NldIndex:
         return plan
 
     def _build_plan(self, x_len: int) -> Plan:
-        lookups: list[tuple[int, int, int, int]] = []
+        lookups: list[tuple[int, int, int, int, bool]] = []
         for y_len in range(x_len, int(self.bounds.ceiling[x_len]) + 1):
             layout = self._layouts.get(y_len)
             if layout is None:
@@ -317,7 +328,8 @@ class NldIndex:
                 # has at most ``slot`` edits before it and ``u − slot`` after it
                 p_lo = max(start - slot, start + delta - (u - slot), 0)
                 p_hi = min(start + slot, start + delta + (u - slot), x_len - seg_len)
-                lookups.extend((y_len, slot, p, p + seg_len) for p in range(p_lo, p_hi + 1))
+                own = y_len == x_len
+                lookups.extend((y_len, slot, p, p + seg_len, own and p == start) for p in range(p_lo, p_hi + 1))
         return _plan(lookups)
 
     def _hits(self, keys: np.ndarray, probe_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,17 +337,30 @@ class NldIndex:
 
         ``keys[i]`` is a segment key of the probe ``probe_rows[i]``. A hit on
         a token shorter than its probe can only be a hash collision across
-        tags; the callers drop it.
+        tags; the callers drop it. Each key is searched once: its insertion
+        point, clipped to the last key, holds it if any key does.
         """
         # sorted queries search several times faster than scattered ones
         order = np.argsort(keys)
         keys = keys[order]
         at = np.searchsorted(self.keys, keys)
-        hit = np.flatnonzero(at < self.keys.size)
-        hit = hit[self.keys[at[hit]] == keys[hit]]
+        np.minimum(at, self.keys.size - 1, out=at)
+        hit = np.flatnonzero(self.keys[at] == keys)
         at = at[hit]
         counts = self.counts[at]
         return np.repeat(probe_rows[order[hit]], counts), self.rows[ranges(self.starts[at], counts)]
+
+    def _run_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, later row) of every pair of positions within one run of equal keys.
+
+        These are the hits of the own lookups (:class:`Plan`): a token's own
+        segment key is its run's key, so its lookup hits the run's rows.
+        """
+        multi = self.counts > 1
+        starts, counts = self.starts[multi], self.counts[multi]
+        at = ranges(starts, counts)
+        after = np.repeat(starts + counts, counts) - at - 1
+        return self.rows[np.repeat(at, after)], self.rows[ranges(at + 1, after)]
 
     def probe_all(self, stats: SimilarStats) -> tuple[np.ndarray, np.ndarray]:
         """(probe row, indexed row) of every hit of one of this index's own tokens.
@@ -346,18 +371,27 @@ class NldIndex:
         tokens only, in (length, row) order the lower one: its shorter token,
         or the lower row of an equal-length pair, which PassJoin hits from
         either token. A token's hit on itself is dropped.
+
+        The own lookups are not searched: their hits are the pairs of rows
+        within each run (:meth:`_run_pairs`), known from the index alone.
+        Only the shifted lookups go to :meth:`_hits`. ``probe_keys`` still
+        counts every lookup.
         """
         keys = [np.empty(0, dtype=np.uint64)]
         rows = [np.empty(0, dtype=np.int64)]
         for x_len, members in self._by_len.items():
             plan = self.plan(x_len)
             if plan.starts.size:
-                keys.append(_segment_keys(self.prefix(x_len), plan).ravel())
-                rows.append(np.tile(members, plan.starts.size))
+                shifted = Plan(*(field[~plan.own] for field in plan))
+                keys.append(_segment_keys(self.prefix(x_len), shifted).ravel())
+                rows.append(np.tile(members, shifted.starts.size))
                 stats.probes += members.size
-        keys = np.concatenate(keys)
-        stats.probe_keys += keys.size
-        x, y = self._hits(keys, np.concatenate(rows))
+                stats.probe_keys += members.size * plan.starts.size
+        x, y = self._hits(np.concatenate(keys), np.concatenate(rows))
+        # each run pair both ways round; the rank mask keeps one way and drops
+        # a token paired with itself, which a collision can put in a run twice
+        a, b = self._run_pairs()
+        x, y = np.concatenate([x, a, b]), np.concatenate([y, b, a])
         rank = (self.lens << 32) | np.arange(self.lens.size)
         first = rank[x] < rank[y]
         return x[first], y[first]
@@ -434,7 +468,8 @@ def similar_token_pairs(
     stats.ld_checks = int(check.size)
     a_check, b_check = a[check], b[check]
     caps = bounds.cost_cap[table.lens[a_check] + table.lens[b_check]]
-    over = check[ld_bounded_ids(table, a_check, b_check, caps) < 0]
+    dists, stats.ld_kernel_runs = ld_bounded_ids(table, a_check, b_check, caps)
+    over = check[dists < 0]
     forward[over] = backward[over] = False
     sim_r = np.concatenate([a[forward], b[backward]])
     sim_p = np.concatenate([b[forward], a[backward]])

@@ -47,15 +47,17 @@ class VerifyStats:
     ``residual_rejects`` the others; where the filter stage ran,
     :func:`pipeline.join` reports these as its ``pruned_by_histogram``
     instead, and this count as 0. ``kernel_cells`` is the number of
-    token-pair edit distances needed, and ``kernel_token_pairs`` the
-    distinct token pairs of each verify block that went to
-    ``ld_bounded_ids``.
+    token-pair edit distances needed, ``kernel_token_pairs`` the distinct
+    token pairs of each verify block that went to ``ld_bounded_ids``, and
+    ``kernel_runs`` those of them that its kernel ran, the others being
+    settled by their lengths, caps or character signatures.
     """
 
     pairs_by_k: list[int] = field(default_factory=lambda: [0] * (ARRAY_MAX_K + 2))
     residual_rejects: int = 0
     kernel_cells: int = 0
     kernel_token_pairs: int = 0
+    kernel_runs: int = 0
 
     def add(self, other: "VerifyStats") -> None:
         """Add ``other``'s counters to these, ``pairs_by_k`` entry by entry."""
@@ -393,4 +395,6 @@ def _edge_distances(
     del order, run, first
     stats.kernel_cells += int(group.size)
     stats.kernel_token_pairs += int(distinct.size)
-    return ld_bounded_ids(table, distinct >> 32, distinct & _PACK_MASK, group_cap)[group]
+    dists, ran = ld_bounded_ids(table, distinct >> 32, distinct & _PACK_MASK, group_cap)
+    stats.kernel_runs += ran
+    return dists[group]

@@ -207,28 +207,30 @@ def token_table(tokens: Collection[str]) -> TokenTable:
     return TokenTable(codes, starts, lens, sigs)
 
 
-def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Per pair of token ids ``(a[i], b[i])``, the distance if it is at most ``caps[i]``, else -1.
+def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, int]:
+    """The capped distance of each pair of token ids, and how many pairs the kernel ran.
 
-    The ids index ``table``, whose tokens must be distinct, so equal ids are
-    the identical tokens (distance 0) and distinct ids differ by at least one
-    edit. Equal ids, cap 0, empty tokens and length differences over the cap
-    are decided without the kernel, and so is every pair that the table's
-    character signatures put over its cap: each character of x whose bucket
-    holds no character of y must be substituted or deleted, each by an edit
-    of its own, so LD(x, y) is at least the count of x's buckets that y
-    lacks, and likewise for y (the bag distance of Bartolini, Ciaccia and
-    Patella, SPIRE 2002, over 32 buckets). The other pairs run
-    :func:`ld_bounded`'s bit-parallel column update on numpy words, all
-    pairs at once: the shorter
-    token is the pattern (one uint64 per pair, so at most 63 characters;
+    Per pair ``(a[i], b[i])`` the distance if it is at most ``caps[i]``,
+    else -1. The ids index ``table``, whose tokens must be distinct, so
+    equal ids are the identical tokens (distance 0) and distinct ids differ
+    by at least one edit. Equal ids, cap 0, empty tokens and length
+    differences over the cap are decided without the kernel, and so is
+    every pair that the table's character signatures put over its cap:
+    each character of x whose bucket holds no character of y must be
+    substituted or deleted, each by an edit of its own, so LD(x, y) is at
+    least the count of x's buckets that y lacks, and likewise for y (the
+    bag distance of Bartolini, Ciaccia and Patella, SPIRE 2002, over 32
+    buckets). The other pairs run :func:`ld_bounded`'s bit-parallel column
+    update on numpy words, all pairs at once: the shorter token is the
+    pattern (one uint64 per pair, so at most 63 characters;
     longer patterns are decoded and fall back to :func:`ld_bounded`) and the
     longer one the text, their code points gathered as rows of the table.
     Sorted by text length, the pairs still reading text at step j are a
     prefix of the batch, so each step works on a contiguous slice and no
     pair is masked. The sorted pairs run in passes of at most
     ``_BATCH_CODE_POINTS`` code points, so a few very long texts cannot blow
-    up the matrices.
+    up the matrices. The count returned with the distances is the number of
+    pairs that reached the kernel or the fallback.
     """
     import numpy as np
 
@@ -264,7 +266,7 @@ def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.nda
         width = -(-int(m.max()) // 8) * 8  # whole bytes of pattern bits
         dist = _myers_batch(table.rows(pats, width), table.rows(texts, int(n[0])), m, n)
         out[part] = np.where(dist <= caps[part], dist, -1)
-    return out
+    return out, int(np.count_nonzero(open_))
 
 
 def _myers_batch(pats: np.ndarray, texts: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -372,7 +374,12 @@ def _floor_ratios(a: int, b: int, n: int) -> np.ndarray:
 
     In int64 where ``a·n`` and ``b`` fit. Else (at T = 0.1, num is about
     3.6·10**15) the float product ``l·(a / b)`` is off by under 10**-15
-    relative, so its floor is recomputed in Python ints only where it lies
+    relative, so below 2**50 its floor q is within one of the quotient, and
+    the residue ``r = a·l − q·b`` lies in (−b, 2b). Where b < 2**62 that
+    range fits int64, so r computed in wrapping uint64 and read as int64 is
+    exact: r < 0 means q is one too high, r >= b one too low. Larger
+    quotients are computed in Python ints, and so is, where b is larger
+    (T below about 0.004, such as 1e-20), every entry whose product lies
     within 10**-12 of an integer.
     """
     import numpy as np
@@ -381,9 +388,16 @@ def _floor_ratios(a: int, b: int, n: int) -> np.ndarray:
     if max(a * n, b) < 2**63:
         return lengths * a // b
     est = lengths * (a / b)
-    out = np.floor(est).astype(np.int64)
-    near = np.flatnonzero(np.abs(est - np.rint(est)) <= 1e-12 * np.maximum(est, 1.0))
-    out[near] = [a * l // b for l in near.tolist()]
+    out = np.floor(np.minimum(est, 2.0**50)).astype(np.int64)
+    if b < 2**62:
+        r = lengths.view(np.uint64) * np.uint64(a % 2**64) - out.view(np.uint64) * np.uint64(b)
+        r = r.view(np.int64)
+        out -= r < 0
+        out += r >= b
+        undecided = np.flatnonzero(est >= 2.0**50)
+    else:
+        undecided = np.flatnonzero(np.abs(est - np.rint(est)) <= 1e-12 * np.maximum(est, 1.0))
+    out[undecided] = [a * l // b for l in undecided.tolist()]
     return out
 
 

@@ -17,6 +17,8 @@ from tokenjoin.errors import DataError, NotPartitionable
 from tokenjoin.pipeline import JoinConfig, join
 from tokenjoin.setdist import LdCache
 from tokenjoin.strdist import max_ld_given_nld, min_partner_len, threshold_bounds, token_table
+from tokenjoin.synth import generate_corpus
+from tokenjoin.textnorm import tokenize
 
 from helpers import all_pairs_token_oracle, make_ts, naive_ld, nld_frac, rand_token
 
@@ -324,22 +326,24 @@ class TestNldIndexProbe:
             assert bound == 9
 
 
-class TestHashedSegmentKeys:
-    @pytest.fixture(
-        params=[(0, None), (1, None), (0, 0)],
-        ids=["last-code-point", "code-point-sum", "one-key-per-code-point"],
-    )
-    def colliding(self, request, monkeypatch):
-        """Hash bases under which many distinct segments share a key.
+# Hash bases under which many distinct segments share a key: base 0 keys a
+# segment by its last code point, base 1 by the sum of its code points; a tag
+# multiplier of 0 also gives every (length, slot) the same tag, so tokens of
+# other lengths collide too.
+COLLIDING = {"last-code-point": (0, None), "code-point-sum": (1, None), "one-key-per-code-point": (0, 0)}
 
-        Base 0 keys a segment by its last code point, base 1 by the sum of
-        its code points; a tag multiplier of 0 also gives every (length, slot)
-        the same tag, so tokens of other lengths collide too.
-        """
-        base, tag_mix = request.param
-        monkeypatch.setattr(candidates, "_HASH_BASE", base)
-        if tag_mix is not None:
-            monkeypatch.setattr(candidates, "_TAG_MIX", tag_mix)
+
+def patch_hash(monkeypatch, base, tag_mix):
+    monkeypatch.setattr(candidates, "_HASH_BASE", base)
+    if tag_mix is not None:
+        monkeypatch.setattr(candidates, "_TAG_MIX", tag_mix)
+
+
+class TestHashedSegmentKeys:
+    @pytest.fixture(params=list(COLLIDING.values()), ids=list(COLLIDING))
+    def colliding(self, request, monkeypatch):
+        """The hashes of :data:`COLLIDING`, patched in."""
+        patch_hash(monkeypatch, *request.param)
 
     @pytest.mark.parametrize("threshold", [0.1, 0.2, 0.4])
     def test_collisions_change_no_pair(self, colliding, threshold, rng):
@@ -394,6 +398,132 @@ class TestHashedSegmentKeys:
         assert frozenset(("abcdefghil", "abcdefghijk")) not in unordered
         assert stats.candidates == stats.ld_checks + 1
         assert stats.pairs == len(pairs)
+
+
+def searched_pairs(index):
+    """The (probe row, indexed row) pairs of searching every plan lookup of every probe.
+
+    The search before the own lookups came from the index's runs: each
+    lookup's key goes to ``_hits``, and a hit is kept from the probe of
+    lower (length, row) rank.
+    """
+    keys = [np.empty(0, dtype=np.uint64)]
+    rows = [np.empty(0, dtype=np.int64)]
+    for x_len, members in index._by_len.items():
+        plan = index.plan(x_len)
+        keys.append(candidates._segment_keys(index.prefix(x_len), plan).ravel())
+        rows.append(np.tile(members, plan.starts.size))
+    x, y = index._hits(np.concatenate(keys), np.concatenate(rows))
+    rank = (index.lens << 32) | np.arange(index.lens.size)
+    first = rank[x] < rank[y]
+    return set(zip(x[first].tolist(), y[first].tolist()))
+
+
+def probed_pairs(index):
+    """The pairs of :meth:`NldIndex.probe_all`, each once, checked to come lower rank first."""
+    x, y = index.probe_all(candidates.SimilarStats())
+    rank = (index.lens << 32) | np.arange(index.lens.size)
+    assert (rank[x] < rank[y]).all()
+    return set(zip(x.tolist(), y.tolist()))
+
+
+def own_lookup_vocabulary(rng, alphabet):
+    """Random tokens of 1..22 characters, with edited and equal-length near copies."""
+    vocab = set(edited_vocabulary(rng, alphabet, bases=5))
+    for base in sorted(vocab):
+        for _ in range(rng.randint(0, 2)):
+            chars = list(base)
+            chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+            vocab.add("".join(chars))
+    vocab.update(rand_token(rng, max_len=3, alphabet=alphabet) for _ in range(6))
+    return sorted(vocab)
+
+
+class TestOwnLookups:
+    @pytest.fixture(params=[None, *COLLIDING.values()], ids=["real-hash", *COLLIDING])
+    def hashing(self, request, monkeypatch):
+        """The real hash, or one of the :data:`COLLIDING` hashes patched in."""
+        if request.param is not None:
+            patch_hash(monkeypatch, *request.param)
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.2, 0.3, 0.45, 0.8])
+    def test_runs_lose_and_add_no_candidate(self, hashing, threshold, rng):
+        # the own lookups' hits come from the index's runs; they must be the
+        # pairs that searching their keys finds. Only at T = 0.8 are tokens
+        # too short for U+1 segments (U(l) >= l needs T >= 2/3), and each
+        # such length has one key, for the empty segment
+        short = 0
+        for trial in range(8):
+            vocab = own_lookup_vocabulary(rng, "ab\u00e9\U0001F600" if trial % 2 else "abcd")
+            index = NldIndex(vocab, threshold)
+            short += sum(layout == ((0, 0),) for layout in index._layouts.values())
+            assert probed_pairs(index) == searched_pairs(index)
+        assert (short > 0) == (threshold == 0.8)
+
+    def test_index_with_no_keys(self):
+        # at T = 0.1 tokens shorter than nine characters are not searched, and
+        # nine-character ones are probed but not indexed
+        for vocab in (["abc", "abd", "abcdefgh"], ["abcdefghi", "abcdefghj"]):
+            index = NldIndex(vocab, 0.1)
+            assert index.keys.size == 0
+            stats = candidates.SimilarStats()
+            x, y = index.probe_all(stats)
+            assert x.size == y.size == stats.probe_keys == 0
+            assert all(index.probe(tok, LdCache()) == [] for tok in vocab)
+
+    def test_index_with_one_key(self):
+        # at T = 0.8 two-character tokens have one key, the empty segment's,
+        # and their only lookup is that own one: every pair of its run is a
+        # hit, and no key is searched
+        index = NldIndex(["ab", "cd", "ef"], 0.8)
+        assert index.keys.size == 1 and index.counts.tolist() == [3]
+        assert index.plan(2).own.tolist() == [True]
+        assert probed_pairs(index) == searched_pairs(index) == {(0, 1), (0, 2), (1, 2)}
+        stats = candidates.SimilarStats()
+        index.probe_all(stats)
+        assert (stats.probes, stats.probe_keys) == (3, 3)
+        alone = NldIndex(["ab"], 0.8)
+        assert alone.keys.size == 1 and probed_pairs(alone) == set()
+
+    @pytest.mark.parametrize(
+        "size, split, threshold, searched, lookups",
+        [(10_000, None, 0.1, 2_738, 3_453), (8_000, 4_000, 0.2, 35_741, 54_844)],
+        ids=["sparse-names", "two-set-parallel"],
+    )
+    def test_only_shifted_lookups_are_searched(self, monkeypatch, size, split, threshold, searched, lookups):
+        # the corpora of the two benchmark workloads at seed 0
+        calls = []
+        hits = NldIndex._hits
+
+        def spy(index, keys, probe_rows):
+            calls.append((index, keys.size))
+            return hits(index, keys, probe_rows)
+
+        monkeypatch.setattr(NldIndex, "_hits", spy)
+        lines = generate_corpus(
+            size, seed=1009, base_tokens=80_000, zipf_offset=400, min_tokens=2, perturb_rate=0.4, max_edits=2
+        )
+        sides = [lines] if split is None else [lines[:split], lines[split:]]
+        corpus_r, corpus_p = [
+            [tokenize(line, "whitespace-punct", record_id=str(i)) for i, line in enumerate(side)] for side in sides
+        ] + [None] * (split is None)
+        cfg = JoinConfig(threshold=threshold, max_token_freq=1000, self_join=split is None)
+        _, report = join(corpus_r, corpus_p, cfg)
+        [(index, n_searched)] = calls
+        # one own lookup per indexed token and slot, each answered from the runs
+        assert n_searched == report.similar.probe_keys - index.rows.size
+        assert (n_searched, report.similar.probe_keys) == (searched, lookups)
+        run_rows = set(zip(np.repeat(np.arange(index.keys.size), index.counts).tolist(), index.rows.tolist()))
+        for x_len, members in index._by_len.items():
+            plan = index.plan(x_len)
+            layout = index._layouts.get(x_len, ())
+            own = candidates.Plan(*(field[plan.own] for field in plan))
+            assert list(zip(own.starts.tolist(), (own.ends - own.starts).tolist())) == list(layout)
+            # an own lookup's key is the token's index key at that slot
+            keys = candidates._segment_keys(index.prefix(x_len), own)
+            at = np.searchsorted(index.keys, keys.ravel())
+            assert (index.keys[at] == keys.ravel()).all()
+            assert set(zip(at.tolist(), np.tile(members, len(layout)).tolist())) <= run_rows
 
 
 class TestSimilarTokenCandidates:

@@ -736,10 +736,12 @@ class TestJoinProperties:
         ]
         for counts in payload["stages"].values():
             assert set(counts) == {"items_in", "items_out", "millis", "cpu_ms"}
-        assert set(payload["similar"]) == {"probes", "probe_keys", "candidates", "ld_checks", "pairs", "index_ms"}
+        assert set(payload["similar"]) == {
+            "probes", "probe_keys", "candidates", "ld_checks", "ld_kernel_runs", "pairs", "index_ms"
+        }
         assert set(payload["filters"]) == {"input_pairs", "pruned_by_length", "pruned_by_histogram", "surviving"}
         assert set(payload["verify"]) == {
-            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs"
+            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs", "kernel_runs"
         }
         assert dataclasses.replace(cfg, max_token_freq=math.inf).to_dict() == {
             "threshold": 0.15,
@@ -755,6 +757,8 @@ class TestJoinProperties:
         assert similar["pairs"] == stages["similar-tokens"].items_out > 0
         assert similar["probe_keys"] >= similar["probes"]
         assert similar["candidates"] >= similar["ld_checks"] >= similar["pairs"]
+        # the kernel runs the checks that lengths, caps and signatures leave open
+        assert similar["ld_checks"] > similar["ld_kernel_runs"] > 0
         assert 0 <= similar["index_ms"] <= stages["similar-tokens"].millis
         assert all(payload["stages"][name]["cpu_ms"] >= 0 for name in stages)
         _, report_exact = join(corpus, None, JoinConfig(threshold=0.15, matching="exact-token"))
@@ -766,6 +770,7 @@ class TestJoinProperties:
         assert verify["residual_rejects"] == 0 < stats.pruned_by_histogram
         assert verify["pairs_by_k"]["0"] and verify["pairs_by_k"]["1"] and verify["pairs_by_k"]["2"]
         assert 0 < verify["kernel_token_pairs"] < verify["kernel_cells"]
+        assert 0 < verify["kernel_runs"] < verify["kernel_token_pairs"]
         _, report_off = join(corpus, None, cfg, use_filters=False)
         off = report_off.to_dict()["verify"]
         assert sum(off["pairs_by_k"].values()) + off["residual_rejects"] == report_off.stages["verify"].items_in
@@ -843,6 +848,7 @@ class TestVerify:
         assert (stats.pairs_by_k, stats.residual_rejects) == (by_k, rejects)
         assert rejects > 0 and by_k[5] > 0
         assert 0 < stats.kernel_token_pairs <= stats.kernel_cells
+        assert 0 < stats.kernel_runs <= stats.kernel_token_pairs
 
     def test_greedy_breaks_ties_in_record_order(self):
         # a1 and a2 hold the same tokens in different orders, and greedy
@@ -972,9 +978,10 @@ class TestVerify:
         for workers in (1, 2):
             res, report = join(corpus, None, dataclasses.replace(cfg, workers=workers))
             assert res == one
-            # token pairs are deduplicated within a block, so only their count moves
+            # token pairs are deduplicated within a block, so only their counts move
             got, want = report.to_dict()["verify"], report_one.to_dict()["verify"]
             assert got.pop("kernel_token_pairs") > want.pop("kernel_token_pairs")
+            assert got.pop("kernel_runs") >= want.pop("kernel_runs")
             assert got == want
             assert report.filters == report_one.filters
             assert report.filters.pruned_by_histogram > 0

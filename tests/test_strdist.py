@@ -130,11 +130,16 @@ def edited_once(rng, x, alphabet):
             return y
 
 
-def ld_bounded_strings(xs, ys, caps):
-    """:func:`ld_bounded_ids` over strings, interned into one table as the join interns its vocabulary."""
+def interned(xs, ys):
+    """The table of the tokens of ``xs`` and ``ys``, interned as the join interns its vocabulary, and their ids."""
     vocab = {tok: i for i, tok in enumerate(dict.fromkeys([*xs, *ys]))}
     a, b = (np.array([vocab[tok] for tok in toks], dtype=np.int64) for toks in (xs, ys))
-    return ld_bounded_ids(token_table(vocab), a, b, np.array(caps, dtype=np.int64))
+    return token_table(vocab), a, b
+
+
+def ld_bounded_strings(xs, ys, caps):
+    """:func:`ld_bounded_ids`' distances over strings."""
+    return ld_bounded_ids(*interned(xs, ys), np.array(caps, dtype=np.int64))[0]
 
 
 class TestLdBoundedBatch:
@@ -161,8 +166,9 @@ class TestLdBoundedBatch:
         table = token_table(tokens)
         a = np.array([ids[x] for x in xs])
         b = np.array([ids[y] for y in ys])
-        got = ld_bounded_ids(table, a, b, np.array(caps))
+        got, ran = ld_bounded_ids(table, a, b, np.array(caps))
         assert got.dtype == np.int64 and got.shape == (len(xs),)
+        assert 0 < ran < len(xs)
         dists = [ld(x, y) for x, y in zip(xs, ys)]
         want = [d if d <= cap else -1 for d, cap in zip(dists, caps)]
         assert got.tolist() == want
@@ -302,8 +308,10 @@ class TestCharacterSignatures:
             far.append((x, random_word(rng, "ijklmnop", max(4, n + rng.randint(-1, 1))), cap))
             near.append((x, edited_once(rng, x, "abcdefghijklmnop"), cap))
         xs, ys, caps = zip(*far, *near)
-        got = ld_bounded_strings(xs, ys, caps).tolist()
-        assert got == [-1] * len(far) + [ld(x, y) if ld(x, y) <= c else -1 for x, y, c in near]
+        got, ran = ld_bounded_ids(*interned(xs, ys), np.array(caps))
+        assert got.tolist() == [-1] * len(far) + [ld(x, y) if ld(x, y) <= c else -1 for x, y, c in near]
+        # the count covers the batch kernel and the scalar fallback
+        assert ran == len(near)
         assert all(abs(len(x) - len(y)) <= cap for x, y, cap in far)
         assert not seen & {frozenset((x, y)) for x, y, _ in far}
         assert {frozenset((x, y)) for x, y, _ in near} <= seen
@@ -424,6 +432,20 @@ class TestThresholdBounds:
         assert bounds.cost_cap.tolist() == [num * total // (2 * den - num) for total in range(2 * max_len + 1)]
         assert bounds.maxdiff.tolist() == [num * l // den for l in range(max_len + 1)]
         assert bounds.ceiling.tolist() == [min(l * den // (den - num), max_len) for l in range(max_len + 1)]
+
+    def test_float_floors_corrected_both_ways(self):
+        # 6/11 rounds down in binary64, so at every multiple of 11 the float
+        # product falls just short of its integer quotient; T = 0.3's cost
+        # cap ratio puts it one too high at 136 lengths. The uint64 residue
+        # must move each floor back, down or up.
+        c = 2**58 + 1
+        t = Fraction(0.3)
+        for a, b, n in ((6 * c, 11 * c, 2000), (t.numerator, 2 * t.denominator - t.numerator, 10_000)):
+            assert a * n > 2**63 and b < 2**62
+            want = [a * l // b for l in range(n + 1)]
+            floats = np.floor(np.arange(n + 1) * (a / b)).astype(np.int64).tolist()
+            assert any(f != w for f, w in zip(floats, want))
+            assert strdist._floor_ratios(a, b, n).tolist() == want
 
     def test_table_past_int64(self):
         # at T = 0.1, num·L is past 2**63 from L = 2,560 on
