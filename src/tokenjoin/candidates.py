@@ -23,9 +23,9 @@ cap it reads comes from the join's :class:`strdist.Bounds`.
 Equal segments always get equal keys, so no pair is lost; a hash collision
 only adds a candidate, which the exact check rejects unless it is a true
 pair that the segment join finds anyway. :func:`build_token_space` states
-the posting lists as plain values. :func:`ranges` (runs of positions) and
-:func:`sorted_distinct` are the array idioms this module shares with
-:mod:`pipeline`.
+the posting lists as plain values. :func:`ranges` (runs of positions),
+:func:`pairs_within` (pairs within runs) and :func:`sorted_distinct` are
+the array idioms this module shares with :mod:`pipeline`.
 """
 
 from __future__ import annotations
@@ -116,6 +116,16 @@ def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
         np.cumsum(out, out=out)
     return out
+
+
+def pairs_within(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows[i], rows[j])`` of every i < j within one run ``[s, s + n)`` of ``(starts, counts)``.
+
+    Pairs come run after run, then by i, then by j.
+    """
+    at = ranges(starts, counts)
+    after = np.repeat(starts + counts, counts) - at - 1
+    return np.repeat(rows[at], after), rows[ranges(at + 1, after)]
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -350,18 +360,6 @@ class NldIndex:
         counts = self.counts[at]
         return np.repeat(probe_rows[order[hit]], counts), self.rows[ranges(self.starts[at], counts)]
 
-    def _run_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, later row) of every pair of positions within one run of equal keys.
-
-        These are the hits of the own lookups (:class:`Plan`): a token's own
-        segment key is its run's key, so its lookup hits the run's rows.
-        """
-        multi = self.counts > 1
-        starts, counts = self.starts[multi], self.counts[multi]
-        at = ranges(starts, counts)
-        after = np.repeat(starts + counts, counts) - at - 1
-        return self.rows[np.repeat(at, after)], self.rows[ranges(at + 1, after)]
-
     def probe_all(self, stats: SimilarStats) -> tuple[np.ndarray, np.ndarray]:
         """(probe row, indexed row) of every hit of one of this index's own tokens.
 
@@ -372,8 +370,9 @@ class NldIndex:
         or the lower row of an equal-length pair, which PassJoin hits from
         either token. A token's hit on itself is dropped.
 
-        The own lookups are not searched: their hits are the pairs of rows
-        within each run (:meth:`_run_pairs`), known from the index alone.
+        The own lookups are not searched: a token's own segment key is its
+        run's key, so their hits are the pairs of rows within each run
+        (:func:`pairs_within`), known from the index alone.
         Only the shifted lookups go to :meth:`_hits`. ``probe_keys`` still
         counts every lookup.
         """
@@ -390,7 +389,8 @@ class NldIndex:
         x, y = self._hits(np.concatenate(keys), np.concatenate(rows))
         # each run pair both ways round; the rank mask keeps one way and drops
         # a token paired with itself, which a collision can put in a run twice
-        a, b = self._run_pairs()
+        multi = self.counts > 1
+        a, b = pairs_within(self.rows, self.starts[multi], self.counts[multi])
         x, y = np.concatenate([x, a, b]), np.concatenate([y, b, a])
         rank = (self.lens << 32) | np.arange(self.lens.size)
         first = rank[x] < rank[y]

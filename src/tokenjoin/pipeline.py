@@ -24,7 +24,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, eq
 from typing import Any, Iterator, NamedTuple, Sequence
 
@@ -33,7 +33,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
 from .residual import Residuals, VerifyStats, length_survivors, verify_block, verify_blocks
-from .candidates import _PACK_MASK, SimilarStats, ranges, similar_token_pairs, sorted_distinct
+from .candidates import _PACK_MASK, SimilarStats, pairs_within, ranges, similar_token_pairs, sorted_distinct
 from .strdist import TokenTable, threshold_bounds, token_table
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
 
@@ -234,8 +234,11 @@ def _index(
     """
     sides = (side_r,) if side_p is side_r else (side_r, side_p)
     flats = [list(chain.from_iterable(side.tokens)) for side in sides]
-    vocab = dict(zip(dict.fromkeys(chain.from_iterable(flats)), count()))
-    ids = [np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat)) for flat in flats]
+    vocab: dict[str, int] = {}
+    ids = [
+        np.fromiter((vocab.setdefault(tok, len(vocab)) for tok in flat), dtype=np.int64, count=len(flat))
+        for flat in flats
+    ]
     posts = [_postings(side, side_ids, len(vocab), max_freq) for side, side_ids in zip(sides, ids)]
     return token_table(vocab), ids[0], ids[-1], posts[0], posts[-1]
 
@@ -252,13 +255,6 @@ def _cross(
     nb = np.repeat(post_b.counts[tb], na)
     b = post_b.rows[ranges(np.repeat(post_b.starts[tb], na), nb)]
     return np.repeat(a, nb), b
-
-
-def _triangles(post: _Postings) -> tuple[np.ndarray, np.ndarray]:
-    """Every (a, b), a < b, of two records holding the same kept token."""
-    pos = np.flatnonzero(np.repeat(post.kept, post.counts))
-    later = np.repeat(post.starts + post.counts, post.counts)[pos] - pos - 1
-    return np.repeat(post.rows[pos], later), post.rows[ranges(pos + 1, later)]
 
 
 def _pack_into(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
@@ -289,7 +285,10 @@ def _generate(
         n_shared = int(post_r.counts[both] @ post_p.counts[both])
     n_similar = int(post_r.counts[sim_r] @ post_p.counts[sim_p])
     raw = np.empty(n_shared + n_similar, dtype=np.int64)
-    shared = _triangles(post_r) if self_join else _cross(post_r, both, post_p, both)
+    if self_join:
+        shared = pairs_within(post_r.rows, post_r.starts[post_r.kept], post_r.counts[post_r.kept])
+    else:
+        shared = _cross(post_r, both, post_p, both)
     _pack_into(raw[:n_shared], *shared)
     del shared
     a, b = _cross(post_r, sim_r, post_p, sim_p)

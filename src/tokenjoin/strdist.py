@@ -14,7 +14,9 @@ arithmetic on the binary64 value of the threshold. Floating-point floor/ceil of
 these formulas can be off by one at representable boundaries, which would break
 candidate-generation completeness, so every integer bound goes through
 fractions.Fraction or the exact ratio ``num/den``. The join reads all of its
-bounds from one table, :func:`threshold_bounds`, built once per join; the
+bounds from one table, :func:`threshold_bounds`, built once per join in int64
+from the best rational approximation of each ratio with a denominator up to
+the longest length, which floors every length's quotient exactly; the
 Fraction helpers are the references the tests hold it to.
 
 The table and the batch kernel import numpy where they run, not at module
@@ -351,54 +353,47 @@ class Bounds(NamedTuple):
 def threshold_bounds(threshold: float, max_len: int) -> Bounds:
     """The :class:`Bounds` of ``threshold`` for lengths up to ``max_len``, exact.
 
-    ``cost_cap[L] = num·L // (2·den − num)`` for L <= 2·max_len,
-    ``maxdiff[l] = num·l // den`` and ``ceiling[l] = min(l·den // (den −
-    num), max_len)`` for l <= max_len, all int64.
+    ``cost_cap[L] = num·L // (2·den − num)`` for L <= 2·max_len and
+    ``maxdiff[l] = num·l // den`` for l <= max_len, all int64.
+    ``ceiling[l] = min(l·den // (den − num), max_len)`` is the largest y <=
+    max_len whose ``y − maxdiff[y] = ⌈y·(1 − T)⌉`` is at most l, found by
+    one search over ``maxdiff``, since that difference never decreases.
     """
     import numpy as np
 
     num, den = threshold_ratio(threshold)
     if num == den:
         raise ValueError("threshold must be < 1")
+    lengths = np.arange(max_len + 1, dtype=np.int64)
+    maxdiff = _floor_ratios(num, den, max_len)
     return Bounds(
         num,
         den,
         _floor_ratios(num, 2 * den - num, 2 * max_len),
-        _floor_ratios(num, den, max_len),
-        np.minimum(_floor_ratios(den, den - num, max_len), max_len),
+        maxdiff,
+        np.searchsorted(lengths - maxdiff, lengths, side="right") - 1,
     )
 
 
 def _floor_ratios(a: int, b: int, n: int) -> np.ndarray:
-    """``a·l // b`` for l = 0..n, exact, as int64.
+    """``a·l // b`` for l = 0..n, exact, as int64; needs 0 <= a < b.
 
-    In int64 where ``a·n`` and ``b`` fit. Else (at T = 0.1, num is about
-    3.6·10**15) the float product ``l·(a / b)`` is off by under 10**-15
-    relative, so below 2**50 its floor q is within one of the quotient, and
-    the residue ``r = a·l − q·b`` lies in (−b, 2b). Where b < 2**62 that
-    range fits int64, so r computed in wrapping uint64 and read as int64 is
-    exact: r < 0 means q is one too high, r >= b one too low. Larger
-    quotients are computed in Python ints, and so is, where b is larger
-    (T below about 0.004, such as 1e-20), every entry whose product lies
-    within 10**-12 of an integer.
+    For 0 < l <= n, the quotient k = a·l // b makes k/l a fraction at most
+    a/b with a denominator up to n, so k equals ``p·l // q``, where p/q is
+    the largest such fraction: none lies between p/q and a/b. ``limit_denominator``
+    gives the nearest one; where that is above a/b, p/q is its left
+    neighbour in the Farey sequence of order n (Graham, Knuth and Patashnik,
+    *Concrete Mathematics*, 4.5). As p < q <= n, ``p·l`` stays below n².
     """
     import numpy as np
 
-    lengths = np.arange(n + 1, dtype=np.int64)
-    if max(a * n, b) < 2**63:
-        return lengths * a // b
-    est = lengths * (a / b)
-    out = np.floor(np.minimum(est, 2.0**50)).astype(np.int64)
-    if b < 2**62:
-        r = lengths.view(np.uint64) * np.uint64(a % 2**64) - out.view(np.uint64) * np.uint64(b)
-        r = r.view(np.int64)
-        out -= r < 0
-        out += r >= b
-        undecided = np.flatnonzero(est >= 2.0**50)
-    else:
-        undecided = np.flatnonzero(np.abs(est - np.rint(est)) <= 1e-12 * np.maximum(est, 1.0))
-    out[undecided] = [a * l // b for l in undecided.tolist()]
-    return out
+    order = max(n, 1)
+    near = Fraction(a, b).limit_denominator(order)
+    p, q = near.numerator, near.denominator
+    if p * b > a * q:
+        q = order - (order - pow(p, -1, q)) % q
+        p = (near.numerator * q - 1) // near.denominator
+    return np.arange(n + 1, dtype=np.int64) * p // q
 
 
 @lru_cache(maxsize=None)

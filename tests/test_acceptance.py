@@ -9,6 +9,7 @@ equivalence), so the expensive brute-force scans run once.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -453,6 +454,17 @@ def test_criterion_8_hungarian_vs_permutations():
 # Criterion 9: determinism and scaling on a large corpus
 # ---------------------------------------------------------------------------
 
+# SHA-256 of the output bytes of W1 (the corpus below) and of
+# generate_corpus(10_000, seed=7), both self-joined at T = 0.1 with
+# max_token_freq 1000; greedy matching gives the same bytes on both
+W1_SHA256 = "246c0e002d5457b157b87200b1f12e9f3d081af6d73fc91737789ae1697310f7"
+SMALL_SHA256 = "95808e29b3ad8daeb5d21a5078f3c41682d47ced709c3bea343a69a3fdd4d991"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_criterion_9_determinism_and_scaling():
     t0 = time.perf_counter()
     lines = generate_corpus(
@@ -468,14 +480,27 @@ def test_criterion_9_determinism_and_scaling():
 
     outputs = {}
     timings = {}
+    reports = {}
     for workers in (1, 2, 8):
         cfg = JoinConfig(threshold=0.1, max_token_freq=1000, workers=workers)
         w0 = time.perf_counter()
-        results, _ = join(records, None, cfg)
+        results, reports[workers] = join(records, None, cfg)
         timings[workers] = time.perf_counter() - w0
         outputs[workers] = format_results(results).encode()
 
     assert outputs[1] == outputs[2] == outputs[8]
+    # the reference outputs: every change to the pipeline must keep these bytes
+    assert _sha256(outputs[1]) == W1_SHA256
+    report = reports[1]
+    assert (report.stages["generate"].items_out, report.stages["dedup"].items_out) == (2_264_974, 2_202_134)
+    assert report.filters == FilterStats(2_202_134, 1_716_511, 276_361, 209_262)
+    assert len(outputs[1].splitlines()) == 49_200
+    greedy, _ = join(records, None, JoinConfig(threshold=0.1, max_token_freq=1000, matching="greedy"))
+    assert _sha256(format_results(greedy).encode()) == W1_SHA256
+    small = [tokenize(line, record_id=str(i)) for i, line in enumerate(generate_corpus(10_000, seed=7))]
+    for matching in ("fuzzy", "greedy"):
+        results, _ = join(small, None, JoinConfig(threshold=0.1, max_token_freq=1000, matching=matching))
+        assert _sha256(format_results(results).encode()) == SMALL_SHA256
 
     cores = os.cpu_count() or 1
     ratio = timings[8] / timings[1]

@@ -581,6 +581,17 @@ class TestJoinAgainstOracle:
         oracle = join_bruteforce(corpus_r, corpus_p, 0.15)
         assert as_tuples(engine) == list(oracle.pairs)
 
+    def test_threshold_just_below_one(self, rng):
+        # at T = 1 − 2**-53 the partner ceiling's quotient l·den // (den − num)
+        # passes 2**63 long before a 2,000-character record's length
+        from tokenjoin.oracle import join_bruteforce
+
+        threshold = 1 - 2**-53
+        wide = ["".join(rng.choice("abcde") for _ in range(10)) for _ in range(200)]
+        corpus = [make_ts("0", wide), make_ts("1", ("abcde", "ab")), make_ts("2", ("bcd",))]
+        engine, _ = join(corpus, None, JoinConfig(threshold=threshold, max_token_freq=math.inf))
+        assert as_tuples(engine) == list(join_bruteforce(corpus, None, threshold).pairs)
+
     @pytest.mark.parametrize("matching", ["fuzzy", "greedy"])
     def test_join_runs_the_id_kernel_only(self, matching):
         # both callers of the id kernel run and the output is exact (greedy

@@ -400,7 +400,7 @@ class TestThresholdBounds:
         with pytest.raises(ValueError):
             min_partner_len(5, 1.5)
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.1, 0.2, 1 / 3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.1, 0.2, 1 / 3, 0.5, 0.8, 0.95, 1 - 2**-53, 2**-1074])
     def test_table_matches_the_fraction_references(self, threshold):
         t = Fraction(threshold)
         max_len = 300
@@ -419,12 +419,13 @@ class TestThresholdBounds:
             pruned = [length_prunes(short, l, bounds.num, bounds.den) for short in range(l + 1)]
             assert pruned == [l - short > maxdiff[l] for short in range(l + 1)]
 
-    @pytest.mark.parametrize("threshold", [1e-20, 0.05, 0.1, 0.3, 1 / 3, 0.7])
+    @pytest.mark.parametrize("threshold", [1e-20, 0.05, 0.1, 0.3, 1 / 3, 0.7, 1 - 2**-53])
     def test_table_in_floats_matches_python_ints(self, threshold):
-        # num·L is past 2**63 here (and at 1e-20 den is too), so the table
-        # comes from float products; at T = 0.3 the cost cap's quotient is
-        # just below 3/17, and the float product's floor is one too high at
-        # 136 of these lengths (51, 102, 187, ...)
+        # num·L is past 2**63 here (and at 1e-20 den is too); at T = 0.3 the
+        # cost cap's quotient is just below 3/17, where a float product's
+        # floor is one too high at 136 of these lengths (51, 102, 187, ...),
+        # and near T = 1 the ceiling's quotient l·den // (den − num) is past
+        # 2**63 before it is clipped to max_len
         max_len = 5000
         bounds = threshold_bounds(threshold, max_len)
         num, den = bounds.num, bounds.den
@@ -436,8 +437,8 @@ class TestThresholdBounds:
     def test_float_floors_corrected_both_ways(self):
         # 6/11 rounds down in binary64, so at every multiple of 11 the float
         # product falls just short of its integer quotient; T = 0.3's cost
-        # cap ratio puts it one too high at 136 lengths. The uint64 residue
-        # must move each floor back, down or up.
+        # cap ratio puts it one too high at 136 lengths. The exact floors
+        # must differ from the float ones both ways.
         c = 2**58 + 1
         t = Fraction(0.3)
         for a, b, n in ((6 * c, 11 * c, 2000), (t.numerator, 2 * t.denominator - t.numerator, 10_000)):
@@ -446,6 +447,13 @@ class TestThresholdBounds:
             floats = np.floor(np.arange(n + 1) * (a / b)).astype(np.int64).tolist()
             assert any(f != w for f, w in zip(floats, want))
             assert strdist._floor_ratios(a, b, n).tolist() == want
+
+    @given(st.data())
+    def test_floor_ratios_are_exact(self, data):
+        b = data.draw(st.integers(1, 2**1100 - 1))
+        a = data.draw(st.integers(0, b - 1))
+        n = data.draw(st.integers(0, 3000))
+        assert strdist._floor_ratios(a, b, n).tolist() == [a * l // b for l in range(n + 1)]
 
     def test_table_past_int64(self):
         # at T = 0.1, num·L is past 2**63 from L = 2,560 on
