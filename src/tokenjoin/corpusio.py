@@ -1,9 +1,19 @@
 """Corpus and result file formats.
 
-Corpora are UTF-8 text with LF line endings, either one raw record per line
-(ids are the line numbers "0", "1", ... as strings) or ``id<TAB>text`` rows.
-Ids may not be empty or contain TAB/LF; line splitting makes the latter two
-impossible and ingestion rejects the rest.
+Corpora are UTF-8 text cut into lines by ``str.splitlines``: at LF, CR LF
+and CR, and also at VT, FF, ``\x1c``-``\x1e``, NEL, U+2028 and U+2029, not
+only at LF. Each line is one raw record (ids are the line numbers "0", "1",
+... as strings) or an ``id<TAB>text`` row, cut at its first TAB. Ids may not
+be empty or contain TAB or a line boundary; the two cuts make the latter two
+impossible and ingestion rejects the rest with a :class:`DataError` naming
+``path:line`` of the first failing line: a missing TAB, an empty id or a
+repeated id.
+
+A corpus is read with the cyclic collector paused: ``str.splitlines`` once,
+then (``tsv-id``) one loop that checks each line and collects its id and
+body, then :func:`textnorm.tokenize_all` over all the lines in whole-list
+passes. Records, ids and tokens are those of :func:`textnorm.tokenize`
+called line by line.
 
 Result files hold ``left<TAB>right<TAB>distance`` rows, distance printed to
 six decimals (round-half-even), sorted by (left_id, right_id): byte-identical
@@ -12,11 +22,12 @@ across runs with equal inputs and configuration.
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable
 
 from .errors import DataError
-from .textnorm import TokenizedString, tokenize
+from .textnorm import TokenizedString, tokenize_all
 
 LINES = "lines"
 TSV_ID = "tsv-id"
@@ -30,17 +41,26 @@ def read_corpus(
     *,
     lowercase: bool = False,
 ) -> list[TokenizedString]:
-    """Load and tokenize a corpus file."""
+    """Load and tokenize a corpus file, one record per line, in file order.
+
+    The lines go through :func:`textnorm.tokenize_all` together, with the
+    cyclic collector paused for the call (records make no reference cycles,
+    and a collection would only rescan the records made so far) and left
+    as the caller had it.
+    """
     if fmt not in CORPUS_FORMATS:
         raise DataError(f"unknown corpus format {fmt!r}")
     text = Path(path).read_text(encoding="utf-8")
-    records: list[TokenizedString] = []
-    if fmt == LINES:
-        for i, line in enumerate(text.splitlines()):
-            records.append(tokenize(line, scheme, record_id=str(i), lowercase=lowercase))
-    else:
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        lines = text.splitlines()
+        if fmt == LINES:
+            return tokenize_all(lines, map(str, range(len(lines))), scheme, lowercase=lowercase)
+        ids: list[str] = []
+        bodies: list[str] = []
         seen: set[str] = set()
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(lines, 1):
             record_id, sep, body = line.partition("\t")
             if not sep:
                 raise DataError(f"{path}:{lineno}: expected id<TAB>text")
@@ -49,8 +69,12 @@ def read_corpus(
             if record_id in seen:
                 raise DataError(f"{path}:{lineno}: duplicate record id {record_id!r}")
             seen.add(record_id)
-            records.append(tokenize(body, scheme, record_id=record_id, lowercase=lowercase))
-    return records
+            ids.append(record_id)
+            bodies.append(body)
+        return tokenize_all(bodies, ids, scheme, lowercase=lowercase)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def format_results(results: Iterable[tuple[str, str, float]]) -> str:

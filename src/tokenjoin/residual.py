@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .candidates import _PACK_MASK
-from .setdist import _greedy_matching, hungarian
+from .setdist import hungarian
 from .strdist import Bounds, TokenTable, ld_bounded_ids
 
 # a verify block's pairs need at most this many key cells in all (w x w for
@@ -325,8 +325,8 @@ def _matching_costs(
     the cap (its distance, or cap + 1 over the largest cap the kernel ran
     with). All edit distances go to one
     :func:`_edge_distances` call. k = 1 is its one edge; larger k take
-    :func:`setdist._greedy_matching` in greedy mode, else the minimum over
-    all permutations up to ``ARRAY_MAX_K`` and :func:`setdist.hungarian`.
+    :func:`_greedy_costs` in greedy mode, else the minimum over all
+    permutations up to ``ARRAY_MAX_K`` and :func:`setdist.hungarian`.
     """
     cost = np.where(k < 0, caps + 1, 0)
     groups = []
@@ -358,12 +358,36 @@ def _matching_costs(
         kk = weight.shape[1]
         if kk == 1:
             cost[sel] = weight[:, 0, 0]
-        elif res.greedy or kk > ARRAY_MAX_K:
-            solve = _greedy_matching if res.greedy else hungarian
-            cost[sel] = [solve(matrix)[0] for matrix in weight.tolist()]
+        elif res.greedy:
+            cost[sel] = _greedy_costs(weight)
+        elif kk > ARRAY_MAX_K:
+            cost[sel] = [hungarian(matrix)[0] for matrix in weight.tolist()]
         else:
             cost[sel] = weight[:, np.arange(kk), _PERMS[kk]].sum(axis=2).min(axis=1)
     return cost
+
+
+def _greedy_costs(weight: np.ndarray) -> np.ndarray:
+    """:func:`setdist._greedy_matching`'s cost of each k x k matrix of ``weight`` (n, k, k), which it overwrites.
+
+    ``weight`` must be C-contiguous, so that its row-major (n, k * k)
+    reshape is a view. Each of k rounds takes every matrix's cheapest free
+    cell, the first in row-major order at equal weight (``argmin``'s first
+    minimum: the smallest (weight, row, column), as ``_greedy_matching``
+    takes it), and covers that cell's row and column with a weight above
+    every cell.
+    """
+    n, k, _ = weight.shape
+    flat = weight.reshape(n, k * k)
+    taken = flat.max() + 1
+    pairs = np.arange(n)
+    total = np.zeros(n, dtype=weight.dtype)
+    for _ in range(k):
+        at = flat.argmin(axis=1)
+        total += flat[pairs, at]
+        weight[pairs, at // k, :] = taken
+        weight[pairs, :, at % k] = taken
+    return total
 
 
 def _edge_distances(

@@ -5,12 +5,15 @@ record is a :class:`TokenizedString`: an opaque id plus the token multiset
 with cached aggregate length and token count. Duplicate tokens are preserved;
 token order is the left-to-right emission order. The exact distance ignores
 it, but the greedy one breaks ties by it (see :func:`setdist.sld_greedy`).
+:func:`tokenize_all` is the one definition of how text becomes records, in
+whole-list passes; :func:`tokenize` is its one-record call.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 Token = str
@@ -36,7 +39,7 @@ class TokenizedString:
     @classmethod
     def from_tokens(cls, record_id: str, tokens: tuple[Token, ...] | list[Token]) -> "TokenizedString":
         toks = tuple(tokens)
-        return cls(record_id, toks, sum(len(t) for t in toks), len(toks))
+        return cls(record_id, toks, len("".join(toks)), len(toks))
 
     def check_caches(self) -> None:
         """Assert the cached aggregates match recomputation (test hook)."""
@@ -58,12 +61,31 @@ def tokenize(
     discarded and empty runs dropped, so empty input yields an empty multiset.
     No case folding unless ``lowercase`` is set.
     """
-    if lowercase:
-        raw = raw.lower()
+    return tokenize_all((raw,), (record_id,), scheme, lowercase=lowercase)[0]
+
+
+def tokenize_all(
+    raws: Iterable[str],
+    ids: Iterable[str],
+    scheme: str = WHITESPACE_PUNCT,
+    *,
+    lowercase: bool = False,
+) -> list[TokenizedString]:
+    """The record of each raw string, split as :func:`tokenize` says, with the id in the same place.
+
+    Each pass (lowercasing, splitting, the aggregates, building the records)
+    is one ``map`` over all the strings, so the only Python code run per
+    record is the record's own ``__init__``. The aggregate length is
+    ``len("".join(tokens))``, as in :meth:`TokenizedString.from_tokens`.
+    An unknown scheme raises ``ValueError`` even with no strings.
+    """
     if scheme == WHITESPACE:
-        tokens = raw.split()
+        split = str.split
     elif scheme == WHITESPACE_PUNCT:
-        tokens = _WORD_PUNCT_RE.findall(raw)
+        split = _WORD_PUNCT_RE.findall
     else:
         raise ValueError(f"unknown tokenizer scheme {scheme!r}")
-    return TokenizedString.from_tokens(record_id, tokens)
+    if lowercase:
+        raws = map(str.lower, raws)
+    tokens = list(map(tuple, map(split, raws)))
+    return list(map(TokenizedString, ids, tokens, map(len, map("".join, tokens)), map(len, tokens)))

@@ -1,12 +1,38 @@
+import gc
 import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tokenjoin import corpusio
 from tokenjoin.cli import build_parser, main
 from tokenjoin.corpusio import read_corpus, read_results, write_results
 from tokenjoin.errors import DataError
 from tokenjoin.pipeline import JoinConfig, JoinResult
+from tokenjoin.textnorm import TOKENIZER_SCHEMES, tokenize
+
+# every line boundary of str.splitlines
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# pieces of a line body: words, case edge cases (a dotted capital I, a
+# final sigma), ASCII punctuation, tabs, NBSP and ideographic spaces
+BODY_PIECES = ["ab", "Chan", "KALAN", "İ", "ΟΔΟΣ", "σς", "ß", " ", "  ", "\t", "\xa0", "\u3000", ".", ",-", "!?", "'"]
+bodies = st.lists(st.sampled_from(BODY_PIECES), max_size=6).map("".join)
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "corpus.txt"
+
+
+def line_by_line(path, scheme, lowercase, fmt="lines"):
+    """The records of ``path`` built one :func:`tokenize` call per line, each line lowercased on its own."""
+    records = []
+    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+        record_id, body = line.split("\t", 1) if fmt == "tsv-id" else (str(i), line)
+        records.append(tokenize(body, scheme, record_id=record_id, lowercase=lowercase))
+    return records
 
 
 @pytest.fixture
@@ -35,15 +61,74 @@ class TestCorpusIo:
 
     def test_tsv_rejects_missing_tab_and_duplicates(self, tmp_path):
         p = tmp_path / "bad.tsv"
-        p.write_text("x7 chan\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            read_corpus(p, "tsv-id")
-        p.write_text("a\tx\na\ty\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            read_corpus(p, "tsv-id")
-        p.write_text("\tx\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            read_corpus(p, "tsv-id")
+        # each file's first failing line, in file order, is the one reported
+        cases = [
+            ("x7 chan\n", "1: expected id<TAB>text"),
+            ("a\tx\n\tb\n", "2: empty record id"),
+            ("a\tx\nb\ty\na\tz\n", "3: duplicate record id 'a'"),
+            ("a\tx\na\ty\nb\tz\nno tab\n", "2: duplicate record id 'a'"),
+            ("a\tx\nno tab\n\ty\na\tz\n", "2: expected id<TAB>text"),
+            ("\tx\na\ty\na\tz\nno tab\n", "1: empty record id"),
+            ("a\tx\n\n", "2: expected id<TAB>text"),
+        ]
+        for text, error in cases:
+            p.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError) as excinfo:
+                read_corpus(p, "tsv-id")
+            assert str(excinfo.value) == f"{p}:{error}"
+
+    @given(
+        st.lists(st.tuples(bodies, st.sampled_from(LINE_BREAKS)), max_size=8),
+        st.sampled_from(TOKENIZER_SCHEMES),
+        st.booleans(),
+    )
+    def test_lines_equal_tokenize_line_by_line(self, corpus_path, rows, scheme, lowercase):
+        # bodies may be blank, whitespace-only or punctuation-only
+        corpus_path.write_bytes("".join(body + brk for body, brk in rows).encode("utf-8"))
+        assert read_corpus(corpus_path, "lines", scheme, lowercase=lowercase) == line_by_line(
+            corpus_path, scheme, lowercase
+        )
+
+    @given(
+        st.lists(
+            st.tuples(st.text(st.sampled_from("ab İΣ.\xa0"), min_size=1, max_size=3), bodies, st.sampled_from(LINE_BREAKS)),
+            max_size=8,
+            unique_by=lambda row: row[0],
+        ),
+        st.sampled_from(TOKENIZER_SCHEMES),
+        st.booleans(),
+    )
+    def test_tsv_equals_tokenize_line_by_line(self, corpus_path, rows, scheme, lowercase):
+        corpus_path.write_bytes("".join(f"{rid}\t{body}{brk}" for rid, body, brk in rows).encode("utf-8"))
+        records = read_corpus(corpus_path, "tsv-id", scheme, lowercase=lowercase)
+        assert records == line_by_line(corpus_path, scheme, lowercase, "tsv-id")
+        assert [r.id for r in records] == [rid for rid, _, _ in rows]
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_left_as_the_caller_had_it(self, tmp_path, monkeypatch, collecting):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        good.write_text("a\tx y\nb\tz\n", encoding="utf-8")
+        bad.write_text("a\tx\na\ty\n", encoding="utf-8")
+        during = []
+        tokenize_all = corpusio.tokenize_all
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            return tokenize_all(*args, **kwargs)
+
+        monkeypatch.setattr(corpusio, "tokenize_all", spy)
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            for fmt in ("lines", "tsv-id"):
+                assert len(read_corpus(good, fmt)) == 2
+                assert gc.isenabled() is collecting
+            with pytest.raises(DataError):
+                read_corpus(bad, "tsv-id")
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False, False]
 
     def test_result_roundtrip(self, tmp_path):
         p = tmp_path / "r.tsv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenjoin.textnorm import WHITESPACE, WHITESPACE_PUNCT, TokenizedString, tokenize
+from tokenjoin.textnorm import TOKENIZER_SCHEMES, WHITESPACE, WHITESPACE_PUNCT, TokenizedString, tokenize, tokenize_all
 
 
 def test_whitespace_scheme_reference_example():
@@ -51,6 +51,8 @@ def test_unicode_whitespace_and_lengths_in_scalar_values():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         tokenize("x", "phonetic")
+    with pytest.raises(ValueError):
+        tokenize_all([], [], "phonetic")
 
 
 def test_tokens_never_empty_and_never_contain_separators():
@@ -66,6 +68,21 @@ def test_deterministic_and_caches_consistent(raw):
         b = tokenize(raw, scheme)
         assert a == b
         a.check_caches()
+
+
+@given(st.lists(st.text(max_size=20), max_size=4), st.sampled_from(TOKENIZER_SCHEMES), st.booleans())
+def test_tokenize_all_is_tokenize_as_specified(raws, scheme, lowercase):
+    expected = []
+    for i, raw in enumerate(raws):
+        text = raw.lower() if lowercase else raw
+        if scheme == WHITESPACE:
+            tokens = text.split()
+        else:
+            tokens = [t for t in re.split(rf"[\s{re.escape(string.punctuation)}]+", text) if t]
+        expected.append(TokenizedString(str(i), tuple(tokens), sum(len(t) for t in tokens), len(tokens)))
+    ids = [str(i) for i in range(len(raws))]
+    assert tokenize_all(raws, ids, scheme, lowercase=lowercase) == expected
+    assert [tokenize(raw, scheme, record_id=i, lowercase=lowercase) for raw, i in zip(raws, ids)] == expected
 
 
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40))
