@@ -1,15 +1,15 @@
 """Corpus and result file formats.
 
-Corpora are UTF-8 text cut into lines by ``str.splitlines``: at LF, CR LF
-and CR, and also at VT, FF, ``\x1c``-``\x1e``, NEL, U+2028 and U+2029, not
-only at LF. Each line is one raw record (ids are the line numbers "0", "1",
-... as strings) or an ``id<TAB>text`` row, cut at its first TAB. Ids may not
-be empty or contain TAB or a line boundary; the two cuts make the latter two
-impossible and ingestion rejects the rest with a :class:`DataError` naming
-``path:line`` of the first failing line: a missing TAB, an empty id or a
-repeated id.
+Corpora are UTF-8 text cut into lines at LF only, CR LF counting as one LF
+(:func:`_read_lines`); a final LF ends the last line and adds no empty one. Any
+other character, a lone CR, VT, FF, NEL or U+2028 included, belongs to its
+record. Each line is one raw record (ids are the line numbers "0", "1", ...
+as strings) or an ``id<TAB>text`` row, cut at its first TAB. Ids may not be
+empty or contain TAB or LF; the two cuts make the latter two impossible and
+ingestion rejects the rest with a :class:`DataError` naming ``path:line`` of
+the first failing line: a missing TAB, an empty id or a repeated id.
 
-A corpus is read with the cyclic collector paused: ``str.splitlines`` once,
+A corpus is read with the cyclic collector paused: one cut into lines,
 then (``tsv-id``) one loop that checks each line and collects its id and
 body, then :func:`textnorm.tokenize_all` over all the lines in whole-list
 passes. Records, ids and tokens are those of :func:`textnorm.tokenize`
@@ -50,11 +50,10 @@ def read_corpus(
     """
     if fmt not in CORPUS_FORMATS:
         raise DataError(f"unknown corpus format {fmt!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    lines = _read_lines(path)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        lines = text.splitlines()
         if fmt == LINES:
             return tokenize_all(lines, map(str, range(len(lines))), scheme, lowercase=lowercase)
         ids: list[str] = []
@@ -77,6 +76,18 @@ def read_corpus(
             gc.enable()
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, cut at each LF, CR LF counting as one; a final LF adds no empty line.
+
+    The file is decoded from its bytes: a text-mode read would turn a lone
+    CR into LF.
+    """
+    lines = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def format_results(results: Iterable[tuple[str, str, float]]) -> str:
     """Result rows for ``(left, right, distance)`` triples, such as join's ``JoinResult``."""
     return "".join(f"{left}\t{right}\t{dist:.6f}\n" for left, right, dist in results)
@@ -90,8 +101,7 @@ def write_results(path: str | Path, results: Iterable[tuple[str, str, float]]) -
 def read_results(path: str | Path) -> list[tuple[str, str, float]]:
     """Parse a result file back (lossless round trip)."""
     out: list[tuple[str, str, float]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path), 1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected left<TAB>right<TAB>distance")

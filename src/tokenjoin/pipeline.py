@@ -2,10 +2,10 @@
 
 Every stage is deterministic: output depends only on the corpora and the
 configuration, never on the worker count or input record order. Every stage
-runs in the calling process, mostly as numpy array code, except that verify
-maps its blocks over one fork-based process pool when ``workers`` is above 1
-and its survivors fill more than one block. A worker that fails or dies ends
-the join with a :class:`StageError`.
+runs in the calling process, mostly as numpy array code, and verify maps its
+blocks over a pool of threads when ``workers`` is above 1 and its survivors
+fill more than one block. A block that raises ends the join with a
+:class:`StageError`.
 
 Each stage is one :meth:`StageReport.stage` block, which reads the wall and
 CPU clocks at its entry and exit. Verify's pool is a stage of its own, timed
@@ -107,8 +107,8 @@ class StageCounts:
 
     :meth:`StageReport.stage` reads both clocks. ``cpu_ms`` is the CPU time
     of the joining process over the same spans as ``millis``
-    (``time.process_time``). Verify blocks that run in a pool's child
-    processes are not included: their CPU time is the children's.
+    (``time.process_time``), which covers every thread: verify's includes
+    the work of its pool's threads.
     """
 
     items_in: int = 0
@@ -124,7 +124,7 @@ class StageReport:
     Every stage is timed by :meth:`stage`, in the order the stages first
     ran. The ``pool`` stage, present only when verify made a worker pool,
     times the pool's start-up and its shutdown, and verify's times leave it
-    out; its items are the pool's processes.
+    out; its items are the pool's threads.
     """
 
     stages: dict[str, StageCounts] = field(default_factory=dict)
@@ -449,13 +449,14 @@ def _verify(
     The pairs come ascending, as the survivors do. Runs
     :func:`residual.verify_block` over the blocks of
     :func:`residual.verify_blocks`, in block order: in the caller, or over
-    a fork-based process pool when ``workers`` is above 1 and there is more
-    than one block. The pool is timed as
-    ``report``'s ``pool`` stage over two spans: its start-up (making it and
-    handing it the blocks, which forks the workers) and its shutdown. A
-    block that raises, or a worker that dies, becomes a :class:`StageError`
-    naming the first block whose result is missing; pending blocks are
-    cancelled.
+    a pool of threads when ``workers`` is above 1 and there is more than one
+    block. The threads read the join's own ``residuals``, which no block
+    writes, and numpy releases the interpreter lock in the blocks' array
+    work, so the blocks run at once with nothing copied. The pool is timed
+    as ``report``'s ``pool`` stage over two spans: its start-up (making it
+    and handing it the blocks) and its shutdown. A block that raises
+    becomes a :class:`StageError` naming the first block whose result is
+    missing; pending blocks are cancelled.
     """
     blocks = verify_blocks(survivors, residuals)
     n_workers = min(workers, len(blocks))
@@ -465,15 +466,16 @@ def _verify(
     stats = VerifyStats()
     done = 0
     try:
-        parts = (verify_block(block, residuals) for block in blocks)
+        parts = map(verify_block, blocks, repeat(residuals))
         if n_workers > 1:
+            # imported here: concurrent.futures would otherwise add to every
+            # process that imports the package, pool or not
+            from concurrent.futures import ThreadPoolExecutor
+
             with report.stage("pool", n_workers) as pool:
-                executor = _fork_executor(n_workers, residuals)
-                if executor is not None:
-                    parts = executor.map(_verify_task, blocks)
+                executor = ThreadPoolExecutor(n_workers)
+                parts = executor.map(verify_block, blocks, repeat(residuals))
                 pool.items_out = n_workers
-            if executor is None:
-                del report.stages["pool"]  # no fork on this platform: verify runs inline
         for block_packed, block_dists, block_stats in parts:
             packed.append(block_packed)
             dists.append(block_dists)
@@ -486,32 +488,3 @@ def _verify(
             with report.stage("pool"):
                 executor.shutdown(cancel_futures=True)
     return np.concatenate(packed), np.concatenate(dists), stats
-
-
-def _fork_executor(workers: int, residuals: Residuals):
-    """A process pool whose workers inherit ``residuals`` by fork, or None without fork.
-
-    Imported here: ``concurrent.futures`` would otherwise add to every
-    process that imports the package, pool or not.
-    """
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return None  # no fork on this platform: verify runs inline
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=context, initializer=_set_residuals, initargs=(residuals,))
-
-
-_worker_residuals: Residuals | None = None
-
-
-def _set_residuals(residuals: Residuals) -> None:
-    global _worker_residuals
-    _worker_residuals = residuals
-
-
-def _verify_task(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, VerifyStats]:
-    return verify_block(block, _worker_residuals)

@@ -75,7 +75,8 @@ class VerifyStats:
 class Residuals:
     """What the filter and verify read about both sides; the filter stage builds it.
 
-    Verify's pool workers inherit it by fork.
+    Nothing writes it once built, so verify's pool threads all read the one
+    copy.
 
     ``lens_left[i]`` is left record i's aggregate length, and the keys of
     its ``counts_left[i]`` tokens, in record order, are

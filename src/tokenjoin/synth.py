@@ -43,6 +43,14 @@ def generate_corpus(
         raise ValueError("need 1 <= min_tokens <= max_tokens")
     if not 0 <= perturb_rate <= 1:
         raise ValueError("perturb_rate must be in [0, 1]")
+    if base_tokens < 1:
+        raise ValueError("base_tokens must be >= 1")
+    if not zipf_offset > 0:
+        raise ValueError("zipf_offset must be > 0")
+    if max_edits < 0:
+        raise ValueError("max_edits must be >= 0")
+    if not alphabet:
+        raise ValueError("alphabet must not be empty")
     rng = random.Random(seed)
     pool = [
         "".join(rng.choice(alphabet) for _ in range(rng.choice(_TOKEN_LEN_CHOICES)))

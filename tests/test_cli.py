@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given
@@ -13,8 +14,9 @@ from tokenjoin.errors import DataError
 from tokenjoin.pipeline import JoinConfig, JoinResult
 from tokenjoin.textnorm import TOKENIZER_SCHEMES, tokenize
 
-# every line boundary of str.splitlines
+# every line boundary of str.splitlines; only LF and CR LF end a record
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+RECORD_ENDS = ("\n", "\r\n")
 # pieces of a line body: words, case edge cases (a dotted capital I, a
 # final sigma), ASCII punctuation, tabs, NBSP and ideographic spaces
 BODY_PIECES = ["ab", "Chan", "KALAN", "İ", "ΟΔΟΣ", "σς", "ß", " ", "  ", "\t", "\xa0", "\u3000", ".", ",-", "!?", "'"]
@@ -27,9 +29,13 @@ def corpus_path(tmp_path_factory):
 
 
 def line_by_line(path, scheme, lowercase, fmt="lines"):
-    """The records of ``path`` built one :func:`tokenize` call per line, each line lowercased on its own."""
+    """The records of ``path`` built one :func:`tokenize` call per line, each line lowercased on its own.
+
+    Lines end at LF or CR LF, and a final one adds no empty line.
+    """
     records = []
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    lines = re.split("\r?\n", path.read_bytes().decode("utf-8"))
+    for i, line in enumerate(lines[:-1] if lines[-1] == "" else lines):
         record_id, body = line.split("\t", 1) if fmt == "tsv-id" else (str(i), line)
         records.append(tokenize(body, scheme, record_id=record_id, lowercase=lowercase))
     return records
@@ -102,7 +108,40 @@ class TestCorpusIo:
         corpus_path.write_bytes("".join(f"{rid}\t{body}{brk}" for rid, body, brk in rows).encode("utf-8"))
         records = read_corpus(corpus_path, "tsv-id", scheme, lowercase=lowercase)
         assert records == line_by_line(corpus_path, scheme, lowercase, "tsv-id")
-        assert [r.id for r in records] == [rid for rid, _, _ in rows]
+        # a row that other line boundaries end runs on into the next row,
+        # whose id starts with no LF, so no CR of it ends a line
+        starts = [rid for i, (rid, _, _) in enumerate(rows) if i == 0 or rows[i - 1][2] in RECORD_ENDS]
+        assert [r.id for r in records] == starts
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("a\x85b\nc\n", ["a\x85b", "c"]),
+            ("a\u2028b\x0bc\x0c\x1cd\u2029\n", ["a\u2028b\x0bc\x0c\x1cd\u2029"]),
+            ("a\rb\r", ["a\rb\r"]),
+            ("a\r\nb\r\n", ["a", "b"]),
+            ("a\r\r\nb", ["a\r", "b"]),
+            ("a\r\n\r\nb\n", ["a", "", "b"]),
+            ("", []),
+            ("\n", [""]),
+            ("\n\n", ["", ""]),
+            ("a", ["a"]),
+        ],
+    )
+    def test_only_lf_ends_a_record(self, tmp_path, text, lines):
+        # every other line boundary, a lone CR included, belongs to the record;
+        # the tokenizers drop a CR, so only the lines show where CR LF is cut
+        p = tmp_path / "c.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert corpusio._read_lines(p) == lines
+        want = [tokenize(line, record_id=str(i)) for i, line in enumerate(lines)]
+        assert read_corpus(p) == want
+
+    def test_only_lf_ends_a_tsv_record(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes("x\ta\x85b\r\ny\rz\tc\rd\u2028\n".encode("utf-8"))
+        got = [(r.id, r.tokens) for r in read_corpus(p, "tsv-id")]
+        assert got == [("x", tokenize("a\x85b").tokens), ("y\rz", tokenize("c\rd\u2028").tokens)]
 
     @pytest.mark.parametrize("collecting", [True, False])
     def test_collector_left_as_the_caller_had_it(self, tmp_path, monkeypatch, collecting):
@@ -138,6 +177,10 @@ class TestCorpusIo:
         back = read_results(p)
         assert [(l, r) for l, r, _ in back] == [("0", "1"), ("1", "2")]
         assert back[0][2] == pytest.approx(0.2)
+        # an id may hold any line boundary but LF
+        ids = ["a\x85b", "c\rd", "e\u2028", "f\r"]
+        write_results(p, [JoinResult(left, "x", 0.5) for left in ids])
+        assert [left for left, _, _ in read_results(p)] == ids
 
 
 class TestJoinCommand:
@@ -330,3 +373,11 @@ class TestGenCommand:
         assert main(
             ["gen", "--output", str(tmp_path / "x"), "--size", "10", "--seed", "1", "--min-tokens", "5", "--max-tokens", "2"]
         ) == 2
+
+    @pytest.mark.parametrize("base_tokens", ["0", "-3"])
+    def test_bad_base_tokens_exit_2_with_one_line(self, tmp_path, capsys, base_tokens):
+        out = tmp_path / "x"
+        assert main(["gen", "--output", str(out), "--size", "5", "--seed", "1", "--base-tokens", base_tokens]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gen: config: ") and err.count("\n") == 1
+        assert not out.exists()

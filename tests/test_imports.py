@@ -163,6 +163,17 @@ def test_only_strdist_and_oracle_import_fractions():
     assert importers == {"strdist.py", "oracle.py"}
 
 
+def test_no_module_imports_multiprocessing():
+    # verify's pool is threads over the join's own arrays; a process pool
+    # would pickle or fork them
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "multiprocessing" in imported_modules(path.read_text(encoding="utf-8"))
+    }
+    assert importers == set()
+
+
 def test_the_join_imports_no_scalar_verifier():
     # every edit distance of the join goes through strdist.ld_bounded_ids,
     # and the residual rows drop the shared tokens; sld_capped, LdCache,

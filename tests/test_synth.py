@@ -40,6 +40,24 @@ def test_bad_params_rejected():
         generate_corpus(10, seed=0, perturb_rate=1.5)
 
 
+@pytest.mark.parametrize(
+    "param, value, message",
+    [
+        ("base_tokens", 0, "base_tokens must be >= 1"),
+        ("base_tokens", -3, "base_tokens must be >= 1"),
+        ("zipf_offset", 0, "zipf_offset must be > 0"),
+        ("zipf_offset", -5, "zipf_offset must be > 0"),
+        ("max_edits", -1, "max_edits must be >= 0"),
+        ("alphabet", "", "alphabet must not be empty"),
+    ],
+)
+def test_bad_generator_sizes_rejected_up_front(param, value, message):
+    # each used to fail later, if at all: IndexError, ZeroDivisionError or a
+    # ValueError from random only once a record was perturbed
+    with pytest.raises(ValueError, match=message):
+        generate_corpus(3, seed=1, **{param: value})
+
+
 def test_lines_tokenize_cleanly():
     for line in generate_corpus(100, seed=8):
         ts = tokenize(line, "whitespace-punct", record_id="x")
