@@ -3,16 +3,21 @@
 Corpora are UTF-8 text cut into lines at LF only, CR LF counting as one LF
 (:func:`_read_lines`); a final LF ends the last line and adds no empty one. Any
 other character, a lone CR, VT, FF, NEL or U+2028 included, belongs to its
-record. Each line is one raw record (ids are the line numbers "0", "1", ...
-as strings) or an ``id<TAB>text`` row, cut at its first TAB. Ids may not be
-empty or contain TAB or LF; the two cuts make the latter two impossible and
-ingestion rejects the rest with a :class:`DataError` naming ``path:line`` of
-the first failing line: a missing TAB, an empty id or a repeated id.
+record. A file that is not UTF-8 raises a :class:`DataError` naming
+``path:line`` and the file offset of the first bad byte. Each line is one raw
+record (ids are the line numbers "0", "1", ... as strings) or an
+``id<TAB>text`` row, cut at its first TAB. Ids may not be empty or contain TAB
+or LF; the two cuts make the latter two impossible and ingestion rejects the
+rest with a :class:`DataError` naming ``path:line`` of the first failing line:
+a missing TAB, an empty id or a repeated id.
 
 A corpus is read with the cyclic collector paused: one cut into lines,
 then (``tsv-id``) one loop that checks each line and collects its id and
-body, then :func:`textnorm.tokenize_all` over all the lines in whole-list
-passes. Records, ids and tokens are those of :func:`textnorm.tokenize`
+body, then :func:`textnorm.tokenize_all` over all the lines in whole-text
+passes: one join of the lines, one lowercasing and (``whitespace-punct``)
+one translate of the punctuation to spaces, lowercasing first (see
+:mod:`textnorm`), then one ``str.split()`` per line and one slot store per
+record field. Records, ids and tokens are those of :func:`textnorm.tokenize`
 called line by line.
 
 Result files hold ``left<TAB>right<TAB>distance`` rows, distance printed to
@@ -80,9 +85,17 @@ def _read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 file, cut at each LF, CR LF counting as one; a final LF adds no empty line.
 
     The file is decoded from its bytes: a text-mode read would turn a lone
-    CR into LF.
+    CR into LF. Bytes that are not UTF-8 raise :class:`DataError` as
+    ``path:line: not valid UTF-8 (byte N)``, N being the offset of the first
+    bad byte in the file, counted from 0.
     """
-    lines = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n").split("\n")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not valid UTF-8 (byte {exc.start})") from exc
+    lines = text.replace("\r\n", "\n").split("\n")
     if not lines[-1]:
         lines.pop()
     return lines

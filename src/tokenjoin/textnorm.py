@@ -6,15 +6,26 @@ with cached aggregate length and token count. Duplicate tokens are preserved;
 token order is the left-to-right emission order. The exact distance ignores
 it, but the greedy one breaks ties by it (see :func:`setdist.sld_greedy`).
 :func:`tokenize_all` is the one definition of how text becomes records, in
-whole-list passes; :func:`tokenize` is its one-record call.
+whole-text passes; :func:`tokenize` is its one-record call.
+
+The passes, in order: the raws are joined with LF (an LF inside a raw first
+becomes a space), the text is lowercased if asked, ``whitespace-punct`` maps
+the 32 ASCII punctuation characters to spaces with one ``str.translate``, and
+the text is cut back into raws at LF, each split by ``str.split()``. LF and
+space are whitespace to both schemes and neither cased nor case-ignorable, so
+joining changes no token and no lowercasing. Lowercasing comes before the
+translate because ASCII punctuation such as ``.`` is case-ignorable: ``"ΑΣ.Β"``
+lowercases to ``ασ.β``, while a space in the dot's place would end the word
+and make the sigma final (``ας β``).
 """
 
 from __future__ import annotations
 
-import re
 import string
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 
 Token = str
 
@@ -22,9 +33,9 @@ WHITESPACE = "whitespace"
 WHITESPACE_PUNCT = "whitespace-punct"
 TOKENIZER_SCHEMES = (WHITESPACE, WHITESPACE_PUNCT)
 
-# Maximal runs of characters that are neither Unicode whitespace nor ASCII
-# punctuation. \s in a str pattern already covers Unicode whitespace.
-_WORD_PUNCT_RE = re.compile(rf"[^\s{re.escape(string.punctuation)}]+")
+# ASCII punctuation to spaces; str.split() then cuts at it as at Unicode
+# whitespace (str.isspace, the set \s matches in a str pattern).
+_PUNCT_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +56,11 @@ class TokenizedString:
         """Assert the cached aggregates match recomputation (test hook)."""
         assert self.agg_len == sum(len(t) for t in self.tokens)
         assert self.token_count == len(self.tokens)
+
+
+# The slot descriptors in field order: tokenize_all stores each field of every
+# record through them, past the frozen __setattr__.
+_SLOTS = (TokenizedString.id, TokenizedString.tokens, TokenizedString.agg_len, TokenizedString.token_count)
 
 
 def tokenize(
@@ -73,19 +89,31 @@ def tokenize_all(
 ) -> list[TokenizedString]:
     """The record of each raw string, split as :func:`tokenize` says, with the id in the same place.
 
-    Each pass (lowercasing, splitting, the aggregates, building the records)
-    is one ``map`` over all the strings, so the only Python code run per
-    record is the record's own ``__init__``. The aggregate length is
+    The raws are tokenized in the whole-text passes of the module docstring.
+    Each record is made by ``object.__new__`` and its fields are stored by
+    one ``map`` of the field's slot descriptor over all the records, so no
+    Python code runs per record. The aggregate length is
     ``len("".join(tokens))``, as in :meth:`TokenizedString.from_tokens`.
-    An unknown scheme raises ``ValueError`` even with no strings.
+    Raises ``ValueError`` for an unknown scheme, even with no strings, and
+    when ``raws`` and ``ids`` differ in length.
     """
-    if scheme == WHITESPACE:
-        split = str.split
-    elif scheme == WHITESPACE_PUNCT:
-        split = _WORD_PUNCT_RE.findall
-    else:
+    if scheme not in TOKENIZER_SCHEMES:
         raise ValueError(f"unknown tokenizer scheme {scheme!r}")
+    raws = list(raws)
+    ids = list(ids)
+    if len(ids) != len(raws):
+        raise ValueError(f"{len(raws)} raw strings but {len(ids)} ids")
+    if not raws:
+        return []
+    text = "\n".join(raws)
+    if text.count("\n") != len(raws) - 1:
+        text = "\n".join([raw.replace("\n", " ") for raw in raws])
     if lowercase:
-        raws = map(str.lower, raws)
-    tokens = list(map(tuple, map(split, raws)))
-    return list(map(TokenizedString, ids, tokens, map(len, map("".join, tokens)), map(len, tokens)))
+        text = text.lower()
+    if scheme == WHITESPACE_PUNCT:
+        text = text.translate(_PUNCT_TO_SPACE)
+    tokens = list(map(tuple, map(str.split, text.split("\n"))))
+    records = list(map(object.__new__, repeat(TokenizedString, len(raws))))
+    for slot, values in zip(_SLOTS, (ids, tokens, map(len, map("".join, tokens)), map(len, tokens))):
+        deque(map(slot.__set__, records, values), maxlen=0)
+    return records

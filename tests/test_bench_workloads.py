@@ -1,0 +1,43 @@
+"""The benchmark's workloads at full size, through the CLI's own read, join and write.
+
+For each workload in ``perfbench/workloads.json`` the ``--seed 0`` corpus is
+written to a file as the benchmark writes it, read back with
+:func:`corpusio.read_corpus`, joined, and written with
+:func:`corpusio.write_results`; the file must hash to the workload's pinned
+reference. This guards the read path on bench-shaped data. It reads the
+benchmark's definitions and changes nothing there.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from tokenjoin.corpusio import read_corpus, write_results
+from tokenjoin.pipeline import JoinConfig, join
+from tokenjoin.synth import generate_corpus
+
+DEFINITIONS = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(DEFINITIONS["workloads"]))
+def test_seed_0_corpus_reproduces_its_reference(name, tmp_path):
+    workload = DEFINITIONS["workloads"][name]
+    gen = dict(workload["generator"])
+    size, base_seed = gen.pop("size"), gen.pop("base_seed")
+    lines = generate_corpus(size, seed=base_seed, **gen)
+    split = workload["two_set_split"]
+    sides = [lines] if split is None else [lines[:split], lines[split:]]
+    corpora = []
+    for i, side in enumerate(sides):
+        path = tmp_path / f"corpus{i}.txt"
+        path.write_text("".join(line + "\n" for line in side), encoding="utf-8")
+        corpora.append(read_corpus(path))
+    cfg = JoinConfig(self_join=split is None, **workload["join"])
+    results, _ = join(corpora[0], corpora[1] if split is not None else None, cfg)
+    output = tmp_path / "out.tsv"
+    write_results(output, results)
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == DEFINITIONS["references"]["full"][name]["0"]

@@ -143,6 +143,23 @@ class TestCorpusIo:
         got = [(r.id, r.tokens) for r in read_corpus(p, "tsv-id")]
         assert got == [("x", tokenize("a\x85b").tokens), ("y\rz", tokenize("c\rd\u2028").tokens)]
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"abc\n\xff\xfe bad\n", "2: not valid UTF-8 (byte 4)"),
+            (b"\xc3", "1: not valid UTF-8 (byte 0)"),
+            (b"a\r\nb\r\ncaf\xc3\xa9 \xed\xa0\x80\n", "3: not valid UTF-8 (byte 12)"),
+        ],
+        ids=["stray-byte", "truncated", "surrogate"],
+    )
+    @pytest.mark.parametrize("read", [read_corpus, read_results])
+    def test_bytes_not_utf8_name_the_line_and_byte(self, tmp_path, data, where, read):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        with pytest.raises(DataError) as excinfo:
+            read(p)
+        assert str(excinfo.value) == f"{p}:{where}"
+
     @pytest.mark.parametrize("collecting", [True, False])
     def test_collector_left_as_the_caller_had_it(self, tmp_path, monkeypatch, collecting):
         good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
@@ -225,6 +242,13 @@ class TestJoinCommand:
     def test_missing_input_exits_1(self, tmp_path):
         code = main(["join", "--input", str(tmp_path / "nope.txt"), "--output", str(tmp_path / "o")])
         assert code == 1
+
+    def test_input_not_utf8_exits_1_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"abc\n\xff\xfe bad\n")
+        code = main(["join", "--input", str(bad), "--output", str(tmp_path / "o.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"join: data: {bad}:2: not valid UTF-8 (byte 4)\n"
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         corpus = tmp_path / "c.txt"

@@ -1,11 +1,29 @@
+import copy
+import dataclasses
+import pickle
 import re
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tokenjoin.corpusio import read_corpus
 from tokenjoin.textnorm import TOKENIZER_SCHEMES, WHITESPACE, WHITESPACE_PUNCT, TokenizedString, tokenize, tokenize_all
+
+# Raws built around the whole-text passes of tokenize_all: LF (its record
+# separator), a sigma after a capital and before case-ignorable punctuation or
+# combining marks (final-sigma lowercasing looks past them), characters whose
+# lowercase is longer (İ) or that have none (ß), whitespace that is not ASCII
+# (NBSP, the information separators U+001C-U+001F, NEL), and every ASCII
+# punctuation character.
+EDGE_PIECES = ["Α", "ΑΣ", "Σ", "ς", "Β", "a", "İ", "ß", "\u0301", "\u0345", ".", ":", "'", " ", "\n"]
+EDGE_PIECES += ["\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "\x85"]
+RAWS = st.one_of(
+    st.text(max_size=20),
+    st.lists(st.sampled_from(EDGE_PIECES), max_size=10).map("".join),
+    st.text(string.punctuation + "aΣ \n", max_size=20),
+)
 
 
 def test_whitespace_scheme_reference_example():
@@ -39,11 +57,16 @@ def test_duplicate_tokens_preserved():
 def test_lowercase_flag():
     assert tokenize("Chan KALAN", WHITESPACE, lowercase=True).tokens == ("chan", "kalan")
     assert tokenize("Chan KALAN", WHITESPACE).tokens == ("Chan", "KALAN")
+    # "." is case-ignorable, so the sigma is not final: lowercasing comes
+    # before punctuation becomes a separator
+    assert tokenize("ΑΣ.Β", WHITESPACE_PUNCT, lowercase=True).tokens == ("ασ", "β")
 
 
 def test_unicode_whitespace_and_lengths_in_scalar_values():
     ts = tokenize("a b　c", WHITESPACE)  # NBSP and ideographic space separate
     assert ts.tokens == ("a", "b", "c")
+    for scheme in TOKENIZER_SCHEMES:
+        assert tokenize("a\nb", scheme).tokens == ("a", "b")
     ts2 = tokenize("café naïve", WHITESPACE)
     assert ts2.agg_len == len("café") + len("naïve")
 
@@ -70,7 +93,14 @@ def test_deterministic_and_caches_consistent(raw):
         a.check_caches()
 
 
-@given(st.lists(st.text(max_size=20), max_size=4), st.sampled_from(TOKENIZER_SCHEMES), st.booleans())
+@settings(max_examples=400)
+@given(
+    st.lists(RAWS, max_size=4),
+    st.sampled_from(TOKENIZER_SCHEMES),
+    st.booleans(),
+)
+@example(["ΑΣ.Β"], WHITESPACE_PUNCT, True)
+@example(["a\nb", "ΟΔΟΣ\nΑ"], WHITESPACE, True)
 def test_tokenize_all_is_tokenize_as_specified(raws, scheme, lowercase):
     expected = []
     for i, raw in enumerate(raws):
@@ -96,3 +126,35 @@ def test_from_tokens_builds_consistent_caches():
     ts = TokenizedString.from_tokens("id", ["ab", "cde"])
     assert (ts.agg_len, ts.token_count) == (5, 2)
     ts.check_caches()
+
+
+def test_tokenize_all_rejects_ids_and_raws_of_other_lengths():
+    for raws, ids in [(["a b", "c"], ["0"]), (["a b"], ["0", "1"]), ([], ["0"]), (["a"], [])]:
+        with pytest.raises(ValueError):
+            tokenize_all(raws, ids)
+        with pytest.raises(ValueError):
+            tokenize_all(iter(raws), iter(ids))
+
+
+def test_records_are_whole_tokenized_strings(tmp_path):
+    raws = ["Chan kalan", "", "a.b a.b", "ΟΔΟΣ\u00a0x"]
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("".join(raw + "\n" for raw in raws), encoding="utf-8")
+    built = [TokenizedString.from_tokens(str(i), tokenize(raw).tokens) for i, raw in enumerate(raws)]
+    for records in (read_corpus(corpus), tokenize_all(raws, map(str, range(len(raws))))):
+        assert records == built
+        assert [hash(r) for r in records] == [hash(r) for r in built]
+        assert set(records) == set(built)
+        for record, twin in zip(records, built):
+            assert type(record) is TokenizedString
+            record.check_caches()
+            for field in dataclasses.fields(record):
+                assert getattr(record, field.name) == getattr(twin, field.name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, getattr(record, field.name))
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            renamed = dataclasses.replace(record, id="new")
+            assert (renamed.id, renamed.tokens) == ("new", record.tokens)
+            renamed.check_caches()
