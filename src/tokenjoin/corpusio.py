@@ -14,11 +14,11 @@ a missing TAB, an empty id or a repeated id.
 A corpus is read with the cyclic collector paused: one cut into lines,
 then (``tsv-id``) one loop that checks each line and collects its id and
 body, then :func:`textnorm.tokenize_all` over all the lines in whole-text
-passes: one join of the lines, one lowercasing and (``whitespace-punct``)
-one translate of the punctuation to spaces, lowercasing first (see
-:mod:`textnorm`), then one ``str.split()`` per line and one slot store per
-record field. Records, ids and tokens are those of :func:`textnorm.tokenize`
-called line by line.
+passes, 16,384 lines at a time: one join of the lines, one lowercasing and
+(``whitespace-punct``) one translate of the punctuation to spaces over the
+text's UTF-8 bytes, lowercasing first (see :mod:`textnorm`), then one
+``str.split()`` per line; then one slot store per record field. Records, ids
+and tokens are those of :func:`textnorm.tokenize` called line by line.
 
 Result files hold ``left<TAB>right<TAB>distance`` rows, distance printed to
 six decimals (round-half-even), sorted by (left_id, right_id): byte-identical

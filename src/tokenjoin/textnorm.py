@@ -8,15 +8,25 @@ it, but the greedy one breaks ties by it (see :func:`setdist.sld_greedy`).
 :func:`tokenize_all` is the one definition of how text becomes records, in
 whole-text passes; :func:`tokenize` is its one-record call.
 
-The passes, in order: the raws are joined with LF (an LF inside a raw first
-becomes a space), the text is lowercased if asked, ``whitespace-punct`` maps
-the 32 ASCII punctuation characters to spaces with one ``str.translate``, and
-the text is cut back into raws at LF, each split by ``str.split()``. LF and
-space are whitespace to both schemes and neither cased nor case-ignorable, so
-joining changes no token and no lowercasing. Lowercasing comes before the
-translate because ASCII punctuation such as ``.`` is case-ignorable: ``"ΑΣ.Β"``
-lowercases to ``ασ.β``, while a space in the dot's place would end the word
-and make the sigma final (``ας β``).
+The passes, in order, over chunks of 16,384 raws: the raws are joined with
+LF (an LF inside a raw first becomes a space), the text is lowercased if
+asked, ``whitespace-punct`` maps the 32 ASCII punctuation characters to spaces
+with one ``bytes.translate`` of the text's UTF-8, and the text is cut back
+into raws at LF, each split by ``str.split()``. LF and space are whitespace to
+both schemes and neither cased nor case-ignorable, so joining changes no token
+and no lowercasing. Lowercasing comes before the translate because ASCII
+punctuation such as ``.`` is case-ignorable: ``"ΑΣ.Β"`` lowercases to
+``ασ.β``, while a space in the dot's place would end the word and make the
+sigma final (``ας β``).
+
+The translate runs on bytes because ``str.translate`` is fast only on a text
+that is all ASCII: one character past U+007F anywhere (``José``) sends the
+whole text down a per-character dict lookup, slower than a regex per raw.
+ASCII bytes never occur inside a multi-byte UTF-8 sequence, so the byte table
+maps exactly the punctuation, and ``surrogatepass`` carries a lone surrogate
+through the round trip. The chunks keep the passes' copies of the text to one
+chunk's size at any corpus size, so a character past U+00FF, which widens a
+str to 2 or 4 bytes per character, widens only its own chunk's copies.
 """
 
 from __future__ import annotations
@@ -33,9 +43,13 @@ WHITESPACE = "whitespace"
 WHITESPACE_PUNCT = "whitespace-punct"
 TOKENIZER_SCHEMES = (WHITESPACE, WHITESPACE_PUNCT)
 
-# ASCII punctuation to spaces; str.split() then cuts at it as at Unicode
-# whitespace (str.isspace, the set \s matches in a str pattern).
-_PUNCT_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
+# ASCII punctuation to spaces, as a table over UTF-8 bytes; str.split() then
+# cuts at it as at Unicode whitespace (str.isspace, the set \s matches in a
+# str pattern).
+_PUNCT_TO_SPACE = bytes.maketrans(string.punctuation.encode(), b" " * len(string.punctuation))
+
+# Raws per whole-text pass (see the module docstring).
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +103,8 @@ def tokenize_all(
 ) -> list[TokenizedString]:
     """The record of each raw string, split as :func:`tokenize` says, with the id in the same place.
 
-    The raws are tokenized in the whole-text passes of the module docstring.
+    The raws are tokenized in the whole-text passes of the module docstring,
+    one chunk of raws at a time.
     Each record is made by ``object.__new__`` and its fields are stored by
     one ``map`` of the field's slot descriptor over all the records, so no
     Python code runs per record. The aggregate length is
@@ -103,17 +118,22 @@ def tokenize_all(
     ids = list(ids)
     if len(ids) != len(raws):
         raise ValueError(f"{len(raws)} raw strings but {len(ids)} ids")
-    if not raws:
-        return []
+    tokens: list[tuple[Token, ...]] = []
+    for start in range(0, len(raws), _CHUNK):
+        tokens += _token_tuples(raws[start : start + _CHUNK], scheme, lowercase)
+    records = list(map(object.__new__, repeat(TokenizedString, len(raws))))
+    for slot, values in zip(_SLOTS, (ids, tokens, map(len, map("".join, tokens)), map(len, tokens))):
+        deque(map(slot.__set__, records, values), maxlen=0)
+    return records
+
+
+def _token_tuples(raws: list[str], scheme: str, lowercase: bool) -> list[tuple[Token, ...]]:
+    """The tokens of each of ``raws`` (at least one), by the whole-text passes of the module docstring."""
     text = "\n".join(raws)
     if text.count("\n") != len(raws) - 1:
         text = "\n".join([raw.replace("\n", " ") for raw in raws])
     if lowercase:
         text = text.lower()
     if scheme == WHITESPACE_PUNCT:
-        text = text.translate(_PUNCT_TO_SPACE)
-    tokens = list(map(tuple, map(str.split, text.split("\n"))))
-    records = list(map(object.__new__, repeat(TokenizedString, len(raws))))
-    for slot, values in zip(_SLOTS, (ids, tokens, map(len, map("".join, tokens)), map(len, tokens))):
-        deque(map(slot.__set__, records, values), maxlen=0)
-    return records
+        text = text.encode("utf-8", "surrogatepass").translate(_PUNCT_TO_SPACE).decode("utf-8", "surrogatepass")
+    return list(map(tuple, map(str.split, text.split("\n"))))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tokenjoin import textnorm
 from tokenjoin.corpusio import read_corpus
 from tokenjoin.textnorm import TOKENIZER_SCHEMES, WHITESPACE, WHITESPACE_PUNCT, TokenizedString, tokenize, tokenize_all
 
@@ -93,15 +94,8 @@ def test_deterministic_and_caches_consistent(raw):
         a.check_caches()
 
 
-@settings(max_examples=400)
-@given(
-    st.lists(RAWS, max_size=4),
-    st.sampled_from(TOKENIZER_SCHEMES),
-    st.booleans(),
-)
-@example(["ΑΣ.Β"], WHITESPACE_PUNCT, True)
-@example(["a\nb", "ΟΔΟΣ\nΑ"], WHITESPACE, True)
-def test_tokenize_all_is_tokenize_as_specified(raws, scheme, lowercase):
+def specified_records(raws, scheme, lowercase):
+    """The records tokenize_all must return, ids "0", "1", ..., split by the reference regex."""
     expected = []
     for i, raw in enumerate(raws):
         text = raw.lower() if lowercase else raw
@@ -110,9 +104,39 @@ def test_tokenize_all_is_tokenize_as_specified(raws, scheme, lowercase):
         else:
             tokens = [t for t in re.split(rf"[\s{re.escape(string.punctuation)}]+", text) if t]
         expected.append(TokenizedString(str(i), tuple(tokens), sum(len(t) for t in tokens), len(tokens)))
+    return expected
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(RAWS, max_size=4),
+    st.sampled_from(TOKENIZER_SCHEMES),
+    st.booleans(),
+)
+@example(["ΑΣ.Β"], WHITESPACE_PUNCT, True)
+@example(["a\nb", "ΟΔΟΣ\nΑ"], WHITESPACE, True)
+@example(["Jo\U0001f600.é", "x\ud800:y"], WHITESPACE_PUNCT, False)  # 4-byte UTF-8 and a lone surrogate
+def test_tokenize_all_is_tokenize_as_specified(raws, scheme, lowercase):
+    expected = specified_records(raws, scheme, lowercase)
     ids = [str(i) for i in range(len(raws))]
     assert tokenize_all(raws, ids, scheme, lowercase=lowercase) == expected
     assert [tokenize(raw, scheme, record_id=i, lowercase=lowercase) for raw, i in zip(raws, ids)] == expected
+
+
+@pytest.mark.parametrize("scheme", TOKENIZER_SCHEMES)
+def test_tokenize_all_across_chunks(scheme):
+    # More raws than two whole-text passes hold, with an LF inside a raw and
+    # characters past U+00FF in some chunks only.
+    n = 2 * textnorm._CHUNK + 3
+    raws = [f"Ab.{i}:ΟΣ" for i in range(n)]
+    raws[5] = "Jo\U0001f600,é"
+    raws[textnorm._CHUNK - 1] = "a\nB"
+    raws[textnorm._CHUNK] = "Σ.\u2028x"
+    raws[-1] = "ΑΣ.Β\n"
+    for lowercase in (False, True):
+        assert tokenize_all(raws, map(str, range(n)), scheme, lowercase=lowercase) == specified_records(
+            raws, scheme, lowercase
+        )
 
 
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40))
