@@ -1,7 +1,7 @@
 """Corpus and result file formats.
 
 Corpora are UTF-8 text cut into lines at LF only, CR LF counting as one LF
-(:func:`_read_lines`); a final LF ends the last line and adds no empty one. Any
+(:func:`_read_text`); a final LF ends the last line and adds no empty one. Any
 other character, a lone CR, VT, FF, NEL or U+2028 included, belongs to its
 record. A file that is not UTF-8 raises a :class:`DataError` naming
 ``path:line`` and the file offset of the first bad byte. Each line is one raw
@@ -11,14 +11,13 @@ or LF; the two cuts make the latter two impossible and ingestion rejects the
 rest with a :class:`DataError` naming ``path:line`` of the first failing line:
 a missing TAB, an empty id or a repeated id.
 
-A corpus is read with the cyclic collector paused: one cut into lines,
-then (``tsv-id``) one loop that checks each line and collects its id and
-body, then :func:`textnorm.tokenize_all` over all the lines in whole-text
-passes, 16,384 lines at a time: one join of the lines, one lowercasing and
-(``whitespace-punct``) one translate of the punctuation to spaces over the
-text's UTF-8 bytes, lowercasing first (see :mod:`textnorm`), then one
-``str.split()`` per line; then one slot store per record field. Records, ids
-and tokens are those of :func:`textnorm.tokenize` called line by line.
+A corpus is tokenized with the cyclic collector paused. A ``lines`` file's text,
+less its final LF, goes to :func:`textnorm.tokenize_all` as it was decoded;
+a ``tsv-id`` file is cut into lines, one loop checks each line and collects
+its id and body, and the bodies go to it joined with LF. It tokenizes the
+text in the whole-text passes of :mod:`textnorm`, then stores each record
+field with one slot store. Records, ids and tokens are those of
+:func:`textnorm.tokenize` called line by line.
 
 Result files hold ``left<TAB>right<TAB>distance`` rows, distance printed to
 six decimals (round-half-even), sorted by (left_id, right_id): byte-identical
@@ -48,57 +47,62 @@ def read_corpus(
 ) -> list[TokenizedString]:
     """Load and tokenize a corpus file, one record per line, in file order.
 
-    The lines go through :func:`textnorm.tokenize_all` together, with the
+    The text goes through :func:`textnorm.tokenize_all` whole, with the
     cyclic collector paused for the call (records make no reference cycles,
     and a collection would only rescan the records made so far) and left
     as the caller had it.
     """
     if fmt not in CORPUS_FORMATS:
         raise DataError(f"unknown corpus format {fmt!r}")
-    lines = _read_lines(path)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        if fmt == LINES:
-            return tokenize_all(lines, map(str, range(len(lines))), scheme, lowercase=lowercase)
-        ids: list[str] = []
-        bodies: list[str] = []
-        seen: set[str] = set()
-        for lineno, line in enumerate(lines, 1):
+    if fmt == LINES:
+        text, count = _read_text(path)
+        ids = list(map(str, range(count)))
+    else:
+        # id -> body, in file order
+        rows: dict[str, str] = {}
+        for lineno, line in enumerate(_read_lines(path), 1):
             record_id, sep, body = line.partition("\t")
             if not sep:
                 raise DataError(f"{path}:{lineno}: expected id<TAB>text")
             if not record_id:
                 raise DataError(f"{path}:{lineno}: empty record id")
-            if record_id in seen:
+            if record_id in rows:
                 raise DataError(f"{path}:{lineno}: duplicate record id {record_id!r}")
-            seen.add(record_id)
-            ids.append(record_id)
-            bodies.append(body)
-        return tokenize_all(bodies, ids, scheme, lowercase=lowercase)
+            rows[record_id] = body
+        ids = list(rows)
+        text = "\n".join(rows.values())
+        del rows
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return tokenize_all(text, ids, scheme, lowercase=lowercase)
     finally:
         if collecting:
             gc.enable()
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file, cut at each LF, CR LF counting as one; a final LF adds no empty line.
+def _read_text(path: str | Path) -> tuple[str, int]:
+    """The lines of a UTF-8 file as one text, joined with LF, and their number.
 
-    The file is decoded from its bytes: a text-mode read would turn a lone
-    CR into LF. Bytes that are not UTF-8 raise :class:`DataError` as
-    ``path:line: not valid UTF-8 (byte N)``, N being the offset of the first
-    bad byte in the file, counted from 0.
+    An LF ends a line, CR LF counting as one LF, and a final LF adds no
+    empty line; an empty file holds no lines. The file is decoded from its
+    bytes: a text-mode read would turn a lone CR into LF. Bytes that are not
+    UTF-8 raise :class:`DataError` as ``path:line: not valid UTF-8 (byte N)``,
+    N being the offset of the first bad byte in the file, counted from 0.
     """
-    data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{lineno}: not valid UTF-8 (byte {exc.start})") from exc
-    lines = text.replace("\r\n", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+    # each LF ends a line, and a nonempty text that no LF ends holds one more
+    return text.removesuffix("\n"), text.count("\n") + (text[-1:] not in ("", "\n"))
+
+
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of :func:`_read_text` as a list."""
+    text, count = _read_text(path)
+    return text.split("\n") if count else []
 
 
 def format_results(results: Iterable[tuple[str, str, float]]) -> str:
@@ -118,5 +122,8 @@ def read_results(path: str | Path) -> list[tuple[str, str, float]]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected left<TAB>right<TAB>distance")
+        # digits with at most one point, as format_results writes them
+        if not (parts[2].replace(".", "", 1).isdecimal() and float(parts[2]) <= 1):
+            raise DataError(f"{path}:{lineno}: distance {parts[2]!r} is not a fixed-point number in [0, 1]")
         out.append((parts[0], parts[1], float(parts[2])))
     return out

@@ -5,35 +5,38 @@ record is a :class:`TokenizedString`: an opaque id plus the token multiset
 with cached aggregate length and token count. Duplicate tokens are preserved;
 token order is the left-to-right emission order. The exact distance ignores
 it, but the greedy one breaks ties by it (see :func:`setdist.sld_greedy`).
-:func:`tokenize_all` is the one definition of how text becomes records, in
-whole-text passes; :func:`tokenize` is its one-record call.
+:func:`tokenize_all` is the one definition of how text becomes records, one
+record per LF-separated line of a text; :func:`tokenize` is its one-record
+call, an LF inside its raw string read as a space.
 
-The passes, in order, over chunks of 16,384 raws: the raws are joined with
-LF (an LF inside a raw first becomes a space), the text is lowercased if
-asked, ``whitespace-punct`` maps the 32 ASCII punctuation characters to spaces
-with one ``bytes.translate`` of the text's UTF-8, and the text is cut back
-into raws at LF, each split by ``str.split()``. LF and space are whitespace to
-both schemes and neither cased nor case-ignorable, so joining changes no token
-and no lowercasing. Lowercasing comes before the translate because ASCII
-punctuation such as ``.`` is case-ignorable: ``"ΑΣ.Β"`` lowercases to
-``ασ.β``, while a space in the dot's place would end the word and make the
-sigma final (``ας β``).
+The passes, in order, over chunks of about ``_CHUNK`` characters, each cut at
+an LF: the chunk is lowercased if asked, ``whitespace-punct`` maps the 32
+ASCII punctuation characters to spaces with one ``bytes.translate`` of the
+chunk's UTF-8, and the chunk is cut into lines at LF, each split by
+``str.split()``. LF is whitespace to both schemes and neither cased nor
+case-ignorable, so splitting a whole chunk changes no token and no lowercasing
+against splitting line by line. Lowercasing comes before the translate
+because ASCII punctuation such as ``.`` is case-ignorable: ``"ΑΣ.Β"``
+lowercases to ``ασ.β``, while a space in the dot's place would end the word
+and make the sigma final (``ας β``).
 
 The translate runs on bytes because ``str.translate`` is fast only on a text
 that is all ASCII: one character past U+007F anywhere (``José``) sends the
-whole text down a per-character dict lookup, slower than a regex per raw.
+whole text down a per-character dict lookup, slower than a regex per line.
 ASCII bytes never occur inside a multi-byte UTF-8 sequence, so the byte table
 maps exactly the punctuation, and ``surrogatepass`` carries a lone surrogate
-through the round trip. The chunks keep the passes' copies of the text to one
-chunk's size at any corpus size, so a character past U+00FF, which widens a
-str to 2 or 4 bytes per character, widens only its own chunk's copies.
+through the round trip. Counting the chunks in characters keeps the passes'
+copies to one chunk's size whatever the corpus size and line lengths, and a
+slice is as narrow as its own characters, so a character past U+00FF, which
+widens a str to 2 or 4 bytes per character, widens only its own chunk's
+copies.
 """
 
 from __future__ import annotations
 
 import string
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -48,8 +51,9 @@ TOKENIZER_SCHEMES = (WHITESPACE, WHITESPACE_PUNCT)
 # str pattern).
 _PUNCT_TO_SPACE = bytes.maketrans(string.punctuation.encode(), b" " * len(string.punctuation))
 
-# Raws per whole-text pass (see the module docstring).
-_CHUNK = 1 << 14
+# Characters per whole-text pass, before the cut at the next LF (see the
+# module docstring).
+_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,49 +95,48 @@ def tokenize(
     discarded and empty runs dropped, so empty input yields an empty multiset.
     No case folding unless ``lowercase`` is set.
     """
-    return tokenize_all((raw,), (record_id,), scheme, lowercase=lowercase)[0]
+    return tokenize_all(raw.replace("\n", " "), (record_id,), scheme, lowercase=lowercase)[0]
 
 
 def tokenize_all(
-    raws: Iterable[str],
-    ids: Iterable[str],
+    text: str,
+    ids: Sequence[str],
     scheme: str = WHITESPACE_PUNCT,
     *,
     lowercase: bool = False,
 ) -> list[TokenizedString]:
-    """The record of each raw string, split as :func:`tokenize` says, with the id in the same place.
+    """The record of each LF-separated line of ``text``, split as :func:`tokenize` says, with the id in the same place.
 
-    The raws are tokenized in the whole-text passes of the module docstring,
-    one chunk of raws at a time.
+    ``text`` holds one line per id, so ``len(ids) - 1`` LFs, except that
+    the empty text holds no lines when no ids come with it: any list of raws
+    without an LF, the empty list too, are the lines of the raws joined with
+    LF. The lines are tokenized in the whole-text passes of the module
+    docstring, one chunk at a time.
     Each record is made by ``object.__new__`` and its fields are stored by
     one ``map`` of the field's slot descriptor over all the records, so no
     Python code runs per record. The aggregate length is
     ``len("".join(tokens))``, as in :meth:`TokenizedString.from_tokens`.
-    Raises ``ValueError`` for an unknown scheme, even with no strings, and
-    when ``raws`` and ``ids`` differ in length.
+    Raises ``ValueError`` for an unknown scheme, even with no lines, and
+    when the lines and ids differ in number.
     """
     if scheme not in TOKENIZER_SCHEMES:
         raise ValueError(f"unknown tokenizer scheme {scheme!r}")
-    raws = list(raws)
-    ids = list(ids)
-    if len(ids) != len(raws):
-        raise ValueError(f"{len(raws)} raw strings but {len(ids)} ids")
     tokens: list[tuple[Token, ...]] = []
-    for start in range(0, len(raws), _CHUNK):
-        tokens += _token_tuples(raws[start : start + _CHUNK], scheme, lowercase)
-    records = list(map(object.__new__, repeat(TokenizedString, len(raws))))
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start + _CHUNK)
+        if end < 0:
+            end = len(text)
+        chunk = text[start:end]
+        if lowercase:
+            chunk = chunk.lower()
+        if scheme == WHITESPACE_PUNCT:
+            chunk = chunk.encode("utf-8", "surrogatepass").translate(_PUNCT_TO_SPACE).decode("utf-8", "surrogatepass")
+        tokens += map(tuple, map(str.split, chunk.split("\n")))
+        start = end + 1
+    if len(tokens) != len(ids) and (ids or text):
+        raise ValueError(f"{len(tokens)} lines but {len(ids)} ids")
+    records = list(map(object.__new__, repeat(TokenizedString, len(ids))))
     for slot, values in zip(_SLOTS, (ids, tokens, map(len, map("".join, tokens)), map(len, tokens))):
         deque(map(slot.__set__, records, values), maxlen=0)
     return records
-
-
-def _token_tuples(raws: list[str], scheme: str, lowercase: bool) -> list[tuple[Token, ...]]:
-    """The tokens of each of ``raws`` (at least one), by the whole-text passes of the module docstring."""
-    text = "\n".join(raws)
-    if text.count("\n") != len(raws) - 1:
-        text = "\n".join([raw.replace("\n", " ") for raw in raws])
-    if lowercase:
-        text = text.lower()
-    if scheme == WHITESPACE_PUNCT:
-        text = text.encode("utf-8", "surrogatepass").translate(_PUNCT_TO_SPACE).decode("utf-8", "surrogatepass")
-    return list(map(tuple, map(str.split, text.split("\n"))))

@@ -1,11 +1,13 @@
 """The benchmark's workloads at full size, through the CLI's own read, join and write.
 
 For each workload in ``perfbench/workloads.json`` the ``--seed 0`` corpus is
-written to a file as the benchmark writes it, read back with
-:func:`corpusio.read_corpus`, joined, and written with
+written to a file in each corpus format, a ``lines`` file as the benchmark
+writes it and a ``tsv-id`` file with each line's number as its id, read back
+with :func:`corpusio.read_corpus`, joined, and written with
 :func:`corpusio.write_results`; the file must hash to the workload's pinned
-reference. This guards the read path on bench-shaped data. It reads the
-benchmark's definitions and changes nothing there.
+reference, since the ids are the same in both formats. This guards both read
+paths on bench-shaped data. It reads the benchmark's definitions and changes
+nothing there.
 """
 
 from __future__ import annotations
@@ -16,15 +18,23 @@ from pathlib import Path
 
 import pytest
 
-from tokenjoin.corpusio import read_corpus, write_results
+from tokenjoin.corpusio import CORPUS_FORMATS, LINES, read_corpus, write_results
 from tokenjoin.pipeline import JoinConfig, join
 from tokenjoin.synth import generate_corpus
 
 DEFINITIONS = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(DEFINITIONS["workloads"]))
-def test_seed_0_corpus_reproduces_its_reference(name, tmp_path):
+# the default format keeps the bare workload name as its test id
+CASES = [
+    pytest.param(name, fmt, id=name if fmt == LINES else f"{name}-{fmt}")
+    for name in sorted(DEFINITIONS["workloads"])
+    for fmt in CORPUS_FORMATS
+]
+
+
+@pytest.mark.parametrize("name, fmt", CASES)
+def test_seed_0_corpus_reproduces_its_reference(name, fmt, tmp_path):
     workload = DEFINITIONS["workloads"][name]
     gen = dict(workload["generator"])
     size, base_seed = gen.pop("size"), gen.pop("base_seed")
@@ -34,8 +44,9 @@ def test_seed_0_corpus_reproduces_its_reference(name, tmp_path):
     corpora = []
     for i, side in enumerate(sides):
         path = tmp_path / f"corpus{i}.txt"
-        path.write_text("".join(line + "\n" for line in side), encoding="utf-8")
-        corpora.append(read_corpus(path))
+        rows = side if fmt == LINES else [f"{n}\t{line}" for n, line in enumerate(side)]
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        corpora.append(read_corpus(path, fmt))
     cfg = JoinConfig(self_join=split is None, **workload["join"])
     results, _ = join(corpora[0], corpora[1] if split is not None else None, cfg)
     output = tmp_path / "out.tsv"

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from tokenjoin.cli import build_parser, main
 from tokenjoin.corpusio import read_corpus, read_results, write_results
 from tokenjoin.errors import DataError
 from tokenjoin.pipeline import JoinConfig, JoinResult
+from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import TOKENIZER_SCHEMES, tokenize
 
 # every line boundary of str.splitlines; only LF and CR LF end a record
@@ -198,6 +200,34 @@ class TestCorpusIo:
         ids = ["a\x85b", "c\rd", "e\u2028", "f\r"]
         write_results(p, [JoinResult(left, "x", 0.5) for left in ids])
         assert [left for left, _, _ in read_results(p)] == ids
+
+    @pytest.mark.parametrize("distance", ["x", "nan", "inf", "-0.5", "1.000001", "", "1e-3", "0.5.0"])
+    def test_result_distance_not_in_unit_interval_names_the_line(self, tmp_path, distance):
+        p = tmp_path / "r.tsv"
+        p.write_text(f"a\tb\t0.250000\na\tc\t{distance}\n", encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            read_results(p)
+        assert str(excinfo.value) == f"{p}:2: distance {distance!r} is not a fixed-point number in [0, 1]"
+
+    def test_result_distances_at_the_ends_of_the_unit_interval(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_text("a\tb\t0.000000\na\tc\t1.000000\na\td\t1\na\te\t.5\n", encoding="utf-8")
+        assert [d for _, _, d in read_results(p)] == [0.0, 1.0, 1.0, 0.5]
+
+    def test_lines_read_peaks_at_most_three_file_sizes_above_its_records(self, tmp_path):
+        # the transient peak of a read: the file's bytes and text, and one
+        # chunk's copies, but no list of the lines and no rejoined text
+        p = tmp_path / "c.txt"
+        lines = generate_corpus(40_000, seed=1009, base_tokens=80_000, zipf_offset=400, min_tokens=2, perturb_rate=0.4)
+        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            records = read_corpus(p)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 40_000
+        assert peak - kept <= 3 * p.stat().st_size
 
 
 class TestJoinCommand:

@@ -12,8 +12,8 @@ from tokenjoin import textnorm
 from tokenjoin.corpusio import read_corpus
 from tokenjoin.textnorm import TOKENIZER_SCHEMES, WHITESPACE, WHITESPACE_PUNCT, TokenizedString, tokenize, tokenize_all
 
-# Raws built around the whole-text passes of tokenize_all: LF (its record
-# separator), a sigma after a capital and before case-ignorable punctuation or
+# Raws built around the whole-text passes of tokenize_all: LF (its line
+# separator, and a space inside a raw given to tokenize), a sigma after a capital and before case-ignorable punctuation or
 # combining marks (final-sigma lowercasing looks past them), characters whose
 # lowercase is longer (İ) or that have none (ß), whitespace that is not ASCII
 # (NBSP, the information separators U+001C-U+001F, NEL), and every ASCII
@@ -76,7 +76,7 @@ def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         tokenize("x", "phonetic")
     with pytest.raises(ValueError):
-        tokenize_all([], [], "phonetic")
+        tokenize_all("", [], "phonetic")
 
 
 def test_tokens_never_empty_and_never_contain_separators():
@@ -95,7 +95,7 @@ def test_deterministic_and_caches_consistent(raw):
 
 
 def specified_records(raws, scheme, lowercase):
-    """The records tokenize_all must return, ids "0", "1", ..., split by the reference regex."""
+    """The records of ``raws``, ids "0", "1", ..., split by the reference regex."""
     expected = []
     for i, raw in enumerate(raws):
         text = raw.lower() if lowercase else raw
@@ -117,26 +117,43 @@ def specified_records(raws, scheme, lowercase):
 @example(["a\nb", "ΟΔΟΣ\nΑ"], WHITESPACE, True)
 @example(["Jo\U0001f600.é", "x\ud800:y"], WHITESPACE_PUNCT, False)  # 4-byte UTF-8 and a lone surrogate
 def test_tokenize_all_is_tokenize_as_specified(raws, scheme, lowercase):
+    # tokenize_all cuts the joined raws at every LF; tokenize reads an LF as a space
+    text = "\n".join(raws)
+    lines = text.split("\n") if raws else []
+    ids = [str(i) for i in range(len(lines))]
+    assert tokenize_all(text, ids, scheme, lowercase=lowercase) == specified_records(lines, scheme, lowercase)
     expected = specified_records(raws, scheme, lowercase)
-    ids = [str(i) for i in range(len(raws))]
-    assert tokenize_all(raws, ids, scheme, lowercase=lowercase) == expected
-    assert [tokenize(raw, scheme, record_id=i, lowercase=lowercase) for raw, i in zip(raws, ids)] == expected
+    assert [tokenize(raw, scheme, record_id=str(i), lowercase=lowercase) for i, raw in enumerate(raws)] == expected
 
 
 @pytest.mark.parametrize("scheme", TOKENIZER_SCHEMES)
-def test_tokenize_all_across_chunks(scheme):
-    # More raws than two whole-text passes hold, with an LF inside a raw and
-    # characters past U+00FF in some chunks only.
-    n = 2 * textnorm._CHUNK + 3
-    raws = [f"Ab.{i}:ΟΣ" for i in range(n)]
-    raws[5] = "Jo\U0001f600,é"
-    raws[textnorm._CHUNK - 1] = "a\nB"
-    raws[textnorm._CHUNK] = "Σ.\u2028x"
-    raws[-1] = "ΑΣ.Β\n"
+def test_tokenize_all_across_chunks(scheme, tmp_path):
+    size = textnorm._CHUNK
+    lines = [f"Ab.{i}:ΟΣ" for i in range(size // 16)]
+    # the line across the first chunk's end ends with a Σ., and the next begins with one
+    lines[-1] += "x" * (size - sum(len(line) + 1 for line in lines[:-1])) + "ΑΣ."
+    lines += ["Σ.Β ΑΣ.Β", "Jo " + "y" * size + ".ΑΣ.Β z"]
+    lines += [f"ΑΣ.{i}" for i in range(size // 10)]
+    lines[-9] = "Jo\U0001f600,é"
+    lines.append("ΑΣ.Β")
+    text = "\n".join(lines)
+    # each chunk ends at the first LF one chunk past its start
+    first = text.find("\n", size)
+    second = text.find("\n", first + 1 + size)
+    assert text[first - 3 : first + 3] == "ΑΣ.\nΣ."
+    assert text[first + 1 : second].split("\n") == lines[-(size // 10) - 3 : -(size // 10) - 1]
+    assert text.find("\n", second + 1 + size) < 0
+    assert text.find("\U0001f600") > second
+    plain = tmp_path / "c.txt"
+    plain.write_text(text, encoding="utf-8")
+    tsv = tmp_path / "c.tsv"
+    tsv.write_text("".join(f"{i}\t{line}\n" for i, line in enumerate(lines)), encoding="utf-8")
+    ids = [str(i) for i in range(len(lines))]
     for lowercase in (False, True):
-        assert tokenize_all(raws, map(str, range(n)), scheme, lowercase=lowercase) == specified_records(
-            raws, scheme, lowercase
-        )
+        expected = specified_records(lines, scheme, lowercase)
+        assert tokenize_all(text, ids, scheme, lowercase=lowercase) == expected
+        assert read_corpus(plain, "lines", scheme, lowercase=lowercase) == expected
+        assert read_corpus(tsv, "tsv-id", scheme, lowercase=lowercase) == expected
 
 
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40))
@@ -153,11 +170,13 @@ def test_from_tokens_builds_consistent_caches():
 
 
 def test_tokenize_all_rejects_ids_and_raws_of_other_lengths():
-    for raws, ids in [(["a b", "c"], ["0"]), (["a b"], ["0", "1"]), ([], ["0"]), (["a"], [])]:
+    # a text holds one line more than its LFs, and the empty text none with no ids
+    assert tokenize_all("", []) == []
+    assert tokenize_all("", ["0"]) == [TokenizedString("0", (), 0, 0)]
+    assert tokenize_all("\n", ["0", "1"]) == [TokenizedString(i, (), 0, 0) for i in "01"]
+    for text, ids in [("a b\nc", ["0"]), ("a b", ["0", "1"]), ("a", []), ("\n", []), ("\n", ["0"])]:
         with pytest.raises(ValueError):
-            tokenize_all(raws, ids)
-        with pytest.raises(ValueError):
-            tokenize_all(iter(raws), iter(ids))
+            tokenize_all(text, ids)
 
 
 def test_records_are_whole_tokenized_strings(tmp_path):
@@ -165,7 +184,7 @@ def test_records_are_whole_tokenized_strings(tmp_path):
     corpus = tmp_path / "c.txt"
     corpus.write_text("".join(raw + "\n" for raw in raws), encoding="utf-8")
     built = [TokenizedString.from_tokens(str(i), tokenize(raw).tokens) for i, raw in enumerate(raws)]
-    for records in (read_corpus(corpus), tokenize_all(raws, map(str, range(len(raws))))):
+    for records in (read_corpus(corpus), tokenize_all("\n".join(raws), [str(i) for i in range(len(raws))])):
         assert records == built
         assert [hash(r) for r in records] == [hash(r) for r in built]
         assert set(records) == set(built)
