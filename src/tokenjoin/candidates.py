@@ -154,7 +154,8 @@ class SimilarStats:
     also the pairs of two tokens kept on one side only.
     The ``ld_checks`` of them that a self-join keeps, or that pair a
     left-kept token with a right-kept one in a two-set join, went to
-    ``ld_bounded_ids``, whose kernel ran ``ld_kernel_runs`` of them (it
+    ``ld_bounded_ids``, whose kernel ran ``ld_kernel_runs`` of them and
+    whose one-edit test decided ``ld_one_edit_runs``, those at cap 1 (it
     settles the others by their lengths, caps or character signatures), and
     ``pairs`` (ordered, in a two-set join) were within the threshold.
     ``index_ms`` is the time spent building the index.
@@ -165,6 +166,7 @@ class SimilarStats:
     candidates: int = 0
     ld_checks: int = 0
     ld_kernel_runs: int = 0
+    ld_one_edit_runs: int = 0
     pairs: int = 0
     index_ms: float = 0.0
 
@@ -468,7 +470,7 @@ def similar_token_pairs(
     stats.ld_checks = int(check.size)
     a_check, b_check = a[check], b[check]
     caps = bounds.cost_cap[table.lens[a_check] + table.lens[b_check]]
-    dists, stats.ld_kernel_runs = ld_bounded_ids(table, a_check, b_check, caps)
+    dists, stats.ld_kernel_runs, stats.ld_one_edit_runs = ld_bounded_ids(table, a_check, b_check, caps)
     over = check[dists < 0]
     forward[over] = backward[over] = False
     sim_r = np.concatenate([a[forward], b[backward]])

@@ -5,7 +5,10 @@ exceeds the threshold, so the verified output is identical with filters on or
 off. The length filter reads two integers; the histogram filter lower-bounds
 the setwise cost from sorted token-length lists; the residual filter does the
 same after dropping the tokens the two records share, with at least one edit
-per remaining token pair. The join's filter stage runs the length prune, and
+per remaining token pair. The join's filter stage runs the length prune,
+then, on its survivors, the record-signature prune of
+:func:`residual.signature_survivors` (a bag distance over 32 buckets of code
+points, at least one edit per character the other record lacks), and
 verify applies the residual bound before it matches any tokens. All
 predicates are exact integer comparisons against the rational threshold.
 """
@@ -23,14 +26,17 @@ from .strdist import threshold_ratio
 class FilterStats:
     """Counters reconciling exactly: input = pruned_by_length + pruned_by_histogram + surviving.
 
-    The join's histogram prune is the residual prune (:func:`residual_prunes`),
-    which verify applies to the length survivors; ``surviving`` is what
+    The join's histogram prunes are its two cost-bound prunes of the length
+    survivors: the record-signature prune (:func:`residual.signature_survivors`),
+    whose share ``pruned_by_signature`` counts, then the residual prune
+    (:func:`residual_prunes`), which verify applies; ``surviving`` is what
     verify goes on to match.
     """
 
     input_pairs: int = 0
     pruned_by_length: int = 0
     pruned_by_histogram: int = 0
+    pruned_by_signature: int = 0
     surviving: int = 0
 
 

@@ -32,7 +32,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 # strdist); candidates uses numpy too, so it comes after residual
 from .errors import ConfigError, DataError, StageError
 from .filters import FilterStats
-from .residual import Residuals, VerifyStats, length_survivors, verify_block, verify_blocks
+from .residual import Residuals, VerifyStats, length_survivors, signature_survivors, verify_block, verify_blocks
 from .candidates import _PACK_MASK, SimilarStats, pairs_within, ranges, similar_token_pairs, sorted_distinct
 from .strdist import TokenTable, threshold_bounds, token_table
 from .textnorm import TOKENIZER_SCHEMES, WHITESPACE_PUNCT, TokenizedString
@@ -322,8 +322,9 @@ def join(
     cap returns exactly the true pair set; greedy and exact-token modes return
     subsets of it (never false positives). Results are sorted by
     (left_id, right_id) and byte-identical across runs and worker counts.
-    ``use_filters=False`` skips the filter stage's length prune, and verify's
-    residual bound rejects are then counted as verify's, not as the filter's
+    ``use_filters=False`` skips the filter stage's length and signature
+    prunes, and verify's residual bound rejects are then counted as
+    verify's, not as the filter's
     (the output must not change; the differential tests rely on this knob).
 
     The cyclic garbage collector is paused for the call and left as the
@@ -394,6 +395,9 @@ def _join(
         del ids_r, ids_p, table
         survivors = length_survivors(unique, residuals) if use_filters else unique
         del unique
+        n_length = int(survivors.size)
+        if use_filters:
+            survivors = signature_survivors(survivors, residuals)
 
     with report.stage("verify") as stage:
         packed, dists, report.verify = _verify(survivors, residuals, cfg.workers, report)
@@ -402,11 +406,13 @@ def _join(
         # the pool's spans run inside verify's
         stage.millis -= pool.millis
         stage.cpu_ms -= pool.cpu_ms
-    # with the filter stage on, verify's residual bound is its second prune
+    # with the filter stage on, the signature prune and verify's residual
+    # bound are its cost-bound prunes
     pruned = report.verify.residual_rejects if use_filters else 0
     report.verify.residual_rejects -= pruned
     n_verified = int(survivors.size) - pruned
-    report.filters = FilterStats(n_unique, n_unique - int(survivors.size), pruned, n_verified)
+    by_signature = n_length - int(survivors.size)
+    report.filters = FilterStats(n_unique, n_unique - n_length, by_signature + pruned, by_signature, n_verified)
     filtering.items_out = stage.items_in = n_verified
     stage.items_out = int(packed.size)
 

@@ -7,7 +7,9 @@ record. Verify gathers each pair's keys into two rows as wide as its larger
 record: equal keys of the two rows match each shared copy of a token once,
 and the unmatched keys are the residual tokens, as ``(length, token id)``
 cells (see :func:`_residual_cells`). :func:`length_survivors` is the filter
-stage's length prune. :func:`verify_block` rejects with the
+stage's length prune, and :func:`signature_survivors` its record-signature
+prune of the length survivors, from one character signature per record.
+:func:`verify_block` rejects with the
 residual-length bound of :func:`filters.residual_prunes` and costs every
 other pair with :func:`_matching_costs`; the edit distances go to
 :func:`strdist.ld_bounded_ids` as token ids. The filter stage builds the
@@ -49,8 +51,9 @@ class VerifyStats:
     instead, and this count as 0. ``kernel_cells`` is the number of
     token-pair edit distances needed, ``kernel_token_pairs`` the distinct
     token pairs of each verify block that went to ``ld_bounded_ids``, and
-    ``kernel_runs`` those of them that its kernel ran, the others being
-    settled by their lengths, caps or character signatures.
+    ``kernel_runs`` those of them that its kernel ran, and
+    ``one_edit_runs`` those at cap 1 that its one-edit test decided, the
+    others being settled by their lengths, caps or character signatures.
     """
 
     pairs_by_k: list[int] = field(default_factory=lambda: [0] * (ARRAY_MAX_K + 2))
@@ -58,6 +61,7 @@ class VerifyStats:
     kernel_cells: int = 0
     kernel_token_pairs: int = 0
     kernel_runs: int = 0
+    one_edit_runs: int = 0
 
     def add(self, other: "VerifyStats") -> None:
         """Add ``other``'s counters to these, ``pairs_by_k`` entry by entry."""
@@ -84,6 +88,8 @@ class Residuals:
     :func:`_keys`); likewise on the right. ``table`` holds the code points
     of the interned vocabulary, and ``table.lens[t]`` is the length of
     token t.
+    ``sigs_left[i]`` is left record i's character signature, the OR of its
+    tokens' ``table.sigs`` (see :func:`signature_survivors`).
     ``bounds`` are the threshold's, over the longest record: a pair whose
     longer side has length l is pruned by length when the lengths differ by
     more than ``maxdiff[l]``, and ``cost_cap[L]`` is the largest setwise
@@ -93,6 +99,8 @@ class Residuals:
     __slots__ = (
         "lens_left",
         "lens_right",
+        "sigs_left",
+        "sigs_right",
         "counts_left",
         "counts_right",
         "offsets_left",
@@ -116,6 +124,10 @@ class Residuals:
         self.counts_left, self.counts_right = side_r.counts, side_p.counts
         self.offsets_left = np.cumsum(side_r.counts) - side_r.counts
         self.offsets_right = np.cumsum(side_p.counts) - side_p.counts
+        self.sigs_left = _signatures(side_r.counts, self.offsets_left, ids_r, table)
+        self.sigs_right = (
+            self.sigs_left if side_p is side_r else _signatures(side_p.counts, self.offsets_right, ids_p, table)
+        )
         self.table = table
         self.lens_left = side_r.lens
         self.lens_right = side_p.lens
@@ -143,6 +155,14 @@ def _keys(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     rank = np.empty_like(flat)
     rank[order] = flat - np.maximum.accumulate(np.where(copy_of, 0, flat))
     return ids << 32 | rank
+
+
+def _signatures(counts: np.ndarray, offsets: np.ndarray, ids: np.ndarray, table: TokenTable) -> np.ndarray:
+    """Each record's character signature: the OR of its tokens' ``table.sigs``, 0 for a record without tokens."""
+    sigs = np.zeros(counts.size, dtype=np.uint32)
+    filled = counts > 0
+    sigs[filled] = np.bitwise_or.reduceat(table.sigs[ids], offsets[filled])
+    return sigs
 
 
 def _rows(keys: np.ndarray, offsets: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
@@ -231,19 +251,49 @@ def _cells(keys: np.ndarray, real: np.ndarray, vocab_lens: np.ndarray) -> np.nda
 
 
 def length_survivors(unique: np.ndarray, res: Residuals) -> np.ndarray:
-    """The packed pairs whose aggregate lengths are within the threshold, in order.
+    """The packed pairs whose aggregate lengths are within the threshold, in order."""
+    return _kept(unique, res, _within_length)
 
-    Runs over slices of ``BLOCK_CELLS`` pairs, so no temporary is as long as ``unique``.
+
+def signature_survivors(survivors: np.ndarray, res: Residuals) -> np.ndarray:
+    """The packed pairs that the record-signature bound keeps, in order.
+
+    A record's signature has bit ``c & 31`` set for each code point c of
+    its tokens. Every character of one record whose bucket holds no
+    character of the other costs an edit of its own in any matching (the
+    bag distance of :func:`strdist.ld_bounded_ids` over 32 buckets, which
+    adds up over matched token pairs, padding included), so a pair is
+    dropped when ``max(popcount(sA & ~sB), popcount(sB & ~sA))`` exceeds
+    its cap ``cost_cap[la + lb]``. The greedy cost is at least the exact
+    one, so the bound holds in every matching mode.
     """
-    parts = [unique[:0]]
-    for start in range(0, unique.size, BLOCK_CELLS):
-        block = unique[start : start + BLOCK_CELLS]
-        li, ri = _unpack(block)
-        la = res.lens_left[li]
-        lb = res.lens_right[ri]
-        mx = np.maximum(la, lb)
-        parts.append(block[mx - np.minimum(la, lb) <= res.bounds.maxdiff[mx]])
+    return _kept(survivors, res, _within_signatures)
+
+
+def _kept(pairs: np.ndarray, res: Residuals, keep) -> np.ndarray:
+    """The packed pairs for which ``keep(res, left ids, right ids)`` is True, in order.
+
+    Runs over slices of ``BLOCK_CELLS`` pairs, so no temporary is as long as ``pairs``.
+    """
+    parts = [pairs[:0]]
+    for start in range(0, pairs.size, BLOCK_CELLS):
+        block = pairs[start : start + BLOCK_CELLS]
+        parts.append(block[keep(res, *_unpack(block))])
     return np.concatenate(parts)
+
+
+def _within_length(res: Residuals, li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+    la = res.lens_left[li]
+    lb = res.lens_right[ri]
+    mx = np.maximum(la, lb)
+    return mx - np.minimum(la, lb) <= res.bounds.maxdiff[mx]
+
+
+def _within_signatures(res: Residuals, li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+    sa = res.sigs_left[li]
+    sb = res.sigs_right[ri]
+    bound = np.maximum(np.bitwise_count(sa & ~sb), np.bitwise_count(sb & ~sa))
+    return bound <= res.bounds.cost_cap[res.lens_left[li] + res.lens_right[ri]]
 
 
 def verify_blocks(survivors: np.ndarray, res: Residuals) -> list[np.ndarray]:
@@ -420,6 +470,7 @@ def _edge_distances(
     del order, run, first
     stats.kernel_cells += int(group.size)
     stats.kernel_token_pairs += int(distinct.size)
-    dists, ran = ld_bounded_ids(table, distinct >> 32, distinct & _PACK_MASK, group_cap)
+    dists, ran, one_edit = ld_bounded_ids(table, distinct >> 32, distinct & _PACK_MASK, group_cap)
     stats.kernel_runs += ran
+    stats.one_edit_runs += one_edit
     return dists[group]

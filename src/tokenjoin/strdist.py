@@ -5,7 +5,8 @@ Distances: plain and length-normalized Levenshtein. The normalized form is
 in batches of token ids: :func:`token_table` lays out the code points of the
 interned vocabulary once, with a 32-bit character signature per token, and
 :func:`ld_bounded_ids` settles the pairs whose signatures differ by more
-than the cap, then gathers each remaining pair's rows from the table for a
+than the cap, decides the pairs at cap 1 from their common prefix and
+suffix, then gathers each remaining pair's rows from the table for a
 bit-parallel kernel on numpy words.
 
 The bound helpers (largest/smallest edit distance consistent with a normalized
@@ -29,7 +30,7 @@ not given back, and a join's peak RSS rose by about a megabyte.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -180,6 +181,17 @@ class TokenTable(NamedTuple):
 
         return np.take(self.codes, self.starts[ids][:, None] + np.arange(width), mode="clip")
 
+    def tails(self, ids: np.ndarray, width: int) -> np.ndarray:
+        """One row of ``width`` code points per token of ``ids``, read backwards from the token's last.
+
+        Past a token's length a row holds whatever precedes it in the table
+        (the table's first code point, at its start).
+        """
+        import numpy as np
+
+        ends = self.starts[ids] + self.lens[ids] - 1
+        return np.take(self.codes, ends[:, None] - np.arange(width), mode="clip")
+
     def token(self, t: int) -> str:
         """The token with id ``t``."""
         start = int(self.starts[t])
@@ -209,8 +221,10 @@ def token_table(tokens: Collection[str]) -> TokenTable:
     return TokenTable(codes, starts, lens, sigs)
 
 
-def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, int]:
-    """The capped distance of each pair of token ids, and how many pairs the kernel ran.
+def ld_bounded_ids(
+    table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """The capped distance of each pair of token ids, and how many pairs the kernel and the one-edit test ran.
 
     Per pair ``(a[i], b[i])`` the distance if it is at most ``caps[i]``,
     else -1. The ids index ``table``, whose tokens must be distinct, so
@@ -222,17 +236,19 @@ def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.nda
     substituted or deleted, each by an edit of its own, so LD(x, y) is at
     least the count of x's buckets that y lacks, and likewise for y (the
     bag distance of Bartolini, Ciaccia and Patella, SPIRE 2002, over 32
-    buckets). The other pairs run :func:`ld_bounded`'s bit-parallel column
+    buckets). The open pairs at cap 1 take :func:`_one_edit`, exact at any
+    length. The other pairs run :func:`ld_bounded`'s bit-parallel column
     update on numpy words, all pairs at once: the shorter token is the
     pattern (one uint64 per pair, so at most 63 characters;
     longer patterns are decoded and fall back to :func:`ld_bounded`) and the
     longer one the text, their code points gathered as rows of the table.
     Sorted by text length, the pairs still reading text at step j are a
     prefix of the batch, so each step works on a contiguous slice and no
-    pair is masked. The sorted pairs run in passes of at most
-    ``_BATCH_CODE_POINTS`` code points, so a few very long texts cannot blow
-    up the matrices. The count returned with the distances is the number of
-    pairs that reached the kernel or the fallback.
+    pair is masked. Both the kernel and the one-edit test run in passes of
+    at most ``_BATCH_CODE_POINTS`` code points (:func:`_passes`), so a few
+    very long tokens cannot blow up the matrices. The counts returned with
+    the distances are the pairs that reached the kernel or the fallback, and
+    those the one-edit test decided.
     """
     import numpy as np
 
@@ -251,16 +267,15 @@ def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.nda
     only_a = np.bitwise_count(sig_a & ~sig_b)
     only_b = np.bitwise_count(sig_b & ~sig_a)
     open_ &= np.maximum(only_a, only_b) <= caps
+    one = np.flatnonzero(open_ & (caps == 1))
+    for part in _passes(one, 4 * (short + 1)):
+        out[part] = np.where(_one_edit(table, a[part], b[part], short[part]), 1, -1)
+    open_ &= caps > 1
     for i in np.flatnonzero(open_ & (short > _BATCH_PATTERN_MAX)).tolist():
         d = ld_bounded(table.token(a[i]), table.token(b[i]), int(caps[i]))
         out[i] = -1 if d is None else d
-    run = np.flatnonzero(open_ & (short <= _BATCH_PATTERN_MAX))
     # longest text first: the pairs still reading text form a prefix
-    run = run[np.argsort(-long[run], kind="stable")]
-    start = 0
-    while start < run.size:
-        part = run[start : start + max(1, _BATCH_CODE_POINTS // (64 + int(long[run[start]])))]
-        start += part.size
+    for part in _passes(np.flatnonzero(open_ & (short <= _BATCH_PATTERN_MAX)), 64 + long):
         a_first = len_a[part] <= len_b[part]
         pats = np.where(a_first, a[part], b[part])
         texts = np.where(a_first, b[part], a[part])
@@ -268,7 +283,48 @@ def ld_bounded_ids(table: TokenTable, a: np.ndarray, b: np.ndarray, caps: np.nda
         width = -(-int(m.max()) // 8) * 8  # whole bytes of pattern bits
         dist = _myers_batch(table.rows(pats, width), table.rows(texts, int(n[0])), m, n)
         out[part] = np.where(dist <= caps[part], dist, -1)
-    return out, int(np.count_nonzero(open_))
+    return out, int(np.count_nonzero(open_)), int(one.size)
+
+
+def _passes(pairs: np.ndarray, cells: np.ndarray) -> Iterator[np.ndarray]:
+    """``pairs`` by descending ``cells``, in slices of at most ``_BATCH_CODE_POINTS`` code points.
+
+    ``cells[i]`` is how many code points pair i gathers; a pair that
+    gathers more than a pass holds runs alone.
+    """
+    import numpy as np
+
+    pairs = pairs[np.argsort(-cells[pairs], kind="stable")]
+    start = 0
+    while start < pairs.size:
+        part = pairs[start : start + max(1, _BATCH_CODE_POINTS // int(cells[pairs[start]]))]
+        start += part.size
+        yield part
+
+
+def _one_edit(table: TokenTable, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Whether each pair of distinct token ids is within one edit.
+
+    The tokens' lengths must differ by at most one, and ``m[i]``, the
+    shorter, be at least 1. With p and s the lengths of the common prefix
+    and the common suffix, each read over the first and last m characters,
+    so they may overlap, LD <= 1 iff p + s >= m − (m == n), n being the
+    longer length, as :func:`ld_bounded` decides cap 1: at equal lengths
+    the two tokens then differ in one position, and at n = m + 1 the
+    longer one is the shorter with one character inserted, after its first
+    n − 1 − s characters. Reads rows m + 1 code points wide: column m is
+    past every token's shorter side and counts as a mismatch, so the first
+    mismatch of a row is at most m.
+    """
+    import numpy as np
+
+    width = int(m.max()) + 1
+    past = np.arange(width) >= m[:, None]
+    head = table.rows(a, width) != table.rows(b, width)
+    head |= past
+    tail = table.tails(a, width) != table.tails(b, width)
+    tail |= past
+    return head.argmax(axis=1) + tail.argmax(axis=1) >= m - (table.lens[a] == table.lens[b])
 
 
 def _myers_batch(pats: np.ndarray, texts: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -55,6 +55,28 @@ def sld_perm(tokens_a, tokens_b) -> int:
     return min(sum(cost[i][p[i]] for i in range(k)) for p in permutations(range(k)))
 
 
+def buckets(s: str) -> set[int]:
+    """The character-signature buckets of the code points of ``s``."""
+    return {ord(c) & 31 for c in s}
+
+
+def bucket_bound(x: str, y: str) -> int:
+    """The character-signature lower bound of LD(x, y): the buckets one string has and the other lacks, at most."""
+    bx, by = buckets(x), buckets(y)
+    return max(len(bx - by), len(by - bx))
+
+
+def signature_prunes(tokens_a, tokens_b, la: int, lb: int, num: int, den: int) -> bool:
+    """The scalar specification of the record-signature prune: True when the bound already exceeds num/den.
+
+    The bound is :func:`bucket_bound` of the two records' characters, each
+    record's tokens taken together.
+    """
+    lower = bucket_bound("".join(tokens_a), "".join(tokens_b))
+    # 2*LB/(la + lb + LB) > T, cross-multiplied
+    return 2 * lower * den > num * (la + lb + lower)
+
+
 def nsld_frac(tokens_a, tokens_b) -> Fraction:
     """Exact rational normalized setwise distance."""
     s = sld_perm(tokens_a, tokens_b)

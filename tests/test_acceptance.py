@@ -493,7 +493,7 @@ def test_criterion_9_determinism_and_scaling():
     assert _sha256(outputs[1]) == W1_SHA256
     report = reports[1]
     assert (report.stages["generate"].items_out, report.stages["dedup"].items_out) == (2_264_974, 2_202_134)
-    assert report.filters == FilterStats(2_202_134, 1_716_511, 276_361, 209_262)
+    assert report.filters == FilterStats(2_202_134, 1_716_511, 427_334, 413_905, 58_289)
     assert len(outputs[1].splitlines()) == 49_200
     greedy, _ = join(records, None, JoinConfig(threshold=0.1, max_token_freq=1000, matching="greedy"))
     assert _sha256(format_results(greedy).encode()) == W1_SHA256

@@ -48,7 +48,10 @@ def test_seed_0_corpus_reproduces_its_reference(name, fmt, tmp_path):
         path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
         corpora.append(read_corpus(path, fmt))
     cfg = JoinConfig(self_join=split is None, **workload["join"])
-    results, _ = join(corpora[0], corpora[1] if split is not None else None, cfg)
+    results, report = join(corpora[0], corpora[1] if split is not None else None, cfg)
     output = tmp_path / "out.tsv"
     write_results(output, results)
     assert hashlib.sha256(output.read_bytes()).hexdigest() == DEFINITIONS["references"]["full"][name]["0"]
+    # the record-signature prune and the one-edit test both run on bench-shaped data
+    assert report.filters.pruned_by_signature > 0
+    assert report.similar.ld_one_edit_runs > 0 and report.verify.one_edit_runs > 0

@@ -10,9 +10,9 @@ from tokenjoin.filters import (
     residual_prunes,
 )
 
-from tokenjoin.setdist import drop_shared, residual_lower_bound
+from tokenjoin.setdist import drop_shared, residual_lower_bound, sld_greedy
 
-from helpers import nsld_frac, rand_multiset, sld_perm
+from helpers import bucket_bound, make_ts, nsld_frac, rand_multiset, signature_prunes, sld_perm
 
 
 class TestLengthFilter:
@@ -143,8 +143,45 @@ class TestResidualFilter:
         assert pruned["residual"] > pruned["histogram"] > 0
 
 
+class TestSignatureFilter:
+    # "a", "A", "á" and "\x01" (97, 65, 225 and 1) share bucket 1, "b" and
+    # "B" bucket 2, the non-BMP character (U+1F600) bucket 0 with "@"
+    TOKENS = ["", "", "a", "A", "á", "ab", "bB", "\x01b", "é漢", "\U0001F600", "c\U0001F600", "xyz", "@zy", "abc"]
+
+    def test_frozen_examples(self):
+        # "abc" against "xyz": three buckets each way, and 2*3/(6 + 3) is
+        # over 1/10 and exactly 2/3, which it keeps
+        assert signature_prunes(("abc",), ("xyz",), 3, 3, 1, 10)
+        assert not signature_prunes(("abc",), ("xyz",), 3, 3, 2, 3)
+        # the larger side's count: "a" lacks three buckets of "abcd"
+        assert bucket_bound("a", "abcd") == bucket_bound("abcd", "a") == 3
+        # a record's tokens count together, whatever their split and order
+        assert not signature_prunes(("ab", "c"), ("ca", "b"), 3, 3, 1, 10)
+        # colliding buckets hide edits: "aB" and "Ab" differ in two places
+        assert bucket_bound("aB", "Ab") == 0
+
+    def test_never_above_the_setwise_cost(self, rng):
+        # the exact cost, which fuzzy and exact-token matching verify, and the
+        # greedy cost, never below it; empty tokens cost what padding costs
+        tight = 0
+        for _ in range(3000):
+            a = [rng.choice(self.TOKENS) for _ in range(rng.randint(0, 4))]
+            b = [rng.choice(self.TOKENS) for _ in range(rng.randint(0, 4))]
+            lower = bucket_bound("".join(a), "".join(b))
+            truth = sld_perm(a, b)
+            assert lower <= truth <= sld_greedy(make_ts("a", a), make_ts("b", b)).sld
+            tight += 0 < lower == truth
+        assert tight > 100
+
+
 class TestFilterStats:
     def test_reconciliation_and_merge(self):
-        s = FilterStats(input_pairs=10, pruned_by_length=3, pruned_by_histogram=2, surviving=5)
+        s = FilterStats(input_pairs=10, pruned_by_length=3, pruned_by_histogram=2, pruned_by_signature=1, surviving=5)
         assert s.input_pairs == s.pruned_by_length + s.pruned_by_histogram + s.surviving
-        assert dataclasses.asdict(s) == {"input_pairs": 10, "pruned_by_length": 3, "pruned_by_histogram": 2, "surviving": 5}
+        assert dataclasses.asdict(s) == {
+            "input_pairs": 10,
+            "pruned_by_length": 3,
+            "pruned_by_histogram": 2,
+            "pruned_by_signature": 1,
+            "surviving": 5,
+        }

@@ -30,7 +30,15 @@ from tokenjoin.strdist import ld_bounded_ids, threshold_bounds
 from tokenjoin.synth import generate_corpus
 from tokenjoin.textnorm import tokenize
 
-from helpers import all_pairs_token_oracle, candidate_stream, make_ts, rand_multiset, rand_token
+from helpers import (
+    all_pairs_token_oracle,
+    buckets,
+    candidate_stream,
+    make_ts,
+    rand_multiset,
+    rand_token,
+    signature_prunes,
+)
 
 
 def corpus_from_lines(lines, scheme="whitespace-punct"):
@@ -42,8 +50,12 @@ def reference_corpus():
 
 
 def multi_block_corpus():
-    """With ``residual.BLOCK_CELLS`` at 1000, verify gets more than three blocks."""
-    return corpus_from_lines(generate_corpus(400, seed=37, base_tokens=120, perturb_rate=0.5, max_edits=2))
+    """With ``residual.BLOCK_CELLS`` at 1000, verify gets more than three blocks.
+
+    Half the records are clones with at most one edit, which the
+    record-signature prune keeps, so more than 750 pairs reach verify.
+    """
+    return corpus_from_lines(generate_corpus(400, seed=37, base_tokens=120, perturb_rate=0.5, max_edits=1))
 
 
 def as_tuples(results):
@@ -375,6 +387,30 @@ def wide_records(rng):
     return records + [make_ts("empty", ()), make_ts("wide", [rand_token(rng, max_len=12) for _ in range(2000)])]
 
 
+# letter groups whose buckets collide: "a", "A", "á" and "\x01" fall in
+# bucket 1, "b" and "B" in bucket 2, the non-BMP character in bucket 0
+SIGNATURE_GROUPS = ["aAá\x01", "bB", "c\U0001F600", "xyz", "éf", "ghij"]
+
+
+def signature_records(rng, prefix, n):
+    """Records over one to three letter groups, each followed by a copy with one token one letter longer.
+
+    Some records hold an empty token; the letter added may come from any group.
+    """
+    letters = "".join(SIGNATURE_GROUPS)
+    out = []
+    for i in range(n):
+        own = "".join(rng.sample(SIGNATURE_GROUPS, rng.randint(1, 3)))
+        toks = ["".join(rng.choice(own) for _ in range(rng.randint(1, 6))) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            toks.append("")
+        out.append(make_ts(f"{prefix}{2 * i}", toks))
+        j = rng.randrange(len(toks))
+        toks[j] += rng.choice(letters)
+        out.append(make_ts(f"{prefix}{2 * i + 1}", toks))
+    return out
+
+
 def specified_survivors(pairs, side_r, side_p, num, den):
     """The scalar specification of the filter: the pairs it keeps, prunes by length and prunes by residual."""
     expected, by_len, by_res = [], [], []
@@ -483,6 +519,43 @@ class TestPackedFilter:
         assert by_res and expected
         blank = side_r.ids.index("blank")
         assert any(p >> 32 == blank for p in expected) and any(p >> 32 == blank for p in by_res)
+
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.2, 0.4])
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_signature_survivors_match_scalar_specification(self, threshold, self_join, rng):
+        extra = [make_ts("empty", ()), make_ts("blank", ("",)), make_ts("blank-near", ("", "a"))]
+        side_r = _prepare_side(signature_records(rng, "r", 60) + extra, "left")
+        side_p = side_r if self_join else _prepare_side(signature_records(rng, "p", 50) + extra, "right")
+        res, _, num, den = residual_rows(side_r, side_p, threshold)
+        pairs = joinable_pairs(side_r, side_p, self_join)
+        survivors = residual.signature_survivors(pairs, res)
+
+        kept, at_cap, one_sided = [], 0, Counter()
+        for packed in pairs.tolist():
+            a, b = side_r.tokens[packed >> 32], side_p.tokens[packed & 0xFFFFFFFF]
+            la, lb = sum(map(len, a)), sum(map(len, b))
+            if not signature_prunes(a, b, la, lb, num, den):
+                kept.append(packed)
+            cap = num * (la + lb) // (2 * den - num)
+            # the bound's two sides apart: a's buckets that b lacks, and b's that a lacks
+            sa, sb = buckets("".join(a)), buckets("".join(b))
+            only_a, only_b = len(sa - sb), len(sb - sa)
+            at_cap += max(only_a, only_b) == cap
+            one_sided[(only_a > cap) - (only_b > cap)] += 1
+        assert survivors.tolist() == kept
+        # pairs at the cap are kept; some pairs are pruned by either side's
+        # buckets alone, and some are kept
+        assert at_cap and one_sided[1] and one_sided[-1] and 0 < len(kept) < pairs.size
+
+    @pytest.mark.parametrize("matching", ["fuzzy", "greedy", "exact-token"])
+    def test_signature_prune_keeps_the_output(self, matching, rng):
+        corpus = signature_records(rng, "r", 150)
+        cfg = JoinConfig(threshold=0.3, matching=matching, max_token_freq=math.inf)
+        on, report = join(corpus, None, cfg)
+        off, _ = join(corpus, None, cfg, use_filters=False)
+        assert on == off and len(on) > 50
+        assert report.filters.pruned_by_signature > 0
 
 
 def random_side(rng, prefix, n, vocab):
@@ -765,13 +838,18 @@ class TestJoinProperties:
         off, report_off = join(corpus, None, cfg, use_filters=False)
         assert on == off
         assert report_on.filters.pruned_by_length + report_on.filters.pruned_by_histogram > 0
-        assert report_off.filters.pruned_by_length == 0
+        assert report_off.filters.pruned_by_length == report_off.filters.pruned_by_signature == 0
 
     def test_report_counts_reconcile(self, corpus):
         cfg = JoinConfig(threshold=0.15)
-        _, report = join(corpus, None, cfg)
+        # the corpus's similar tokens are all at cap 1; two 20-letter tokens
+        # a swap apart (cap 3, same buckets) reach the kernel
+        swapped = [make_ts("swap-a", ("abcdefghijklmnopqrst",)), make_ts("swap-b", ("abcdefghijlkmnopqrst",))]
+        _, report = join(corpus + swapped, None, cfg)
         stats = report.filters
         assert stats.input_pairs == stats.pruned_by_length + stats.pruned_by_histogram + stats.surviving
+        # the histogram prunes are the signature prune's and the residual bound's
+        assert 0 < stats.pruned_by_signature < stats.pruned_by_histogram
         stages = report.stages
         assert stages["dedup"].items_in == stages["generate"].items_out
         assert stages["filter"].items_in == stages["dedup"].items_out
@@ -786,11 +864,13 @@ class TestJoinProperties:
         for counts in payload["stages"].values():
             assert set(counts) == {"items_in", "items_out", "millis", "cpu_ms"}
         assert set(payload["similar"]) == {
-            "probes", "probe_keys", "candidates", "ld_checks", "ld_kernel_runs", "pairs", "index_ms"
+            "probes", "probe_keys", "candidates", "ld_checks", "ld_kernel_runs", "ld_one_edit_runs", "pairs", "index_ms"
         }
-        assert set(payload["filters"]) == {"input_pairs", "pruned_by_length", "pruned_by_histogram", "surviving"}
+        assert set(payload["filters"]) == {
+            "input_pairs", "pruned_by_length", "pruned_by_histogram", "pruned_by_signature", "surviving"
+        }
         assert set(payload["verify"]) == {
-            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs", "kernel_runs"
+            "pairs_by_k", "residual_rejects", "kernel_cells", "kernel_token_pairs", "kernel_runs", "one_edit_runs"
         }
         assert dataclasses.replace(cfg, max_token_freq=math.inf).to_dict() == {
             "threshold": 0.15,
@@ -806,8 +886,10 @@ class TestJoinProperties:
         assert similar["pairs"] == stages["similar-tokens"].items_out > 0
         assert similar["probe_keys"] >= similar["probes"]
         assert similar["candidates"] >= similar["ld_checks"] >= similar["pairs"]
-        # the kernel runs the checks that lengths, caps and signatures leave open
-        assert similar["ld_checks"] > similar["ld_kernel_runs"] > 0
+        # the kernel runs the checks that lengths, caps, signatures and the
+        # one-edit test leave open
+        assert similar["ld_checks"] > similar["ld_kernel_runs"] + similar["ld_one_edit_runs"]
+        assert similar["ld_kernel_runs"] > 0 and similar["ld_one_edit_runs"] > 0
         assert 0 <= similar["index_ms"] <= stages["similar-tokens"].millis
         assert all(payload["stages"][name]["cpu_ms"] >= 0 for name in stages)
         _, report_exact = join(corpus, None, JoinConfig(threshold=0.15, matching="exact-token"))
@@ -819,7 +901,8 @@ class TestJoinProperties:
         assert verify["residual_rejects"] == 0 < stats.pruned_by_histogram
         assert verify["pairs_by_k"]["0"] and verify["pairs_by_k"]["1"] and verify["pairs_by_k"]["2"]
         assert 0 < verify["kernel_token_pairs"] < verify["kernel_cells"]
-        assert 0 < verify["kernel_runs"] < verify["kernel_token_pairs"]
+        assert 0 < verify["kernel_runs"] + verify["one_edit_runs"] < verify["kernel_token_pairs"]
+        assert verify["kernel_runs"] > 0 and verify["one_edit_runs"] > 0
         _, report_off = join(corpus, None, cfg, use_filters=False)
         off = report_off.to_dict()["verify"]
         assert sum(off["pairs_by_k"].values()) + off["residual_rejects"] == report_off.stages["verify"].items_in
@@ -1031,6 +1114,7 @@ class TestVerify:
             got, want = report.to_dict()["verify"], report_one.to_dict()["verify"]
             assert got.pop("kernel_token_pairs") > want.pop("kernel_token_pairs")
             assert got.pop("kernel_runs") >= want.pop("kernel_runs")
+            assert got.pop("one_edit_runs") >= want.pop("one_edit_runs")
             assert got == want
             assert report.filters == report_one.filters
             assert report.filters.pruned_by_histogram > 0

@@ -23,7 +23,7 @@ from tokenjoin.strdist import (
     token_table,
 )
 
-from helpers import naive_ld, nld_frac, strings_upto
+from helpers import bucket_bound, naive_ld, nld_frac, strings_upto
 
 short_text = st.text(alphabet="abcdef", max_size=12)
 
@@ -166,7 +166,7 @@ class TestLdBoundedBatch:
         table = token_table(tokens)
         a = np.array([ids[x] for x in xs])
         b = np.array([ids[y] for y in ys])
-        got, ran = ld_bounded_ids(table, a, b, np.array(caps))
+        got, ran, _ = ld_bounded_ids(table, a, b, np.array(caps))
         assert got.dtype == np.int64 and got.shape == (len(xs),)
         assert 0 < ran < len(xs)
         dists = [ld(x, y) for x, y in zip(xs, ys)]
@@ -202,6 +202,33 @@ class TestLdBoundedBatch:
         want = [ld_bounded(x, y, cap) for x, y, cap in zip(xs, ys, caps)]
         assert whole.tolist() == [-1 if d is None else d for d in want]
 
+    @pytest.mark.parametrize("alphabet", ["ab", "aé\U0001F600"])
+    def test_one_edit_test_equals_ld_bounded(self, alphabet):
+        # equal and one-apart lengths, where the common prefix and suffix
+        # overlap ("aab" and "ab") or a token is empty, tokens of 63, 64 and
+        # 65+ characters, near copies and mixed caps
+        rng = random.Random(61)
+        fixed = [("aab", "ab"), ("aba", "ab"), ("ab", "ba"), ("abcd", "abdc"), ("abc", "xbc"), ("a", ""), ("aa", "a")]
+        pairs = [(x, y, cap) for x, y in fixed for cap in (1, 2)]
+        pairs += [(y, x, 1) for x, y in fixed]
+        for n in (1, 2, 3, 5, 62, 63, 64, 65, 100):
+            for _ in range(80):
+                x = "".join(rng.choice(alphabet) for _ in range(n))
+                pairs.append((x, edited(rng, x, alphabet, 2), rng.choice((1, 1, 1, 2, 3))))
+        xs, ys, caps = zip(*pairs)
+        got, _, one = ld_bounded_ids(*interned(xs, ys), np.array(caps))
+        want = [ld_bounded(x, y, cap) for x, y, cap in pairs]
+        assert got.tolist() == [-1 if d is None else d for d in want]
+        # the test decides every pair at cap 1 that equal ids, empty tokens,
+        # lengths and signatures leave open, within one edit or not
+        decided = [
+            d
+            for (x, y, cap), d in zip(pairs, want)
+            if cap == 1 and x != y and x and y and abs(len(x) - len(y)) <= 1 and bucket_bound(x, y) <= 1
+        ]
+        assert one == len(decided)
+        assert decided.count(1) > 150 and decided.count(None) > 25
+
     def test_order_and_duplicates_do_not_matter(self):
         rng = random.Random(43)
         words = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 12))) for _ in range(30)]
@@ -211,17 +238,6 @@ class TestLdBoundedBatch:
         got = ld_bounded_strings(xs, ys, caps)
         assert got.tolist() == [naive_ld(x, y) if naive_ld(x, y) <= c else -1 for x, y, c in zip(xs, ys, caps)]
         assert ld_bounded_strings(ys[::-1], xs[::-1], caps[::-1]).tolist() == got.tolist()[::-1]
-
-
-def buckets(s):
-    """The signature buckets of the code points of ``s``."""
-    return {ord(c) & 31 for c in s}
-
-
-def bucket_bound(x, y):
-    """The character-signature lower bound of LD(x, y)."""
-    bx, by = buckets(x), buckets(y)
-    return max(len(bx - by), len(by - bx))
 
 
 def random_word(rng, letters, n):
@@ -283,23 +299,29 @@ class TestCharacterSignatures:
 
     def test_far_pairs_skip_the_kernel(self, monkeypatch):
         # partners over disjoint letters (a-h against i-p) with at least four
-        # buckets each never reach the batch kernel or the scalar fallback at
-        # caps 1-3; one-edit copies still do
+        # buckets each reach no path at caps 1-3: not the one-edit test, the
+        # batch kernel or the scalar fallback; one-edit copies at cap 1 take
+        # the one-edit test only, and at caps 2-3 the kernel or the fallback
         rng = random.Random(59)
-        seen = set()
-        kernel, scalar = strdist._myers_batch, strdist.ld_bounded
+        kernel_seen, one_edit_seen = set(), set()
+        kernel, scalar, one_edit = strdist._myers_batch, strdist.ld_bounded, strdist._one_edit
 
         def batch_spy(pats, texts, m, n):
             for pat, text, k, l in zip(pats.tolist(), texts.tolist(), m.tolist(), n.tolist()):
-                seen.add(frozenset(("".join(map(chr, pat[:k])), "".join(map(chr, text[:l])))))
+                kernel_seen.add(frozenset(("".join(map(chr, pat[:k])), "".join(map(chr, text[:l])))))
             return kernel(pats, texts, m, n)
 
         def scalar_spy(x, y, cap):
-            seen.add(frozenset((x, y)))
+            kernel_seen.add(frozenset((x, y)))
             return scalar(x, y, cap)
+
+        def one_edit_spy(table, a, b, m):
+            one_edit_seen.update(frozenset((table.token(x), table.token(y))) for x, y in zip(a.tolist(), b.tolist()))
+            return one_edit(table, a, b, m)
 
         monkeypatch.setattr(strdist, "_myers_batch", batch_spy)
         monkeypatch.setattr(strdist, "ld_bounded", scalar_spy)
+        monkeypatch.setattr(strdist, "_one_edit", one_edit_spy)
         far, near = [], []
         for _ in range(400):
             n = rng.randint(4, 70)
@@ -308,14 +330,18 @@ class TestCharacterSignatures:
             far.append((x, random_word(rng, "ijklmnop", max(4, n + rng.randint(-1, 1))), cap))
             near.append((x, edited_once(rng, x, "abcdefghijklmnop"), cap))
         xs, ys, caps = zip(*far, *near)
-        got, ran = ld_bounded_ids(*interned(xs, ys), np.array(caps))
+        got, ran, one = ld_bounded_ids(*interned(xs, ys), np.array(caps))
         assert got.tolist() == [-1] * len(far) + [ld(x, y) if ld(x, y) <= c else -1 for x, y, c in near]
-        # the count covers the batch kernel and the scalar fallback
-        assert ran == len(near)
+        near_one = {frozenset((x, y)) for x, y, cap in near if cap == 1}
+        near_more = {frozenset((x, y)) for x, y, cap in near if cap > 1}
+        # the counts cover the one-edit test, and the batch kernel with the scalar fallback
+        assert (one, ran) == (sum(cap == 1 for *_, cap in near), sum(cap > 1 for *_, cap in near))
         assert all(abs(len(x) - len(y)) <= cap for x, y, cap in far)
-        assert not seen & {frozenset((x, y)) for x, y, _ in far}
-        assert {frozenset((x, y)) for x, y, _ in near} <= seen
-        assert any(min(len(x), len(y)) > 63 for x, y, _ in near)
+        assert not (kernel_seen | one_edit_seen) & {frozenset((x, y)) for x, y, _ in far}
+        assert one_edit_seen == near_one and not kernel_seen & near_one
+        assert kernel_seen == near_more
+        for pairs in (near_one, near_more):
+            assert any(min(map(len, pair)) > 63 for pair in pairs)
 
 
 class TestNld:
